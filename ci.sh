@@ -20,6 +20,12 @@ cargo test --offline --workspace -q
 echo "== cargo test (obskit noop feature)"
 cargo test --offline -p obskit --features noop -q
 
+echo "== bench: netbench gate (fmt, clippy, self-tests, --quick smoke runs)"
+# netbench is a workspace of its own, so nothing above compiles it, yet
+# it links the public APIs of nettrace, streamkit, collectd, sampling
+# and faultkit: a change that breaks one of them must fail here.
+benchmark/check.sh
+
 echo "== smoke: synthesize + score with --metrics"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

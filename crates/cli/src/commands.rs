@@ -6,8 +6,7 @@ use crate::args::{ArgError, Args};
 use netsynth::flows::{generate_flows, FlowProfile};
 use netsynth::TraceProfile;
 use nettrace::pcap::write_pcap;
-use nettrace::pcapng::read_capture;
-use nettrace::{Micros, PerSecondSeries, Trace, TraceError};
+use nettrace::{read_capture, Micros, PerSecondSeries, Trace, TraceError};
 use sampling::experiment::{Experiment, MethodFamily};
 use sampling::{disparity, select_indices, FlowEstimator, FlowExperiment, MethodSpec, Target};
 use statkit::SummaryRow;

@@ -104,6 +104,23 @@ fn exit_codes_distinguish_error_classes() {
     let out = netsample(&["analyze", &garbage]);
     assert_eq!(out.status.code(), Some(65));
     std::fs::remove_file(&garbage).ok();
+    // A path that opens but cannot be read (a directory: every read
+    // fails) is an I/O failure, not a truncated capture.
+    let dir = std::env::temp_dir();
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for args in [
+        &["analyze", dir][..],
+        &["analyze", dir, "--lossy"],
+        &["stream", dir],
+    ] {
+        let out = netsample(args);
+        assert_eq!(
+            out.status.code(),
+            Some(74),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 /// Regression: `sample` on a valid-but-empty capture used to reach the

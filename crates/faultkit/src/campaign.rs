@@ -4,16 +4,18 @@
 //! the readers to their contract:
 //!
 //! * the strict reader ([`nettrace::read_capture`]) returns a typed
-//!   [`TraceError`] or a valid [`Trace`](nettrace::Trace) — never a
-//!   panic;
-//! * the lossy reader ([`nettrace::lossy::salvage`]) never fails at
-//!   all: it reports a consistent salvage (`bytes_consumed ≤ total`,
-//!   `packets_salvaged = trace.len()`, fault offset within the image);
-//! * the two agree: a clean lossy parse and a strict accept imply each
-//!   other, with identical packet counts;
-//! * the chunked streaming reader ([`nettrace::CaptureStream`]) agrees
-//!   with the batch reader on every image: same accept/reject verdict,
-//!   same error class on reject, same packets on accept.
+//!   [`TraceError`] or a valid [`Trace`] — never a panic;
+//! * the lossy reader ([`nettrace::read_capture_lossy`]) never fails on
+//!   an in-memory image: it reports a consistent salvage
+//!   (`bytes_consumed ≤ total`, `packets_salvaged = trace.len()`, fault
+//!   offsets within the image and strictly increasing);
+//! * the fault policy holds. All three entry points run one decoder, so
+//!   the campaign checks that each loop applies its policy: strict
+//!   reading is salvage that stops at the first fault (same verdict,
+//!   error, offset, and packets read before it), the image is clean
+//!   exactly when the strict read succeeds (and then both yield the same
+//!   packets), and the sorted per-packet [`nettrace::CaptureStream`]
+//!   pull is the strict read.
 //!
 //! The campaign is a pure function of the seed; its [`Digest`] folds
 //! every case's classification so cross-run identity is one comparison.
@@ -23,6 +25,7 @@ use crate::mutate::Mutation;
 use crate::{Digest, Finding};
 use nettrace::error::TraceError;
 use nettrace::trace::Trace;
+use nettrace::{CaptureStream, IngestReport, PacketRecord};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -90,26 +93,139 @@ struct Campaign {
     cases: u64,
 }
 
+/// A per-packet [`CaptureStream`] pull up to its first fault: the
+/// packets, or the fault with its offset and the packets read before it.
+type Pull = Result<Vec<PacketRecord>, (TraceError, u64, usize)>;
+
+fn pull(image: &[u8]) -> Pull {
+    let mut stream = CaptureStream::new(image).map_err(|e| (e, 0, 0))?;
+    let mut packets = Vec::new();
+    loop {
+        match stream.next_packet() {
+            Ok(Some(packet)) => packets.push(packet),
+            Ok(None) => return Ok(packets),
+            Err(e) => {
+                let offset = stream.fault_offset().unwrap_or(u64::MAX);
+                return Err((e, offset, stream.packets_read()));
+            }
+        }
+    }
+}
+
+/// Run one reader, recording a panic as a violation.
+fn guarded<T>(reader: &str, violations: &mut Vec<String>, read: impl FnOnce() -> T) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(read))
+        .map_err(|panic| {
+            violations.push(format!(
+                "{reader} reader panicked: {}",
+                crate::panic_message(&*panic)
+            ));
+        })
+        .ok()
+}
+
+/// The salvage report is internally consistent.
+fn check_report(report: &IngestReport, violations: &mut Vec<String>) {
+    if report.bytes_consumed > report.bytes_total {
+        violations.push(format!(
+            "lossy consumed {} of {} bytes",
+            report.bytes_consumed, report.bytes_total
+        ));
+    }
+    if report.packets_salvaged != report.trace.len() {
+        violations.push(format!(
+            "salvage count {} != trace length {}",
+            report.packets_salvaged,
+            report.trace.len()
+        ));
+    }
+    for fault in &report.faults {
+        if fault.offset > report.bytes_total {
+            violations.push(format!(
+                "fault offset {} beyond image of {} bytes",
+                fault.offset, report.bytes_total
+            ));
+        }
+    }
+    for pair in report.faults.windows(2) {
+        if pair[0].offset >= pair[1].offset {
+            violations.push(format!(
+                "fault offsets not strictly increasing: {} then {}",
+                pair[0].offset, pair[1].offset
+            ));
+        }
+    }
+}
+
+/// The fault policy: strict reading is salvage stopped at its first
+/// fault, and the sorted stream pull is the strict read.
+fn check_policy(
+    strict: &Result<Trace, TraceError>,
+    report: &IngestReport,
+    pulled: &Pull,
+    violations: &mut Vec<String>,
+) {
+    match (strict, report.first_fault(), pulled) {
+        (Ok(trace), None, Ok(packets)) => {
+            if report.trace.packets() != trace.packets() {
+                violations.push(format!(
+                    "strict read {} packets, a clean salvage {} others",
+                    trace.len(),
+                    report.packets_salvaged
+                ));
+            }
+            if Trace::from_unordered(packets.clone()).packets() != trace.packets() {
+                violations.push(format!(
+                    "stream read {} packets that differ from strict's {}",
+                    packets.len(),
+                    trace.len()
+                ));
+            }
+        }
+        (Err(error), Some(first), Err((stream_error, offset, read))) => {
+            let (strict_err, salvage_err, stream_err) = (
+                format!("{error:?}"),
+                format!("{:?}", first.error),
+                format!("{stream_error:?}"),
+            );
+            if strict_err != salvage_err || strict_err != stream_err {
+                violations.push(format!(
+                    "strict failed with {strict_err}, salvage with {salvage_err}, \
+                     stream with {stream_err}"
+                ));
+            }
+            if first.offset != *offset {
+                violations.push(format!(
+                    "salvage's first fault at byte {} but strict's at {offset}",
+                    first.offset
+                ));
+            }
+            if report.packets_salvaged < *read {
+                violations.push(format!(
+                    "salvaged {} packets, strict read {read} before its fault",
+                    report.packets_salvaged
+                ));
+            }
+        }
+        (strict, first, pulled) => violations.push(format!(
+            "verdicts disagree: strict {}, salvage {}, stream {}",
+            classify(strict),
+            first.map_or("ok", |f| classify_error(&f.error)),
+            pulled
+                .as_ref()
+                .map_or_else(|(e, ..)| classify_error(e), |_| "ok"),
+        )),
+    }
+}
+
 impl Campaign {
     fn run_case(&mut self, source: &str, image: &[u8], what: &str) {
         let case_id = self.cases;
         self.cases += 1;
+        let mut violations = Vec::new();
 
-        let strict = catch_unwind(AssertUnwindSafe(|| nettrace::read_capture(image)));
-        let class = match &strict {
-            Ok(result) => classify(result),
-            Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "strict reader panicked on {what}: {}",
-                        crate::panic_message(&**panic)
-                    ),
-                });
-                "panic"
-            }
-        };
+        let strict = guarded("strict", &mut violations, || nettrace::read_capture(image));
+        let class = strict.as_ref().map_or("panic", classify);
         *self
             .outcomes
             .entry(format!("{source}/{class}"))
@@ -117,142 +233,37 @@ impl Campaign {
         self.digest.update(source.as_bytes());
         self.digest.update(class.as_bytes());
 
-        let lossy = catch_unwind(AssertUnwindSafe(|| nettrace::lossy::salvage(image)));
-        match lossy {
-            Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "lossy reader panicked on {what}: {}",
-                        crate::panic_message(&*panic)
-                    ),
-                });
-            }
-            Ok(report) => {
-                let mut violate = |detail: String| {
-                    self.findings.push(Finding {
-                        case_id,
-                        source: source.to_string(),
-                        detail: format!("{detail} ({what})"),
-                    });
-                };
-                if report.bytes_consumed > report.bytes_total {
-                    violate(format!(
-                        "lossy consumed {} of {} bytes",
-                        report.bytes_consumed, report.bytes_total
-                    ));
-                }
-                if report.packets_salvaged != report.trace.len() {
-                    violate(format!(
-                        "salvage count {} != trace length {}",
-                        report.packets_salvaged,
-                        report.trace.len()
-                    ));
-                }
-                for fault in &report.faults {
-                    if fault.offset > report.bytes_total {
-                        violate(format!(
-                            "fault offset {} beyond image of {} bytes",
-                            fault.offset, report.bytes_total
-                        ));
-                    }
-                }
-                for pair in report.faults.windows(2) {
-                    if pair[0].offset >= pair[1].offset {
-                        violate(format!(
-                            "fault offsets not strictly increasing: {} then {}",
-                            pair[0].offset, pair[1].offset
-                        ));
-                    }
-                }
-                match (&strict, report.is_clean()) {
-                    (Ok(Ok(trace)), false) => violate(format!(
-                        "strict accepted {} packets but lossy reported a fault",
-                        trace.len()
-                    )),
-                    (Ok(Ok(trace)), true) if trace.len() != report.packets_salvaged => {
-                        violate(format!(
-                            "strict read {} packets, lossy salvaged {}",
-                            trace.len(),
-                            report.packets_salvaged
-                        ));
-                    }
-                    (Ok(Err(_)), true) => {
-                        violate("strict rejected a stream lossy called clean".to_string());
-                    }
-                    _ => {}
-                }
+        let lossy = guarded("lossy", &mut violations, || {
+            nettrace::read_capture_lossy(image)
+        });
+        match &lossy {
+            Some(Ok(report)) => {
+                check_report(report, &mut violations);
                 self.digest.update_u64(report.packets_salvaged as u64);
                 self.digest.update_u64(report.bytes_consumed);
                 self.digest.update_u64(report.faults.len() as u64);
             }
+            Some(Err(e)) => {
+                violations.push(format!("lossy read of an in-memory image failed: {e}"))
+            }
+            None => {}
         }
 
-        // The chunked streaming reader must agree with the batch reader
-        // case by case: same accept/reject verdict, and on accept the
-        // same packets (the stream yields file order; the batch reader
-        // sorts, so compare through `Trace::from_unordered`).
-        let streamed = catch_unwind(AssertUnwindSafe(|| {
-            let mut stream = nettrace::CaptureStream::new(image)?;
-            let mut packets = Vec::new();
-            while let Some(packet) = stream.next_packet()? {
-                packets.push(packet);
-            }
-            Ok::<_, TraceError>(packets)
-        }));
-        match streamed {
-            Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "streaming reader panicked on {what}: {}",
-                        crate::panic_message(&*panic)
-                    ),
-                });
-            }
-            Ok(streamed) => {
-                let mut violate = |detail: String| {
-                    self.findings.push(Finding {
-                        case_id,
-                        source: source.to_string(),
-                        detail: format!("{detail} ({what})"),
-                    });
-                };
-                match (&strict, &streamed) {
-                    (Ok(Ok(trace)), Ok(packets)) => {
-                        if Trace::from_unordered(packets.clone()).packets() != trace.packets() {
-                            violate(format!(
-                                "stream read {} packets that differ from strict's {}",
-                                packets.len(),
-                                trace.len()
-                            ));
-                        }
-                    }
-                    (Ok(Ok(trace)), Err(stream_err)) => violate(format!(
-                        "strict accepted {} packets but stream failed: {stream_err}",
-                        trace.len()
-                    )),
-                    (Ok(Err(strict_err)), Ok(packets)) => violate(format!(
-                        "strict rejected ({strict_err}) a stream that streamed {} packets",
-                        packets.len()
-                    )),
-                    (Ok(Err(strict_err)), Err(stream_err)) => {
-                        let stream_class = classify_error(stream_err);
-                        let strict_class = classify_error(strict_err);
-                        if stream_class != strict_class {
-                            violate(format!(
-                                "strict failed as {strict_class} but stream as {stream_class}"
-                            ));
-                        }
-                    }
-                    (Err(_), _) => {} // strict panic already recorded
-                }
-                self.digest
-                    .update_u64(streamed.as_ref().map_or(u64::MAX, |p| p.len() as u64));
-            }
+        let pulled = guarded("streaming", &mut violations, || pull(image));
+        if let Some(pulled) = &pulled {
+            self.digest
+                .update_u64(pulled.as_ref().map_or(u64::MAX, |p| p.len() as u64));
         }
+
+        if let (Some(strict), Some(Ok(report)), Some(pulled)) = (&strict, &lossy, &pulled) {
+            check_policy(strict, report, pulled, &mut violations);
+        }
+        self.findings
+            .extend(violations.into_iter().map(|detail| Finding {
+                case_id,
+                source: source.to_string(),
+                detail: format!("{detail} ({what})"),
+            }));
     }
 }
 

@@ -10,7 +10,7 @@
 //!   *valid* pcap/pcapng corpora — bit flips, truncation at every block
 //!   boundary, length-field corruption, byte-order swaps — driven
 //!   through the strict reader ([`nettrace::read_capture`]) and the
-//!   lossy salvage path ([`nettrace::lossy::salvage`]). The contract
+//!   lossy salvage path ([`nettrace::read_capture_lossy`]). The contract
 //!   under test: every input yields a typed [`nettrace::TraceError`] or
 //!   a valid trace, never a panic, and a corrupted length field never
 //!   drives an allocation past the bytes actually present.

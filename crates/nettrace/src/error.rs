@@ -18,18 +18,23 @@ pub enum TraceError {
     },
     /// The requested time window or index range is empty or inverted.
     EmptyWindow,
-    /// An I/O error during pcap read/write.
+    /// An I/O error during capture read/write.
     Io(io::Error),
-    /// The pcap stream's magic number is not a known libpcap magic.
+    /// The stream's magic number is neither a libpcap magic nor the
+    /// pcapng section header's, or a pcapng section header carries an
+    /// invalid byte-order mark.
     BadMagic(u32),
-    /// The pcap stream ended in the middle of a record.
+    /// The capture ended in the middle of a record or block.
     TruncatedRecord {
         /// Number of complete packets read before truncation.
         packets_read: usize,
     },
-    /// A pcap record header declared an implausible capture length.
+    /// A record or block declared a length the format does not allow:
+    /// a pcap capture length above 256 KiB, or a pcapng block length
+    /// outside 12 B–16 MiB (28 B for a section header) or not a
+    /// multiple of 4.
     OversizedRecord {
-        /// Declared capture length in bytes.
+        /// Declared length in bytes.
         caplen: u32,
     },
 }
@@ -47,16 +52,17 @@ impl fmt::Display for TraceError {
             ),
             TraceError::EmptyWindow => write!(f, "requested window selects no packets"),
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
-            TraceError::BadMagic(m) => write!(f, "not a pcap stream (magic {m:#010x})"),
+            TraceError::BadMagic(m) => {
+                write!(f, "not a pcap or pcapng capture (bad magic {m:#010x})")
+            }
             TraceError::TruncatedRecord { packets_read } => {
-                write!(f, "pcap stream truncated after {packets_read} packets")
+                write!(f, "capture truncated after {packets_read} packets")
             }
-            TraceError::OversizedRecord { caplen } => {
-                write!(
-                    f,
-                    "pcap record declares caplen {caplen} > 256 KiB; refusing"
-                )
-            }
+            TraceError::OversizedRecord { caplen } => write!(
+                f,
+                "record length {caplen} is out of range (pcap: at most 256 KiB; \
+                 pcapng: 12 B to 16 MiB) or, for pcapng, not a multiple of 4; refusing"
+            ),
         }
     }
 }
@@ -95,6 +101,23 @@ mod tests {
         assert!(TraceError::TruncatedRecord { packets_read: 3 }
             .to_string()
             .contains("3 packets"));
+        // The capture errors name neither format alone: pcapng faults
+        // raise them too.
+        for e in [
+            TraceError::BadMagic(0xdead_beef),
+            TraceError::TruncatedRecord { packets_read: 3 },
+            TraceError::OversizedRecord { caplen: 13 },
+        ] {
+            let msg = e.to_string();
+            assert!(!msg.starts_with("pcap "), "{msg}");
+            assert!(!msg.contains("not a pcap stream"), "{msg}");
+        }
+        // A refused length states the rule it broke, not a pcap-only
+        // bound it satisfies.
+        let msg = TraceError::OversizedRecord { caplen: 13 }.to_string();
+        assert!(msg.contains("13") && msg.contains("multiple of 4"), "{msg}");
+        assert!(msg.contains("out of range"), "{msg}");
+        assert!(!msg.contains("> 256 KiB"), "{msg}");
     }
 
     #[test]

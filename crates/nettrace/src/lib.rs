@@ -2,8 +2,16 @@
 //!
 //! This crate provides the data model that every other crate in the
 //! workspace builds on: packet records, traces with nondecreasing
-//! timestamps, capture-clock models, libpcap file I/O, per-second
+//! timestamps, capture-clock models, capture file I/O, per-second
 //! time series, and integer-domain histograms.
+//!
+//! Captures (classic pcap or pcapng) are read by one decoder,
+//! [`stream::CaptureStream`], which pulls packets through a small
+//! buffer and treats a malformed structure as a returned fault it can
+//! resume past. The whole-capture readers are loops over it:
+//! [`read_capture`] stops at the first fault, [`read_capture_lossy`]
+//! records every fault and keeps what the damage did not reach.
+//! Writing is classic pcap ([`pcap::write_pcap`]).
 //!
 //! The design follows the conventions of the SIGCOMM 1993 study this
 //! workspace reproduces (Claffy, Polyzos, Braun, *Application of Sampling
@@ -44,15 +52,14 @@ pub use histogram::{BinSpec, Histogram};
 pub use lossy::{read_capture_lossy, IngestFault, IngestReport};
 pub use merge::{merge, rebase, shift};
 pub use packet::{PacketRecord, Protocol};
-pub use pcapng::read_capture;
 pub use series::{PerSecondSeries, SecondStats};
-pub use stream::CaptureStream;
+pub use stream::{read_capture, CaptureStream};
 pub use time::{ClockModel, Micros};
 pub use trace::{Trace, TraceStats};
 
-/// Record read-path metrics shared by the pcap and pcapng readers:
-/// packets and traffic bytes on success, the malformed-record counter on
-/// failure (plus however many packets parsed before a truncation).
+/// Record [`read_capture`]'s metrics: packets and traffic bytes on
+/// success, the malformed-record counter on failure (plus however many
+/// packets parsed before a truncation).
 pub(crate) fn observe_read(format: &str, result: &Result<Trace, TraceError>) {
     let labels = [("format", format)];
     match result {

@@ -1,11 +1,10 @@
-//! Lossy capture ingestion: salvage the longest valid prefix.
+//! Lossy capture ingestion: keep every packet the damage did not reach.
 //!
-//! The strict readers ([`crate::pcap::read_pcap`],
-//! [`crate::pcapng::read_pcapng`]) reject a capture at the first
-//! malformed byte — the right default for experiments, where a silent
-//! partial read would bias every downstream statistic. But real capture
-//! files are routinely truncated (full disk, killed tcpdump) and a
-//! 649 MB trace with one bad record tail is still 649 MB of usable
+//! The strict reader ([`crate::read_capture`]) rejects a capture at the
+//! first malformed byte — the right default for experiments, where a
+//! silent partial read would bias every downstream statistic. But real
+//! capture files are routinely truncated (full disk, killed tcpdump) and
+//! a 649 MB trace with one bad record tail is still 649 MB of usable
 //! population. [`read_capture_lossy`] parses as far as the bytes allow
 //! and reports exactly what it could and could not use: packets
 //! salvaged, bytes consumed, and every fault with its byte offset.
@@ -21,18 +20,14 @@
 //! corrupt), so pcap salvage remains longest-valid-prefix with at most
 //! one fault.
 //!
-//! The lossy path parses from an in-memory slice (offsets are exact and
-//! a corrupt length field can never drive an unbounded allocation — the
-//! declared length is bounds-checked against the bytes actually
-//! present), and reuses the strict readers' record/block decoders so
-//! the two paths cannot drift: on a fully valid stream the salvaged
-//! trace is identical to the strict read.
+//! Strict reading and salvage are the same decoder
+//! ([`CaptureStream`]) under two loops: the strict one stops at the
+//! first fault, this one records it and lets the decoder resume. On a
+//! fully valid stream the salvaged trace is identical to the strict
+//! read, and the first fault is always the strict reader's error.
 
 use crate::error::TraceError;
-use crate::packet::PacketRecord;
-use crate::pcap;
-use crate::pcapng;
-use crate::time::Micros;
+use crate::stream::CaptureStream;
 use crate::trace::Trace;
 use std::io::Read;
 
@@ -61,7 +56,7 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// Whether the whole stream parsed cleanly (the strict readers
+    /// Whether the whole stream parsed cleanly (the strict reader
     /// would have accepted it).
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -80,23 +75,44 @@ impl IngestReport {
 pub struct IngestFault {
     /// Offset of the record or block that failed to decode.
     pub offset: u64,
-    /// Why it failed. Never [`TraceError::Io`]: the lossy reader works
-    /// from an in-memory buffer.
+    /// Why it failed. Never [`TraceError::Io`]: a failing reader ends
+    /// the read with an `Err` instead.
     pub error: TraceError,
 }
 
-/// Read a capture stream leniently, salvaging every packet in the
-/// longest valid prefix. Sniffs classic pcap vs pcapng exactly like
-/// [`crate::read_capture`].
+/// Read a capture stream leniently, salvaging every packet the damage
+/// did not reach. Sniffs classic pcap vs pcapng exactly like
+/// [`crate::read_capture`], and reads the stream once, without holding
+/// it in memory.
 ///
 /// # Errors
-/// Only [`TraceError::Io`], from buffering the stream. Malformed bytes
-/// are never an `Err`: they end up in [`IngestReport::faults`].
-pub fn read_capture_lossy<R: Read>(mut r: R) -> Result<IngestReport, TraceError> {
+/// Only [`TraceError::Io`], when the reader fails. Malformed bytes are
+/// never an `Err`: they end up in [`IngestReport::faults`].
+pub fn read_capture_lossy<R: Read>(reader: R) -> Result<IngestReport, TraceError> {
     let _span = obskit::span("nettrace_lossy_read");
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    let report = salvage(&bytes);
+    let mut stream = CaptureStream::open(reader);
+    let mut packets = Vec::new();
+    let mut faults = Vec::new();
+    loop {
+        match stream.next_packet() {
+            Ok(Some(p)) => packets.push(p),
+            Ok(None) => break,
+            Err(error @ TraceError::Io(_)) => return Err(error),
+            Err(error) => faults.push(IngestFault {
+                offset: stream.fault_offset().unwrap_or_default(),
+                error,
+            }),
+        }
+    }
+    let trace = Trace::from_unordered(packets);
+    let report = IngestReport {
+        packets_salvaged: trace.len(),
+        trace,
+        format: stream.format(),
+        bytes_consumed: stream.byte_offset(),
+        bytes_total: stream.bytes_read(),
+        faults,
+    };
     let labels = [("format", report.format)];
     obskit::counter_labeled("nettrace_lossy_packets_salvaged_total", &labels)
         .add(report.packets_salvaged as u64);
@@ -107,286 +123,18 @@ pub fn read_capture_lossy<R: Read>(mut r: R) -> Result<IngestReport, TraceError>
     Ok(report)
 }
 
-/// Salvage from an in-memory capture image.
-#[must_use]
-pub fn salvage(bytes: &[u8]) -> IngestReport {
-    if bytes.len() < 4 {
-        return IngestReport {
-            trace: Trace::empty(),
-            format: "unknown",
-            bytes_consumed: 0,
-            bytes_total: bytes.len() as u64,
-            packets_salvaged: 0,
-            faults: vec![IngestFault {
-                offset: 0,
-                error: TraceError::TruncatedRecord { packets_read: 0 },
-            }],
-        };
-    }
-    let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if u32::from_le_bytes(magic) == pcapng::SHB_TYPE {
-        salvage_pcapng(bytes)
-    } else if pcap::sniff_magic(magic).is_some() {
-        salvage_pcap(bytes)
-    } else {
-        IngestReport {
-            trace: Trace::empty(),
-            format: "unknown",
-            bytes_consumed: 0,
-            bytes_total: bytes.len() as u64,
-            packets_salvaged: 0,
-            faults: vec![IngestFault {
-                offset: 0,
-                error: TraceError::BadMagic(u32::from_le_bytes(magic)),
-            }],
-        }
-    }
-}
-
-fn report(
-    format: &'static str,
-    packets: Vec<PacketRecord>,
-    consumed: u64,
-    total: u64,
-    faults: Vec<IngestFault>,
-) -> IngestReport {
-    let trace = Trace::from_unordered(packets);
-    IngestReport {
-        packets_salvaged: trace.len(),
-        trace,
-        format,
-        bytes_consumed: consumed,
-        bytes_total: total,
-        faults,
-    }
-}
-
-fn salvage_pcap(bytes: &[u8]) -> IngestReport {
-    let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    let (endian, nanos) = pcap::sniff_magic(magic).expect("caller sniffed the magic");
-    let total = bytes.len() as u64;
-    if bytes.len() < 24 {
-        return report(
-            "pcap",
-            Vec::new(),
-            0,
-            total,
-            vec![IngestFault {
-                offset: 0,
-                error: TraceError::TruncatedRecord { packets_read: 0 },
-            }],
-        );
-    }
-    let mut packets = Vec::new();
-    let mut o = 24usize;
-    let fault = loop {
-        if o == bytes.len() {
-            break None;
-        }
-        if o + 16 > bytes.len() {
-            break Some(IngestFault {
-                offset: o as u64,
-                error: TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                },
-            });
-        }
-        let f =
-            |a: usize| pcap::u32_from(endian, [bytes[a], bytes[a + 1], bytes[a + 2], bytes[a + 3]]);
-        let (sec, frac, caplen, orig_len) = (f(o), f(o + 4), f(o + 8), f(o + 12));
-        if caplen > pcap::MAX_CAPLEN {
-            break Some(IngestFault {
-                offset: o as u64,
-                error: TraceError::OversizedRecord { caplen },
-            });
-        }
-        let end = o + 16 + caplen as usize;
-        if end > bytes.len() {
-            break Some(IngestFault {
-                offset: o as u64,
-                error: TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                },
-            });
-        }
-        let usec = if nanos {
-            u64::from(frac) / 1000
-        } else {
-            u64::from(frac)
-        };
-        let ts = Micros(u64::from(sec) * 1_000_000 + usec);
-        packets.push(pcap::parse_ipv4(&bytes[o + 16..end], orig_len, ts));
-        o = end;
-    };
-    let consumed = o as u64;
-    report(
-        "pcap",
-        packets,
-        consumed,
-        total,
-        fault.into_iter().collect(),
-    )
-}
-
-/// Scan forward from `from` for the next plausible Section Header
-/// Block: the SHB magic (an endianness-neutral palindrome), a valid
-/// byte-order mark, and a sane block length wholly contained in the
-/// buffer. Plausibility matters — a bare magic inside garbage must not
-/// trigger a resync that immediately faults again.
-fn find_next_shb(bytes: &[u8], from: usize) -> Option<usize> {
-    let magic = pcapng::SHB_TYPE.to_le_bytes();
-    let mut at = from;
-    while at + 28 <= bytes.len() {
-        if bytes[at..at + 4] == magic {
-            let bom = [bytes[at + 8], bytes[at + 9], bytes[at + 10], bytes[at + 11]];
-            let endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                Some(pcapng::Endian::Little)
-            } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                Some(pcapng::Endian::Big)
-            } else {
-                None
-            };
-            if let Some(endian) = endian {
-                let total_len = pcapng::u32_at(endian, &bytes[at + 4..at + 8]);
-                if (28..=pcapng::MAX_BLOCK).contains(&total_len)
-                    && total_len.is_multiple_of(4)
-                    && at + total_len as usize <= bytes.len()
-                {
-                    return Some(at);
-                }
-            }
-        }
-        at += 1;
-    }
-    None
-}
-
-fn salvage_pcapng(bytes: &[u8]) -> IngestReport {
-    let total = bytes.len() as u64;
-    let mut packets: Vec<PacketRecord> = Vec::new();
-    let mut interfaces: Vec<pcapng::Interface> = Vec::new();
-    let mut faults: Vec<IngestFault> = Vec::new();
-    let mut endian = pcapng::Endian::Little;
-    let mut first = true;
-    let mut consumed = 0u64;
-    let mut o = 0usize;
-    loop {
-        if o == bytes.len() {
-            if first {
-                faults.push(IngestFault {
-                    offset: 0,
-                    error: TraceError::TruncatedRecord { packets_read: 0 },
-                });
-            }
-            break;
-        }
-        let truncated = |at: usize, got: usize| IngestFault {
-            offset: at as u64,
-            error: TraceError::TruncatedRecord { packets_read: got },
-        };
-        // On any undecodable block: record the fault, then resume at
-        // the next plausible section header — later sections are still
-        // good data. No plausible SHB forward of the fault ends the
-        // salvage.
-        let fault = 'block: {
-            if o + 8 > bytes.len() {
-                break 'block Some(truncated(o, packets.len()));
-            }
-            let raw_type_le =
-                u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
-            if first && raw_type_le != pcapng::SHB_TYPE {
-                break 'block Some(IngestFault {
-                    offset: o as u64,
-                    error: TraceError::BadMagic(raw_type_le),
-                });
-            }
-            if raw_type_le == pcapng::SHB_TYPE {
-                if o + 12 > bytes.len() {
-                    break 'block Some(truncated(o, packets.len()));
-                }
-                let bom = [bytes[o + 8], bytes[o + 9], bytes[o + 10], bytes[o + 11]];
-                endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Little
-                } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Big
-                } else {
-                    break 'block Some(IngestFault {
-                        offset: o as u64,
-                        error: TraceError::BadMagic(u32::from_le_bytes(bom)),
-                    });
-                };
-                let total_len = pcapng::u32_at(endian, &bytes[o + 4..o + 8]);
-                if !(28..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                    break 'block Some(IngestFault {
-                        offset: o as u64,
-                        error: TraceError::OversizedRecord { caplen: total_len },
-                    });
-                }
-                if o + total_len as usize > bytes.len() {
-                    break 'block Some(truncated(o, packets.len()));
-                }
-                interfaces.clear();
-                first = false;
-                consumed += u64::from(total_len);
-                o += total_len as usize;
-                break 'block None;
-            }
-            let block_type = pcapng::u32_at(endian, &bytes[o..o + 4]);
-            let total_len = pcapng::u32_at(endian, &bytes[o + 4..o + 8]);
-            if !(12..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                break 'block Some(IngestFault {
-                    offset: o as u64,
-                    error: TraceError::OversizedRecord { caplen: total_len },
-                });
-            }
-            let end = o + total_len as usize;
-            if end > bytes.len() {
-                break 'block Some(truncated(o, packets.len()));
-            }
-            let body = &bytes[o + 8..end - 4];
-            match block_type {
-                pcapng::IDB_TYPE => {
-                    if let Some(iface) = pcapng::parse_idb(endian, body) {
-                        interfaces.push(iface);
-                    }
-                }
-                pcapng::EPB_TYPE => {
-                    if let Some(p) = pcapng::parse_epb(endian, body, &interfaces) {
-                        packets.push(p);
-                    }
-                }
-                pcapng::SPB_TYPE => {
-                    let ts = packets.last().map_or(Micros::ZERO, |p| p.timestamp);
-                    if let Some(p) = pcapng::parse_spb(endian, body, ts) {
-                        packets.push(p);
-                    }
-                }
-                _ => {}
-            }
-            consumed += u64::from(total_len);
-            o = end;
-            None
-        };
-        if let Some(fault) = fault {
-            let resume_from = fault.offset as usize + 1;
-            faults.push(fault);
-            match find_next_shb(bytes, resume_from) {
-                // A new section resets interface state on its own (the
-                // SHB branch clears `interfaces`), so just jump there.
-                Some(next) => o = next,
-                None => break,
-            }
-        }
-    }
-    report("pcapng", packets, consumed, total, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Protocol;
+    use crate::packet::{PacketRecord, Protocol};
     use crate::pcap::write_pcap;
+    use crate::pcapng;
     use crate::read_capture;
+    use crate::time::Micros;
+
+    fn salvage(bytes: &[u8]) -> IngestReport {
+        read_capture_lossy(bytes).expect("in-memory read")
+    }
 
     fn sample_trace() -> Trace {
         Trace::new(vec![

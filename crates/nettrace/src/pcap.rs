@@ -1,8 +1,10 @@
-//! Classic libpcap file format reader and writer.
+//! Classic libpcap file format: constants, the record payload parser,
+//! and the writer.
 //!
 //! The study's trace was captured to disk (650 MB for 24 hours); where a
-//! real trace is available this module lets the workspace consume it, and
-//! the synthetic generator can export its traces for inspection in
+//! real trace is available the workspace consumes it through the one
+//! capture decoder ([`crate::CaptureStream`], [`crate::read_capture`]),
+//! and the synthetic generator can export its traces for inspection in
 //! standard tools (tcpdump/Wireshark), mirroring the `--pcap` facility of
 //! the smoltcp examples this workspace's style follows.
 //!
@@ -16,7 +18,7 @@ use crate::error::TraceError;
 use crate::packet::{PacketRecord, Protocol};
 use crate::time::Micros;
 use crate::trace::Trace;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Microsecond-timestamp pcap magic.
 pub(crate) const MAGIC_US: u32 = 0xa1b2_c3d4;
@@ -32,24 +34,28 @@ pub(crate) const MAX_CAPLEN: u32 = 256 * 1024;
 /// transport header (enough for ports).
 const WRITE_CAPLEN: usize = 28;
 
-/// Byte order of a parsed pcap stream.
+/// Byte order of a classic pcap stream or of one pcapng section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Endian {
     Little,
     Big,
 }
 
-fn u16_from(e: Endian, b: [u8; 2]) -> u16 {
+/// The `u16` at the start of `b`.
+pub(crate) fn u16_at(e: Endian, b: &[u8]) -> u16 {
+    let arr = [b[0], b[1]];
     match e {
-        Endian::Little => u16::from_le_bytes(b),
-        Endian::Big => u16::from_be_bytes(b),
+        Endian::Little => u16::from_le_bytes(arr),
+        Endian::Big => u16::from_be_bytes(arr),
     }
 }
 
-pub(crate) fn u32_from(e: Endian, b: [u8; 4]) -> u32 {
+/// The `u32` at the start of `b`.
+pub(crate) fn u32_at(e: Endian, b: &[u8]) -> u32 {
+    let arr = [b[0], b[1], b[2], b[3]];
     match e {
-        Endian::Little => u32::from_le_bytes(b),
-        Endian::Big => u32::from_be_bytes(b),
+        Endian::Little => u32::from_le_bytes(arr),
+        Endian::Big => u32::from_be_bytes(arr),
     }
 }
 
@@ -57,7 +63,8 @@ pub(crate) fn u32_from(e: Endian, b: [u8; 4]) -> u32 {
 ///
 /// Each record carries a 28-byte synthetic `LINKTYPE_RAW` IPv4 header whose
 /// total-length field is the packet's true size, so `orig_len`, protocol,
-/// ports and network numbers are all recoverable by [`read_pcap`].
+/// ports and network numbers are all recoverable by
+/// [`read_capture`](crate::read_capture).
 ///
 /// # Errors
 /// Propagates I/O errors from the underlying writer.
@@ -168,42 +175,10 @@ pub(crate) fn parse_ipv4(data: &[u8], orig_len: u32, ts: Micros) -> PacketRecord
     rec
 }
 
-/// Read a classic pcap stream into a [`Trace`].
-///
-/// Timestamps are absolute microseconds from the pcap epoch values;
-/// call [`Trace::from_unordered`]-style rebasing downstream if a
-/// trace-relative timeline is wanted. Packets are defensively sorted if
-/// the capture interleaved timestamps (multi-interface captures do this).
-///
-/// # Errors
-/// * [`TraceError::BadMagic`] if the stream is not pcap;
-/// * [`TraceError::TruncatedRecord`] if it ends mid-record;
-/// * [`TraceError::OversizedRecord`] on an implausible capture length;
-/// * [`TraceError::Io`] on underlying read failures.
-pub fn read_pcap<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut magic = [0u8; 4];
-    // A stream shorter than the magic is a truncated capture, not an I/O
-    // failure: keep the error typed so callers can distinguish.
-    if !matches!(read_exact_or_eof(&mut r, &mut magic), ReadOutcome::Full) {
-        return Err(TraceError::TruncatedRecord { packets_read: 0 });
-    }
-    read_pcap_with_magic(magic, r)
-}
-
-/// Continue reading a classic pcap stream whose 4 magic bytes were
-/// already consumed (the format-sniffing entry point
-/// [`crate::pcapng::read_capture`] uses this).
-pub(crate) fn read_pcap_with_magic<R: Read>(magic: [u8; 4], r: R) -> Result<Trace, TraceError> {
-    let _span = obskit::span("nettrace_pcap_read");
-    let result = read_pcap_records(magic, r);
-    crate::observe_read("pcap", &result);
-    result
-}
-
-/// Classify the 4 magic bytes of a classic pcap stream: byte order and
-/// whether fractional timestamps are nanoseconds.
-pub(crate) fn sniff_magic(magic: [u8; 4]) -> Option<(Endian, bool)> {
-    match (u32::from_le_bytes(magic), u32::from_be_bytes(magic)) {
+/// Classify a classic pcap magic (its 4 bytes read little-endian): byte
+/// order, and whether fractional timestamps are nanoseconds.
+pub(crate) fn sniff_magic(magic: u32) -> Option<(Endian, bool)> {
+    match (magic, magic.swap_bytes()) {
         (MAGIC_US, _) => Some((Endian::Little, false)),
         (MAGIC_NS, _) => Some((Endian::Little, true)),
         (_, MAGIC_US) => Some((Endian::Big, false)),
@@ -212,87 +187,11 @@ pub(crate) fn sniff_magic(magic: [u8; 4]) -> Option<(Endian, bool)> {
     }
 }
 
-fn read_pcap_records<R: Read>(magic: [u8; 4], mut r: R) -> Result<Trace, TraceError> {
-    let Some((endian, nanos)) = sniff_magic(magic) else {
-        return Err(TraceError::BadMagic(u32::from_le_bytes(magic)));
-    };
-
-    // Remainder of the 24-byte global header. Ending inside it is a
-    // truncated capture, not an I/O failure.
-    let mut rest = [0u8; 20];
-    if !matches!(read_exact_or_eof(&mut r, &mut rest), ReadOutcome::Full) {
-        return Err(TraceError::TruncatedRecord { packets_read: 0 });
-    }
-    let _version_major = u16_from(endian, [rest[0], rest[1]]);
-    // thiszone/sigfigs/snaplen/linktype are not needed for decoding records.
-
-    let mut packets = Vec::new();
-    loop {
-        let mut rec_hdr = [0u8; 16];
-        match read_exact_or_eof(&mut r, &mut rec_hdr) {
-            ReadOutcome::Eof => break,
-            ReadOutcome::Partial => {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                })
-            }
-            ReadOutcome::Full => {}
-        }
-        let sec = u32_from(endian, [rec_hdr[0], rec_hdr[1], rec_hdr[2], rec_hdr[3]]);
-        let frac = u32_from(endian, [rec_hdr[4], rec_hdr[5], rec_hdr[6], rec_hdr[7]]);
-        let caplen = u32_from(endian, [rec_hdr[8], rec_hdr[9], rec_hdr[10], rec_hdr[11]]);
-        let orig_len = u32_from(endian, [rec_hdr[12], rec_hdr[13], rec_hdr[14], rec_hdr[15]]);
-        if caplen > MAX_CAPLEN {
-            return Err(TraceError::OversizedRecord { caplen });
-        }
-        let mut data = vec![0u8; caplen as usize];
-        if !matches!(read_exact_or_eof(&mut r, &mut data), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord {
-                packets_read: packets.len(),
-            });
-        }
-        let usec = if nanos {
-            u64::from(frac) / 1000
-        } else {
-            u64::from(frac)
-        };
-        let ts = Micros(u64::from(sec) * 1_000_000 + usec);
-        packets.push(parse_ipv4(&data, orig_len, ts));
-    }
-    Ok(Trace::from_unordered(packets))
-}
-
-pub(crate) enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// Read exactly `buf.len()` bytes, distinguishing clean EOF (zero bytes)
-/// from truncation (some bytes then EOF).
-pub(crate) fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                }
-            }
-            Ok(n) => filled += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Partial,
-        }
-    }
-    ReadOutcome::Full
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::Protocol;
+    use crate::read_capture;
 
     fn sample_trace() -> Trace {
         Trace::new(vec![
@@ -316,7 +215,7 @@ mod tests {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_pcap(&mut buf, &t).unwrap();
-        let back = read_pcap(buf.as_slice()).unwrap();
+        let back = read_capture(buf.as_slice()).unwrap();
         assert_eq!(back.len(), t.len());
         for (a, b) in t.iter().zip(back.iter()) {
             assert_eq!(a.timestamp, b.timestamp);
@@ -336,7 +235,7 @@ mod tests {
         let mut buf = Vec::new();
         write_pcap(&mut buf, &Trace::empty()).unwrap();
         assert_eq!(buf.len(), 24); // header only
-        let back = read_pcap(buf.as_slice()).unwrap();
+        let back = read_capture(buf.as_slice()).unwrap();
         assert!(back.is_empty());
     }
 
@@ -348,7 +247,7 @@ mod tests {
             let bytes = vec![0xa1u8; len];
             assert!(
                 matches!(
-                    read_pcap(bytes.as_slice()),
+                    read_capture(bytes.as_slice()),
                     Err(TraceError::TruncatedRecord { packets_read: 0 })
                 ),
                 "len {len}"
@@ -359,7 +258,7 @@ mod tests {
         let mut bytes = MAGIC_US.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 7]);
         assert!(matches!(
-            read_pcap(bytes.as_slice()),
+            read_capture(bytes.as_slice()),
             Err(TraceError::TruncatedRecord { packets_read: 0 })
         ));
     }
@@ -368,7 +267,7 @@ mod tests {
     fn rejects_garbage_magic() {
         let garbage = [0u8; 24];
         assert!(matches!(
-            read_pcap(&garbage[..]),
+            read_capture(&garbage[..]),
             Err(TraceError::BadMagic(_))
         ));
     }
@@ -379,7 +278,7 @@ mod tests {
         let mut buf = Vec::new();
         write_pcap(&mut buf, &t).unwrap();
         buf.truncate(buf.len() - 5);
-        match read_pcap(buf.as_slice()) {
+        match read_capture(buf.as_slice()) {
             Err(TraceError::TruncatedRecord { packets_read }) => assert_eq!(packets_read, 2),
             other => panic!("expected truncation, got {other:?}"),
         }
@@ -393,7 +292,7 @@ mod tests {
         // Cut into the second record's 16-byte header.
         buf.truncate(24 + 16 + WRITE_CAPLEN + 7);
         assert!(matches!(
-            read_pcap(buf.as_slice()),
+            read_capture(buf.as_slice()),
             Err(TraceError::TruncatedRecord { packets_read: 1 })
         ));
     }
@@ -408,7 +307,7 @@ mod tests {
         buf.extend_from_slice(&(MAX_CAPLEN + 1).to_le_bytes());
         buf.extend_from_slice(&40u32.to_le_bytes());
         assert!(matches!(
-            read_pcap(buf.as_slice()),
+            read_capture(buf.as_slice()),
             Err(TraceError::OversizedRecord { .. })
         ));
     }
@@ -429,7 +328,7 @@ mod tests {
         buf.extend_from_slice(&500_000u32.to_be_bytes());
         buf.extend_from_slice(&0u32.to_be_bytes()); // caplen 0 (headerless)
         buf.extend_from_slice(&576u32.to_be_bytes()); // orig_len
-        let t = read_pcap(buf.as_slice()).unwrap();
+        let t = read_capture(buf.as_slice()).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.packets()[0].timestamp, Micros(1_000_500));
         assert_eq!(t.packets()[0].size, 576);
@@ -448,7 +347,7 @@ mod tests {
         let mut payload = [0u8; 20];
         payload[0] = 0x60; // IPv6 version nibble
         buf.extend_from_slice(&payload);
-        let t = read_pcap(buf.as_slice()).unwrap();
+        let t = read_capture(buf.as_slice()).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.packets()[0].size, 1280);
         assert_eq!(t.packets()[0].src_port, 0);
@@ -469,7 +368,7 @@ mod tests {
         let rec_hdr = 24;
         buf[rec_hdr + 8..rec_hdr + 12].copy_from_slice(&20u32.to_le_bytes());
         buf.truncate(rec_hdr + 16 + 20);
-        let back = read_pcap(buf.as_slice()).unwrap();
+        let back = read_capture(buf.as_slice()).unwrap();
         let p = back.packets()[0];
         assert_eq!(p.protocol, Protocol::Tcp);
         assert_eq!((p.src_net, p.dst_net), (5, 9));
@@ -487,7 +386,7 @@ mod tests {
         let data_start = 24 + 16;
         buf[data_start + 2] = 0;
         buf[data_start + 3] = 0;
-        let back = read_pcap(buf.as_slice()).unwrap();
+        let back = read_capture(buf.as_slice()).unwrap();
         assert_eq!(back.packets()[0].size, 576);
     }
 
@@ -502,7 +401,7 @@ mod tests {
             buf.extend_from_slice(&0u32.to_le_bytes());
             buf.extend_from_slice(&40u32.to_le_bytes());
         }
-        let t = read_pcap(buf.as_slice()).unwrap();
+        let t = read_capture(buf.as_slice()).unwrap();
         assert_eq!(t.packets()[0].timestamp, Micros(1_000_000));
         assert_eq!(t.packets()[1].timestamp, Micros(5_000_000));
     }

@@ -1,20 +1,18 @@
-//! pcapng (pcap-next-generation) reader.
+//! pcapng (pcap-next-generation) format: block constants and the block
+//! body parsers.
 //!
 //! Modern capture tools default to pcapng; a workspace claiming "run the
-//! paper's analysis on your own captures" has to read it. This is a
-//! focused reader: Section Header Blocks (both byte orders), Interface
-//! Description Blocks (per-interface timestamp resolution via
-//! `if_tsresol`), Enhanced Packet Blocks, and Simple Packet Blocks;
-//! every other block type is skipped by length. Writing stays classic
-//! pcap ([`crate::pcap::write_pcap`]) — universally readable.
+//! paper's analysis on your own captures" has to read it. The capture
+//! decoder ([`crate::CaptureStream`]) handles Section Header Blocks (both
+//! byte orders), Interface Description Blocks (per-interface timestamp
+//! resolution via `if_tsresol`), Enhanced Packet Blocks, and Simple
+//! Packet Blocks; every other block type is skipped by length. Writing
+//! stays classic pcap ([`crate::pcap::write_pcap`]) — universally
+//! readable.
 
-use crate::error::TraceError;
 use crate::packet::PacketRecord;
-#[cfg(test)]
-use crate::packet::Protocol;
+use crate::pcap::{parse_ipv4, u16_at, u32_at, Endian};
 use crate::time::Micros;
-use crate::trace::Trace;
-use std::io::Read;
 
 /// Section Header Block type.
 pub(crate) const SHB_TYPE: u32 = 0x0A0D_0D0A;
@@ -28,28 +26,6 @@ pub(crate) const EPB_TYPE: u32 = 0x0000_0006;
 pub(crate) const SPB_TYPE: u32 = 0x0000_0003;
 /// Sanity cap on a single block's length.
 pub(crate) const MAX_BLOCK: u32 = 16 * 1024 * 1024;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Endian {
-    Little,
-    Big,
-}
-
-fn u16_at(e: Endian, b: &[u8]) -> u16 {
-    let arr = [b[0], b[1]];
-    match e {
-        Endian::Little => u16::from_le_bytes(arr),
-        Endian::Big => u16::from_be_bytes(arr),
-    }
-}
-
-pub(crate) fn u32_at(e: Endian, b: &[u8]) -> u32 {
-    let arr = [b[0], b[1], b[2], b[3]];
-    match e {
-        Endian::Little => u32::from_le_bytes(arr),
-        Endian::Big => u32::from_be_bytes(arr),
-    }
-}
 
 /// Per-interface decoding state.
 #[derive(Debug, Clone, Copy)]
@@ -75,131 +51,6 @@ pub(crate) fn ticks_per_sec_from_tsresol(v: u8) -> u64 {
     } else {
         10u64.pow(u32::from(v).min(19))
     }
-}
-
-/// Read a pcapng stream into a [`Trace`].
-///
-/// Timestamps are converted to absolute microseconds; packets are
-/// defensively sorted (multi-interface captures interleave). The same
-/// synthetic-IPv4 recovery as the classic reader applies
-/// ([`crate::pcap`]): protocol, ports, and network numbers are parsed
-/// from the packet bytes when they look like IPv4.
-///
-/// # Errors
-/// * [`TraceError::BadMagic`] if the stream does not start with an SHB;
-/// * [`TraceError::TruncatedRecord`] if it ends inside a block;
-/// * [`TraceError::OversizedRecord`] on an implausible block length.
-pub fn read_pcapng<R: Read>(r: R) -> Result<Trace, TraceError> {
-    let _span = obskit::span("nettrace_pcapng_read");
-    let result = read_pcapng_blocks(r);
-    crate::observe_read("pcapng", &result);
-    result
-}
-
-fn read_pcapng_blocks<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut packets: Vec<PacketRecord> = Vec::new();
-    let mut endian = Endian::Little;
-    let mut interfaces: Vec<Interface> = Vec::new();
-    let mut first = true;
-
-    loop {
-        // Block header: type + total length (endianness of the current
-        // section; the SHB is self-describing via its BOM).
-        let mut hdr = [0u8; 8];
-        match read_exact_or_eof(&mut r, &mut hdr) {
-            ReadOutcome::Eof => {
-                if first {
-                    // A pcapng stream must open with an SHB; an empty
-                    // stream is a truncated capture, not an empty trace.
-                    return Err(TraceError::TruncatedRecord { packets_read: 0 });
-                }
-                break;
-            }
-            ReadOutcome::Partial => {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                })
-            }
-            ReadOutcome::Full => {}
-        }
-        let raw_type_le = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-
-        if first && raw_type_le != SHB_TYPE {
-            // SHB_TYPE is a palindrome, so this check is endian-neutral.
-            return Err(TraceError::BadMagic(raw_type_le));
-        }
-
-        if raw_type_le == SHB_TYPE {
-            // Need the BOM (first 4 body bytes) to fix endianness.
-            let mut bom = [0u8; 4];
-            if !matches!(read_exact_or_eof(&mut r, &mut bom), ReadOutcome::Full) {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                });
-            }
-            endian = if u32::from_le_bytes(bom) == BOM {
-                Endian::Little
-            } else if u32::from_be_bytes(bom) == BOM {
-                Endian::Big
-            } else {
-                return Err(TraceError::BadMagic(u32::from_le_bytes(bom)));
-            };
-            let total_len = u32_at(endian, &hdr[4..8]);
-            if !(28..=MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                return Err(TraceError::OversizedRecord { caplen: total_len });
-            }
-            // Consume the rest of the SHB (version, section length,
-            // options, trailing length): total - 8 (header) - 4 (BOM).
-            skip(&mut r, total_len as usize - 12, packets.len())?;
-            // A new section resets the interface list.
-            interfaces.clear();
-            first = false;
-            continue;
-        }
-
-        let block_type = u32_at(endian, &hdr[0..4]);
-        let total_len = u32_at(endian, &hdr[4..8]);
-        if !(12..=MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-            return Err(TraceError::OversizedRecord { caplen: total_len });
-        }
-        let body_len = total_len as usize - 12; // minus header and trailer
-        let mut body = vec![0u8; body_len];
-        if !matches!(read_exact_or_eof(&mut r, &mut body), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord {
-                packets_read: packets.len(),
-            });
-        }
-        // Trailing total-length copy.
-        let mut trailer = [0u8; 4];
-        if !matches!(read_exact_or_eof(&mut r, &mut trailer), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord {
-                packets_read: packets.len(),
-            });
-        }
-
-        match block_type {
-            IDB_TYPE => {
-                if let Some(iface) = parse_idb(endian, &body) {
-                    interfaces.push(iface);
-                }
-            }
-            EPB_TYPE => {
-                if let Some(p) = parse_epb(endian, &body, &interfaces) {
-                    packets.push(p);
-                }
-            }
-            SPB_TYPE => {
-                // SPB has no timestamp: record at the previous packet's
-                // time (or zero) to keep ordering sane.
-                let ts = packets.last().map_or(Micros::ZERO, |p| p.timestamp);
-                if let Some(p) = parse_spb(endian, &body, ts) {
-                    packets.push(p);
-                }
-            }
-            _ => { /* unknown block: already skipped via body read */ }
-        }
-    }
-    Ok(Trace::from_unordered(packets))
 }
 
 /// Decode an Interface Description Block body (`None` if too short to
@@ -255,7 +106,7 @@ pub(crate) fn parse_epb(
     let micros = (u128::from(ticks) * 1_000_000 / u128::from(tps.max(1))) as u64;
     let data_end = (20 + caplen).min(body.len());
     let data = &body[20..data_end];
-    Some(parse_payload(data, orig_len, Micros(micros)))
+    Some(parse_ipv4(data, orig_len, Micros(micros)))
 }
 
 /// Decode a Simple Packet Block body into a record at timestamp `ts`
@@ -265,98 +116,16 @@ pub(crate) fn parse_spb(endian: Endian, body: &[u8], ts: Micros) -> Option<Packe
         return None;
     }
     let orig_len = u32_at(endian, &body[0..]);
-    Some(parse_payload(&body[4..], orig_len, ts))
-}
-
-/// Sniff the first bytes and dispatch to the classic pcap or pcapng
-/// reader. Accepts anything either reader accepts.
-///
-/// # Errors
-/// As the underlying readers; [`TraceError::BadMagic`] if the stream is
-/// neither format.
-pub fn read_capture<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut magic = [0u8; 4];
-    // Streams shorter than the 4 sniff bytes are truncated captures, not
-    // I/O failures: keep the error typed.
-    if !matches!(read_exact_or_eof(&mut r, &mut magic), ReadOutcome::Full) {
-        return Err(TraceError::TruncatedRecord { packets_read: 0 });
-    }
-    let le = u32::from_le_bytes(magic);
-    if le == SHB_TYPE {
-        return read_pcapng(Chain {
-            head: magic.to_vec(),
-            pos: 0,
-            tail: r,
-        });
-    }
-    crate::pcap::read_pcap_with_magic(magic, r)
-}
-
-/// A tiny prepend-reader so `read_capture` can push the sniffed bytes
-/// back.
-struct Chain<R> {
-    head: Vec<u8>,
-    pos: usize,
-    tail: R,
-}
-
-impl<R: Read> Read for Chain<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.head.len() {
-            let n = (self.head.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.head[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        self.tail.read(buf)
-    }
-}
-
-/// Reuse the classic reader's IPv4 recovery (one parser, no drift).
-pub(crate) fn parse_payload(data: &[u8], orig_len: u32, ts: Micros) -> PacketRecord {
-    crate::pcap::parse_ipv4(data, orig_len, ts)
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                }
-            }
-            Ok(n) => filled += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Partial,
-        }
-    }
-    ReadOutcome::Full
-}
-
-fn skip<R: Read>(r: &mut R, mut n: usize, packets_read: usize) -> Result<(), TraceError> {
-    let mut buf = [0u8; 4096];
-    while n > 0 {
-        let take = n.min(buf.len());
-        if !matches!(read_exact_or_eof(r, &mut buf[..take]), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord { packets_read });
-        }
-        n -= take;
-    }
-    Ok(())
+    Some(parse_ipv4(&body[4..], orig_len, ts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Protocol;
+    use crate::read_capture;
+    use crate::trace::Trace;
+    use crate::TraceError;
 
     /// Build a minimal little-endian pcapng stream.
     struct Builder {
@@ -436,7 +205,7 @@ mod tests {
         b.idb(None);
         b.epb(0, 1_500_000, &ipv4_payload(552, 6, 1024, 20), 552);
         b.epb(0, 2_500_000, &ipv4_payload(40, 17, 53, 53), 40);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.packets()[0].timestamp, Micros(1_500_000));
         assert_eq!(t.packets()[0].size, 552);
@@ -450,7 +219,7 @@ mod tests {
         let mut b = Builder::new();
         b.idb(Some(9)); // 10^-9: nanoseconds
         b.epb(0, 3_000_000_000, &ipv4_payload(100, 6, 1, 2), 100);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.packets()[0].timestamp, Micros(3_000_000));
     }
 
@@ -459,7 +228,7 @@ mod tests {
         let mut b = Builder::new();
         b.idb(Some(0x80 | 10)); // 2^-10 ~ 1024 ticks/sec
         b.epb(0, 2048, &ipv4_payload(100, 6, 1, 2), 100);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         // 2048 ticks at 1024/s = 2 s.
         assert_eq!(t.packets()[0].timestamp, Micros(2_000_000));
     }
@@ -471,7 +240,7 @@ mod tests {
         b.idb(Some(3)); // iface 1: ms
         b.epb(0, 5_000_000, &ipv4_payload(40, 6, 1, 2), 40);
         b.epb(1, 2_000, &ipv4_payload(40, 6, 1, 2), 40); // 2000 ms = 2 s
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         let ts: Vec<u64> = t.iter().map(|p| p.timestamp.as_u64()).collect();
         assert_eq!(ts, vec![2_000_000, 5_000_000]); // sorted
     }
@@ -482,24 +251,17 @@ mod tests {
         b.idb(None);
         b.block(0x0000_0BAD, &[1, 2, 3, 4, 5, 6, 7, 8]);
         b.epb(0, 1, &ipv4_payload(40, 6, 1, 2), 40);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn short_inputs_report_truncation_not_io() {
-        // 0-, 1- and 3-byte streams (prefixes of a valid capture) are
-        // truncated captures, never raw I/O errors — and never an empty
-        // trace: a pcapng stream must open with a full SHB.
+        // Prefixes of a valid capture shorter than its SHB are truncated
+        // captures, never raw I/O errors — and never an empty trace: a
+        // pcapng stream must open with a full SHB.
         let valid = Builder::new().buf;
-        for len in [0usize, 1, 3] {
-            assert!(
-                matches!(
-                    read_pcapng(&valid[..len]),
-                    Err(TraceError::TruncatedRecord { packets_read: 0 })
-                ),
-                "read_pcapng len {len}"
-            );
+        for len in [0usize, 1, 3, 4, 11, 27] {
             assert!(
                 matches!(
                     read_capture(&valid[..len]),
@@ -514,7 +276,7 @@ mod tests {
     fn rejects_non_pcapng() {
         let garbage = [0xffu8; 64];
         assert!(matches!(
-            read_pcapng(&garbage[..]),
+            read_capture(&garbage[..]),
             Err(TraceError::BadMagic(_))
         ));
     }
@@ -527,7 +289,7 @@ mod tests {
         let mut buf = b.buf;
         buf.truncate(buf.len() - 3);
         assert!(matches!(
-            read_pcapng(buf.as_slice()),
+            read_capture(buf.as_slice()),
             Err(TraceError::TruncatedRecord { .. })
         ));
     }

@@ -1,70 +1,277 @@
-//! Incremental, bounded-memory capture reader.
+//! The capture decoder: one incremental, bounded-memory engine for
+//! classic pcap and pcapng.
 //!
-//! [`read_capture`](crate::read_capture) materializes the whole trace
-//! before returning — fine for offline analysis, wrong for the
-//! operational monitor the paper describes (§2: the NSFNET routers
-//! sample a *stream*, they never hold the day's 650 MB in memory).
-//! [`CaptureStream`] yields packets (or bounded batches) one record at
-//! a time from any [`Read`] source, in **file order**, holding only the
-//! current record plus O(1) decoder state.
+//! The operational monitor the paper describes (§2: the NSFNET routers
+//! sample a *stream*, they never hold the day's 650 MB in memory) needs
+//! a reader that never materializes the capture. [`CaptureStream`]
+//! yields packets (or bounded batches) one record at a time from any
+//! [`Read`] source, in **file order**, through a small read-ahead
+//! buffer. Records and blocks are decoded in place in that buffer by
+//! [`crate::pcap::parse_ipv4`], [`crate::pcapng::parse_epb`] and their
+//! siblings; no record gets its own allocation. The buffer starts at
+//! 16 KiB and grows only when it is full of bytes the stream actually
+//! delivered and the structure being decoded needs more, so a corrupt
+//! length field can never reserve memory the stream does not back.
 //!
-//! The decoders are the *same functions* the strict batch readers use
-//! ([`crate::pcap::parse_ipv4`], [`crate::pcapng::parse_epb`], …), and
-//! the error conditions mirror [`crate::pcap::read_pcap`] /
-//! [`crate::pcapng::read_pcapng`] case for case, so the streaming and
-//! batch parses cannot drift: on any input, the stream yields exactly
-//! the packets the batch reader would collect (before its defensive
-//! timestamp sort) and fails with the same [`TraceError`] class.
+//! It is the only decoder in the crate. A fault is a returned value, not
+//! a mode: [`CaptureStream::next_packet`] returns it and records where
+//! the broken structure starts, and the next call resumes past it — at
+//! the next plausible pcapng Section Header Block, or at end of stream
+//! for classic pcap, whose records cannot be resynchronized once a
+//! length field is corrupt. The two whole-capture readers are thin loops
+//! over it: [`read_capture`] stops at the first fault,
+//! [`read_capture_lossy`](crate::read_capture_lossy) records every fault
+//! and carries on.
 
+use crate::batch::PacketBatch;
 use crate::error::TraceError;
 use crate::packet::PacketRecord;
-use crate::pcap::{self, read_exact_or_eof, ReadOutcome};
-use crate::pcapng::{self, parse_epb, parse_idb, parse_spb, Interface};
+use crate::pcap::{parse_ipv4, sniff_magic, u32_at, Endian, MAX_CAPLEN};
+use crate::pcapng::{
+    parse_epb, parse_idb, parse_spb, Interface, BOM, EPB_TYPE, IDB_TYPE, MAX_BLOCK, SHB_TYPE,
+    SPB_TYPE,
+};
 use crate::time::Micros;
-use std::io::Read;
+use crate::trace::Trace;
+use std::io::{self, Read};
+
+/// Size of the read-ahead buffer at construction.
+const BUF_START: usize = 16 * 1024;
+
+/// What decoding one structure gives: a packet, nothing (a pcapng block
+/// that carries none), or the fault.
+type Decoded = Result<Option<PacketRecord>, TraceError>;
 
 /// Per-format decoder state.
 enum Format {
-    Pcap {
-        endian: pcap::Endian,
-        nanos: bool,
-    },
-    Pcapng {
-        endian: pcapng::Endian,
-        interfaces: Vec<Interface>,
-        /// No block parsed yet: EOF here means "not a capture at all".
-        first: bool,
-        /// Timestamp of the last yielded packet (SPBs carry none).
-        last_ts: Micros,
-    },
+    /// The header did not decode. Names what the magic sniffed as
+    /// (`"unknown"` when it matched neither format) and holds the fault
+    /// until the first call returns it.
+    Broken(&'static str, Option<TraceError>),
+    /// Classic pcap: byte order, and whether timestamp fractions are
+    /// nanoseconds.
+    Pcap(Endian, bool),
+    Pcapng(Section),
+}
+
+/// pcapng decoder state.
+struct Section {
+    /// Byte order of the current section; `None` before the first
+    /// Section Header Block.
+    endian: Option<Endian>,
+    /// Interfaces the current section has described.
+    interfaces: Vec<Interface>,
+    /// Timestamp of the last yielded packet (SPBs carry none).
+    last_ts: Micros,
+}
+
+/// The byte stream as the decoder sees it: a read-ahead buffer over the
+/// reader, and what the decoder has taken from it.
+struct Input<R> {
+    reader: R,
+    /// `buf[mark..pos]` is the structure being decoded, taken piece by
+    /// piece; `buf[pos..end]` is read ahead.
+    buf: Vec<u8>,
+    mark: usize,
+    pos: usize,
+    end: usize,
+    /// Stream offset of `buf[0]`.
+    base: u64,
+    /// Bytes taken: every decoded structure, plus the pieces of a broken
+    /// one until the next call resumes past it.
+    consumed: u64,
+    /// Packets yielded.
+    packets: usize,
+}
+
+impl<R: Read> Input<R> {
+    /// Make `n` bytes past `pos` available; `Ok(false)` if the stream
+    /// ends first, in which case every remaining byte is in the buffer.
+    fn fill(&mut self, n: usize) -> io::Result<bool> {
+        while self.end - self.pos < n {
+            if self.end == self.buf.len() {
+                // Full: drop what earlier structures left behind, then
+                // grow only if that freed nothing — at most doubling, and
+                // never past what this structure needs.
+                self.buf.copy_within(self.mark..self.end, 0);
+                self.base += self.mark as u64;
+                (self.pos, self.end) = (self.pos - self.mark, self.end - self.mark);
+                self.mark = 0;
+                if self.end == self.buf.len() {
+                    let len = (self.pos + n).min(2 * self.end);
+                    self.buf.resize(len, 0);
+                }
+            }
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Take the next `n` bytes into the structure being decoded; a stream
+    /// that ends first truncates it.
+    fn take(&mut self, n: usize) -> Result<(), TraceError> {
+        if self.end - self.pos < n && !self.fill(n)? {
+            return Err(TraceError::TruncatedRecord {
+                packets_read: self.packets,
+            });
+        }
+        self.pos += n;
+        self.consumed += n as u64;
+        Ok(())
+    }
+
+    /// The structure taken so far.
+    fn taken(&self) -> &[u8] {
+        &self.buf[self.mark..self.pos]
+    }
+
+    /// Scan from one byte past the broken structure for the next
+    /// plausible Section Header Block: the SHB magic (an
+    /// endianness-neutral palindrome), a valid byte-order mark, and a
+    /// sane block length wholly present in the stream. Plausibility
+    /// matters — a bare magic inside garbage must not trigger a resync
+    /// that immediately faults again. `Ok(false)` once the stream is
+    /// exhausted.
+    fn resync(&mut self) -> io::Result<bool> {
+        let magic = SHB_TYPE.to_le_bytes();
+        self.pos = self.mark + 1;
+        loop {
+            self.mark = self.pos;
+            if !self.fill(28)? {
+                return Ok(false);
+            }
+            let ahead = &self.buf[self.pos..self.end];
+            let Some(at) = ahead[..ahead.len() - 24]
+                .windows(4)
+                .position(|w| w == magic)
+            else {
+                // No magic can start here; keep the 27 bytes a header
+                // starting among them would need.
+                self.pos = self.end - 27;
+                continue;
+            };
+            self.pos += at;
+            self.mark = self.pos;
+            let header = &self.buf[self.pos..self.pos + 28];
+            let total_len = section_endian(u32_at(Endian::Little, &header[8..]))
+                .and_then(|endian| block_len(u32_at(endian, &header[4..]), 28).ok());
+            match total_len {
+                Some(len) if self.fill(len)? => return Ok(true),
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// Skip to the end of the stream, so every byte counts in
+    /// `bytes_read`.
+    fn drain(&mut self) -> io::Result<()> {
+        self.base += self.end as u64 + io::copy(&mut self.reader, &mut io::sink())?;
+        (self.mark, self.pos, self.end) = (0, 0, 0);
+        Ok(())
+    }
+}
+
+/// The byte order a section header's byte-order mark declares.
+fn section_endian(bom: u32) -> Option<Endian> {
+    match (bom, bom.swap_bytes()) {
+        (BOM, _) => Some(Endian::Little),
+        (_, BOM) => Some(Endian::Big),
+        _ => None,
+    }
+}
+
+/// A pcapng block length: `min` to [`MAX_BLOCK`] bytes, and a multiple
+/// of 4.
+fn block_len(len: u32, min: u32) -> Result<usize, TraceError> {
+    if (min..=MAX_BLOCK).contains(&len) && len.is_multiple_of(4) {
+        Ok(len as usize)
+    } else {
+        Err(TraceError::OversizedRecord { caplen: len })
+    }
+}
+
+/// Decode one classic pcap record.
+fn pcap_record<R: Read>(input: &mut Input<R>, endian: Endian, nanos: bool) -> Decoded {
+    input.take(16)?;
+    let header = input.taken();
+    let field = |i: usize| u32_at(endian, &header[4 * i..]);
+    let (sec, frac, caplen, orig_len) = (field(0), field(1), field(2), field(3));
+    if caplen > MAX_CAPLEN {
+        return Err(TraceError::OversizedRecord { caplen });
+    }
+    input.take(caplen as usize)?;
+    let usec = u64::from(frac) / if nanos { 1000 } else { 1 };
+    let ts = Micros(u64::from(sec) * 1_000_000 + usec);
+    Ok(Some(parse_ipv4(&input.taken()[16..], orig_len, ts)))
+}
+
+impl Section {
+    /// Decode one pcapng block; the packet, if it carried one.
+    fn block<R: Read>(&mut self, input: &mut Input<R>) -> Decoded {
+        input.take(8)?;
+        let raw_type = u32_at(Endian::Little, input.taken());
+        if raw_type == SHB_TYPE {
+            // A palindrome, so readable in either byte order: a new
+            // section, whose byte-order mark fixes the order until the next.
+            input.take(4)?;
+            let bom = u32_at(Endian::Little, &input.taken()[8..]);
+            let endian = section_endian(bom).ok_or(TraceError::BadMagic(bom))?;
+            let total_len = block_len(u32_at(endian, &input.taken()[4..]), 28)?;
+            // Version, section length and options are not needed.
+            input.take(total_len - 12)?;
+            self.endian = Some(endian);
+            self.interfaces.clear();
+            return Ok(None);
+        }
+        // A pcapng stream must open with a section header.
+        let endian = self.endian.ok_or(TraceError::BadMagic(raw_type))?;
+        let block_type = u32_at(endian, input.taken());
+        let total_len = block_len(u32_at(endian, &input.taken()[4..]), 12)?;
+        // Body, then the trailing copy of the length.
+        input.take(total_len - 12)?;
+        input.take(4)?;
+        let block = input.taken();
+        let body = &block[8..block.len() - 4];
+        let packet = match block_type {
+            IDB_TYPE => {
+                self.interfaces.extend(parse_idb(endian, body));
+                None
+            }
+            EPB_TYPE => parse_epb(endian, body, &self.interfaces),
+            SPB_TYPE => parse_spb(endian, body, self.last_ts),
+            _ => None, // unknown block: skipped by length
+        };
+        Ok(packet.inspect(|p| self.last_ts = p.timestamp))
+    }
 }
 
 /// One-pass incremental reader over a pcap or pcapng byte stream.
 ///
 /// Construction sniffs the format from the first bytes; each
-/// [`next_packet`](CaptureStream::next_packet) call consumes exactly one
+/// [`next_packet`](CaptureStream::next_packet) call decodes exactly one
 /// record (skipping non-packet pcapng blocks), so memory is bounded by
 /// the largest single record regardless of capture size.
 ///
-/// Unlike the batch readers, packets arrive in **file order** — the
-/// defensive timestamp sort of [`Trace::from_unordered`]
-/// (crate::trace::Trace::from_unordered) is a whole-trace operation a
-/// one-pass reader cannot perform. Callers needing sorted output must
-/// window-and-sort downstream.
+/// Unlike [`read_capture`], packets arrive in **file order** — the
+/// defensive timestamp sort of [`Trace::from_unordered`] is a
+/// whole-trace operation a one-pass reader cannot perform. Callers
+/// needing sorted output must window-and-sort downstream.
 ///
-/// After the stream ends or fails, further calls return `Ok(None)`
-/// (the reader is fused).
+/// After a fault the next call resumes past it (see
+/// [`next_packet`](CaptureStream::next_packet)); after the end of the
+/// stream, or an I/O error, further calls return `Ok(None)`.
 pub struct CaptureStream<R> {
-    reader: R,
-    /// Sniffed bytes not yet consumed by the decoder (pcapng pushback).
-    head: Vec<u8>,
-    head_pos: usize,
+    input: Input<R>,
     format: Format,
-    packets_read: usize,
-    /// Bytes consumed from the stream by fully-read structures.
-    consumed: u64,
-    /// Offset of the structure being decoded when an error occurred.
+    /// Offset of the structure the last fault broke.
     fault_offset: Option<u64>,
+    /// The last call returned a fault; the next one resumes past it.
+    resume: bool,
     done: bool,
 }
 
@@ -72,294 +279,178 @@ impl<R: Read> CaptureStream<R> {
     /// Sniff the stream's format and prepare to yield packets.
     ///
     /// # Errors
-    /// Exactly the header-stage errors of the batch readers:
     /// [`TraceError::TruncatedRecord`] (`packets_read: 0`) if the stream
     /// ends inside the magic or the classic 24-byte global header,
-    /// [`TraceError::BadMagic`] if it is neither format.
-    pub fn new(mut reader: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        if !matches!(
-            read_exact_or_eof(&mut reader, &mut magic),
-            ReadOutcome::Full
-        ) {
-            return Err(TraceError::TruncatedRecord { packets_read: 0 });
+    /// [`TraceError::BadMagic`] if it is neither format,
+    /// [`TraceError::Io`] if the reader fails.
+    pub fn new(reader: R) -> Result<Self, TraceError> {
+        let stream = Self::open(reader);
+        if let Format::Broken(_, Some(error)) = stream.format {
+            return Err(error);
         }
-        if u32::from_le_bytes(magic) == pcapng::SHB_TYPE {
-            // The 4 sniffed bytes are the first half of the first block
-            // header: push them back for the block loop.
-            return Ok(CaptureStream {
-                reader,
-                head: magic.to_vec(),
-                head_pos: 0,
-                format: Format::Pcapng {
-                    endian: pcapng::Endian::Little,
-                    interfaces: Vec::new(),
-                    first: true,
-                    last_ts: Micros::ZERO,
-                },
-                packets_read: 0,
-                consumed: 0,
-                fault_offset: None,
-                done: false,
-            });
-        }
-        let Some((endian, nanos)) = pcap::sniff_magic(magic) else {
-            return Err(TraceError::BadMagic(u32::from_le_bytes(magic)));
-        };
-        // Remainder of the classic 24-byte global header.
-        let mut rest = [0u8; 20];
-        if !matches!(read_exact_or_eof(&mut reader, &mut rest), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord { packets_read: 0 });
-        }
-        Ok(CaptureStream {
+        Ok(stream)
+    }
+
+    /// Like [`new`](CaptureStream::new), but a header that does not
+    /// decode becomes the fault the first call returns, at offset 0, so
+    /// a caller can report it (and the format) like any other fault.
+    pub(crate) fn open(reader: R) -> Self {
+        let mut input = Input {
             reader,
-            head: Vec::new(),
-            head_pos: 0,
-            format: Format::Pcap { endian, nanos },
-            packets_read: 0,
-            consumed: 24,
+            buf: vec![0; BUF_START],
+            mark: 0,
+            pos: 0,
+            end: 0,
+            base: 0,
+            consumed: 0,
+            packets: 0,
+        };
+        let format = Self::sniff(&mut input)
+            .unwrap_or_else(|(name, error)| Format::Broken(name, Some(error)));
+        CaptureStream {
+            input,
+            format,
             fault_offset: None,
+            resume: false,
             done: false,
-        })
+        }
+    }
+
+    /// Classify the magic and, for classic pcap, take the global header
+    /// (nothing in it past the magic is needed to decode records). On
+    /// failure, also names what the magic sniffed as.
+    fn sniff(input: &mut Input<R>) -> Result<Format, (&'static str, TraceError)> {
+        input.take(4).map_err(|e| ("unknown", e))?;
+        let magic = u32_at(Endian::Little, input.taken());
+        // Give the magic back: it opens the pcap global header, or is the
+        // type field of the first pcapng block.
+        (input.pos, input.consumed) = (0, 0);
+        if magic == SHB_TYPE {
+            return Ok(Format::Pcapng(Section {
+                endian: None,
+                interfaces: Vec::new(),
+                last_ts: Micros::ZERO,
+            }));
+        }
+        let (endian, nanos) = sniff_magic(magic).ok_or(("unknown", TraceError::BadMagic(magic)))?;
+        input.take(24).map_err(|e| ("pcap", e))?;
+        Ok(Format::Pcap(endian, nanos))
     }
 
     /// `"pcap"` or `"pcapng"`.
     #[must_use]
     pub fn format(&self) -> &'static str {
         match self.format {
-            Format::Pcap { .. } => "pcap",
-            Format::Pcapng { .. } => "pcapng",
+            Format::Broken(name, _) => name,
+            Format::Pcap(..) => "pcap",
+            Format::Pcapng(_) => "pcapng",
         }
     }
 
     /// Packets yielded so far.
     #[must_use]
     pub fn packets_read(&self) -> usize {
-        self.packets_read
+        self.input.packets
     }
 
-    /// Bytes of the stream consumed by fully-decoded structures.
+    /// Bytes of the stream consumed by decoded structures. Right after a
+    /// fault it also counts the pieces of the broken structure that were
+    /// read before the fault showed (a header whose length was refused,
+    /// say); the next call drops them again.
     #[must_use]
     pub fn byte_offset(&self) -> u64 {
-        self.consumed
+        self.input.consumed
     }
 
-    /// Byte offset of the structure that failed to decode, if the
-    /// stream has failed — the same offset [`crate::lossy::salvage`]
-    /// would report for its first fault.
+    /// Byte offset of the structure the last fault broke, if there was
+    /// one.
     #[must_use]
     pub fn fault_offset(&self) -> Option<u64> {
         self.fault_offset
     }
 
-    /// Read with sniffed-byte pushback, counting consumed bytes only
-    /// when the structure read completes.
-    fn fill(&mut self, buf: &mut [u8]) -> ReadOutcome {
-        let mut filled = 0;
-        if self.head_pos < self.head.len() {
-            let n = (self.head.len() - self.head_pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.head[self.head_pos..self.head_pos + n]);
-            self.head_pos += n;
-            filled = n;
-        }
-        let out = if filled == buf.len() {
-            ReadOutcome::Full
-        } else {
-            match read_exact_or_eof(&mut self.reader, &mut buf[filled..]) {
-                ReadOutcome::Full => ReadOutcome::Full,
-                ReadOutcome::Eof if filled == 0 => ReadOutcome::Eof,
-                _ => ReadOutcome::Partial,
-            }
-        };
-        if matches!(out, ReadOutcome::Full) {
-            self.consumed += buf.len() as u64;
-        }
-        out
+    /// Every byte read from the stream so far; after the end of the
+    /// stream, its length.
+    pub(crate) fn bytes_read(&self) -> u64 {
+        self.input.base + self.input.end as u64
     }
 
-    fn fail(&mut self, at: u64, error: TraceError) -> TraceError {
-        self.done = true;
-        self.fault_offset = Some(at);
-        error
-    }
-
-    fn truncated(&mut self, at: u64) -> TraceError {
-        let packets_read = self.packets_read;
-        self.fail(at, TraceError::TruncatedRecord { packets_read })
-    }
-
-    /// Yield the next packet, or `Ok(None)` at clean end of stream.
+    /// Yield the next packet, or `Ok(None)` at the end of the stream.
     ///
     /// # Errors
-    /// The same classes, under the same conditions, as the batch
-    /// readers: [`TraceError::TruncatedRecord`] when the stream ends
-    /// mid-structure, [`TraceError::OversizedRecord`] on an implausible
-    /// length field, [`TraceError::BadMagic`] on a corrupt pcapng
-    /// section header. [`fault_offset`](CaptureStream::fault_offset)
-    /// then reports where. After an error the stream is fused.
+    /// [`TraceError::TruncatedRecord`] when the stream ends mid-structure,
+    /// [`TraceError::OversizedRecord`] on an implausible length field,
+    /// [`TraceError::BadMagic`] on a corrupt pcapng section header;
+    /// [`fault_offset`](CaptureStream::fault_offset) then reports where
+    /// the broken structure starts. The next call resumes past it: at the
+    /// next plausible pcapng section header, or at the end of a classic
+    /// pcap stream. Every such call advances at least one byte or returns
+    /// `Ok(None)`. [`TraceError::Io`] when the reader fails, which ends
+    /// the stream.
     pub fn next_packet(&mut self) -> Result<Option<PacketRecord>, TraceError> {
-        if self.done {
-            return Ok(None);
+        let step = self.step();
+        if let Err(error) = &step {
+            self.fault_offset = Some(self.input.base + self.input.mark as u64);
+            self.resume = !matches!(error, TraceError::Io(_));
+            self.done |= !self.resume;
         }
-        match self.format {
-            Format::Pcap { endian, nanos } => self.next_pcap(endian, nanos),
-            Format::Pcapng { .. } => self.next_pcapng(),
-        }
+        step
     }
 
-    fn next_pcap(
-        &mut self,
-        endian: pcap::Endian,
-        nanos: bool,
-    ) -> Result<Option<PacketRecord>, TraceError> {
-        let start = self.consumed;
-        let mut rec_hdr = [0u8; 16];
-        match self.fill(&mut rec_hdr) {
-            ReadOutcome::Eof => {
+    fn step(&mut self) -> Decoded {
+        if std::mem::take(&mut self.resume) {
+            let input = &mut self.input;
+            input.consumed -= (input.pos - input.mark) as u64;
+            if !(matches!(self.format, Format::Pcapng(_)) && input.resync()?) {
+                input.drain()?;
                 self.done = true;
-                return Ok(None);
             }
-            ReadOutcome::Partial => return Err(self.truncated(start)),
-            ReadOutcome::Full => {}
         }
-        let sec = pcap::u32_from(endian, [rec_hdr[0], rec_hdr[1], rec_hdr[2], rec_hdr[3]]);
-        let frac = pcap::u32_from(endian, [rec_hdr[4], rec_hdr[5], rec_hdr[6], rec_hdr[7]]);
-        let caplen = pcap::u32_from(endian, [rec_hdr[8], rec_hdr[9], rec_hdr[10], rec_hdr[11]]);
-        let orig_len = pcap::u32_from(endian, [rec_hdr[12], rec_hdr[13], rec_hdr[14], rec_hdr[15]]);
-        if caplen > pcap::MAX_CAPLEN {
-            return Err(self.fail(start, TraceError::OversizedRecord { caplen }));
-        }
-        let mut data = vec![0u8; caplen as usize];
-        if !matches!(self.fill(&mut data), ReadOutcome::Full) {
-            return Err(self.truncated(start));
-        }
-        let usec = if nanos {
-            u64::from(frac) / 1000
-        } else {
-            u64::from(frac)
-        };
-        let ts = Micros(u64::from(sec) * 1_000_000 + usec);
-        self.packets_read += 1;
-        Ok(Some(pcap::parse_ipv4(&data, orig_len, ts)))
-    }
-
-    fn next_pcapng(&mut self) -> Result<Option<PacketRecord>, TraceError> {
-        loop {
-            let start = self.consumed;
-            let mut hdr = [0u8; 8];
-            match self.fill(&mut hdr) {
-                ReadOutcome::Eof => {
-                    if matches!(self.format, Format::Pcapng { first: true, .. }) {
-                        // A pcapng stream must open with a full SHB.
-                        return Err(self.truncated(start));
-                    }
+        while !self.done {
+            let input = &mut self.input;
+            input.mark = input.pos;
+            let packet = match &mut self.format {
+                Format::Broken(_, fault) => return fault.take().map_or(Ok(None), Err),
+                // No byte left at a structure boundary: the end.
+                _ if !input.fill(1)? => {
                     self.done = true;
-                    return Ok(None);
+                    break;
                 }
-                ReadOutcome::Partial => return Err(self.truncated(start)),
-                ReadOutcome::Full => {}
-            }
-            let raw_type_le = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-            if matches!(self.format, Format::Pcapng { first: true, .. })
-                && raw_type_le != pcapng::SHB_TYPE
-            {
-                return Err(self.fail(start, TraceError::BadMagic(raw_type_le)));
-            }
-
-            if raw_type_le == pcapng::SHB_TYPE {
-                let mut bom = [0u8; 4];
-                if !matches!(self.fill(&mut bom), ReadOutcome::Full) {
-                    return Err(self.truncated(start));
-                }
-                let section_endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Little
-                } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Big
-                } else {
-                    return Err(self.fail(start, TraceError::BadMagic(u32::from_le_bytes(bom))));
-                };
-                let total_len = pcapng::u32_at(section_endian, &hdr[4..8]);
-                if !(28..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                    return Err(self.fail(start, TraceError::OversizedRecord { caplen: total_len }));
-                }
-                if let Err(e) = self.skip(total_len as usize - 12) {
-                    return Err(self.fail(start, e));
-                }
-                if let Format::Pcapng {
-                    endian,
-                    interfaces,
-                    first,
-                    ..
-                } = &mut self.format
-                {
-                    *endian = section_endian;
-                    interfaces.clear();
-                    *first = false;
-                }
-                continue;
-            }
-
-            let Format::Pcapng { endian, .. } = &self.format else {
-                unreachable!("pcapng loop in pcap mode")
-            };
-            let endian = *endian;
-            let block_type = pcapng::u32_at(endian, &hdr[0..4]);
-            let total_len = pcapng::u32_at(endian, &hdr[4..8]);
-            if !(12..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                return Err(self.fail(start, TraceError::OversizedRecord { caplen: total_len }));
-            }
-            let mut body = vec![0u8; total_len as usize - 12];
-            if !matches!(self.fill(&mut body), ReadOutcome::Full) {
-                return Err(self.truncated(start));
-            }
-            let mut trailer = [0u8; 4];
-            if !matches!(self.fill(&mut trailer), ReadOutcome::Full) {
-                return Err(self.truncated(start));
-            }
-
-            let Format::Pcapng {
-                interfaces,
-                last_ts,
-                ..
-            } = &mut self.format
-            else {
-                unreachable!("pcapng loop in pcap mode")
-            };
-            let packet = match block_type {
-                pcapng::IDB_TYPE => {
-                    if let Some(iface) = parse_idb(endian, &body) {
-                        interfaces.push(iface);
-                    }
-                    None
-                }
-                pcapng::EPB_TYPE => parse_epb(endian, &body, interfaces),
-                pcapng::SPB_TYPE => parse_spb(endian, &body, *last_ts),
-                _ => None,
+                Format::Pcap(endian, nanos) => pcap_record(input, *endian, *nanos)?,
+                Format::Pcapng(section) => section.block(input)?,
             };
             if let Some(p) = packet {
-                *last_ts = p.timestamp;
-                self.packets_read += 1;
+                input.packets += 1;
                 return Ok(Some(p));
             }
         }
+        Ok(None)
     }
 
-    fn skip(&mut self, mut n: usize) -> Result<(), TraceError> {
-        let mut buf = [0u8; 4096];
-        while n > 0 {
-            let take = n.min(buf.len());
-            if !matches!(self.fill(&mut buf[..take]), ReadOutcome::Full) {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: self.packets_read,
-                });
-            }
-            n -= take;
+    /// Pull up to `max` packets into `push`, counting them on
+    /// `nettrace_stream_packets_total`.
+    fn pull(
+        &mut self,
+        max: usize,
+        mut push: impl FnMut(PacketRecord),
+    ) -> Result<usize, TraceError> {
+        let mut got = 0;
+        for packet in self.by_ref().take(max) {
+            push(packet?);
+            got += 1;
         }
-        Ok(())
+        if got > 0 && obskit::recording_enabled() {
+            obskit::counter_labeled(
+                "nettrace_stream_packets_total",
+                &[("format", self.format())],
+            )
+            .add(got as u64);
+        }
+        Ok(got)
     }
 
     /// Append up to `max` packets to `out`, returning how many arrived.
-    /// Returns `Ok(0)` only at clean end of stream.
+    /// Returns `Ok(0)` only at the end of the stream.
     ///
     /// # Errors
     /// As [`next_packet`](CaptureStream::next_packet); packets decoded
@@ -369,24 +460,7 @@ impl<R: Read> CaptureStream<R> {
         max: usize,
         out: &mut Vec<PacketRecord>,
     ) -> Result<usize, TraceError> {
-        let mut got = 0;
-        while got < max {
-            match self.next_packet()? {
-                Some(p) => {
-                    out.push(p);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        if got > 0 && obskit::recording_enabled() {
-            obskit::counter_labeled(
-                "nettrace_stream_packets_total",
-                &[("format", self.format())],
-            )
-            .add(got as u64);
-        }
-        Ok(got)
+        self.pull(max, |p| out.push(p))
     }
 
     /// Append up to `max` packets to the columns of `out`, returning
@@ -394,34 +468,13 @@ impl<R: Read> CaptureStream<R> {
     /// [`next_batch`](CaptureStream::next_batch): element `i` of every
     /// column is packet `i`'s projection, in file order, so a chunked
     /// columnar decode sees exactly the packets a per-packet decode
-    /// would. Returns `Ok(0)` only at clean end of stream.
+    /// would. Returns `Ok(0)` only at the end of the stream.
     ///
     /// # Errors
     /// As [`next_packet`](CaptureStream::next_packet); packets decoded
     /// before the fault are kept in `out`.
-    pub fn next_chunk(
-        &mut self,
-        max: usize,
-        out: &mut crate::batch::PacketBatch,
-    ) -> Result<usize, TraceError> {
-        let mut got = 0;
-        while got < max {
-            match self.next_packet()? {
-                Some(p) => {
-                    out.push(&p);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        if got > 0 && obskit::recording_enabled() {
-            obskit::counter_labeled(
-                "nettrace_stream_packets_total",
-                &[("format", self.format())],
-            )
-            .add(got as u64);
-        }
-        Ok(got)
+    pub fn next_chunk(&mut self, max: usize, out: &mut PacketBatch) -> Result<usize, TraceError> {
+        self.pull(max, |p| out.push(&p))
     }
 }
 
@@ -429,19 +482,42 @@ impl<R: Read> Iterator for CaptureStream<R> {
     type Item = Result<PacketRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.next_packet() {
-            Ok(Some(p)) => Some(Ok(p)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
+        self.next_packet().transpose()
     }
+}
+
+/// Read a whole capture, classic pcap or pcapng (sniffed from the first
+/// bytes), into a [`Trace`]: the packets up to the first fault, or that
+/// fault.
+///
+/// Timestamps are converted to absolute microseconds; packets are
+/// defensively sorted (multi-interface captures interleave). Protocol,
+/// ports, and network numbers are recovered from the packet bytes when
+/// they look like IPv4.
+///
+/// # Errors
+/// The first fault, as [`CaptureStream::next_packet`] reports it, or
+/// as [`CaptureStream::new`] does for the header: the stream is
+/// truncated, declares an implausible length, is neither format, or
+/// fails to read.
+pub fn read_capture<R: Read>(reader: R) -> Result<Trace, TraceError> {
+    let stream = CaptureStream::open(reader);
+    let (format, span) = match stream.format {
+        Format::Pcapng(_) => ("pcapng", "nettrace_pcapng_read"),
+        _ => ("pcap", "nettrace_pcap_read"),
+    };
+    let _span = obskit::span(span);
+    let packets: Result<Vec<_>, _> = stream.collect();
+    let result = packets.map(Trace::from_unordered);
+    crate::observe_read(format, &result);
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcap::write_pcap;
-    use crate::trace::Trace;
+    use crate::pcap::{self, write_pcap};
+    use crate::pcapng;
 
     fn sample_trace(n: u64) -> Trace {
         Trace::new(
@@ -649,7 +725,7 @@ mod tests {
             other => panic!("expected truncation, got {other:?}"),
         }
         assert_eq!(s.fault_offset(), Some(third_start as u64));
-        // Fused after the fault.
+        // pcap has no resync marker: the next call ends the stream.
         assert!(s.next_packet().unwrap().is_none());
     }
 
@@ -742,5 +818,168 @@ mod tests {
         assert_eq!(ts, vec![2_000_000, 5_000_000]);
         let batch = crate::read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(packets, batch.packets());
+    }
+
+    /// Hands out `left` bytes of `bytes`, then fails every read.
+    struct Failing<'a> {
+        bytes: &'a [u8],
+        left: usize,
+    }
+
+    impl Read for Failing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("device gone"));
+            }
+            let n = buf.len().min(self.left).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn reader_errors_are_io_not_truncation() {
+        let mut pcap = Vec::new();
+        write_pcap(&mut pcap, &sample_trace(20)).unwrap();
+        let mut ng = NgBuilder::new();
+        ng.idb();
+        (0..20).for_each(|i| ng.epb(i * 100, 40));
+        for image in [&pcap, &ng.buf] {
+            for left in [0, 3, 24, 30, image.len() / 2, image.len() - 1] {
+                let failing = || Failing { bytes: image, left };
+                assert!(
+                    matches!(crate::read_capture(failing()), Err(TraceError::Io(_))),
+                    "read_capture, {left} bytes"
+                );
+                assert!(
+                    matches!(crate::read_capture_lossy(failing()), Err(TraceError::Io(_))),
+                    "read_capture_lossy, {left} bytes"
+                );
+                let pulled = CaptureStream::new(failing()).and_then(|mut s| {
+                    while s.next_packet()?.is_some() {}
+                    Ok(s)
+                });
+                assert!(
+                    matches!(pulled, Err(TraceError::Io(_))),
+                    "stream, {left} bytes"
+                );
+            }
+        }
+        // An I/O error ends the stream.
+        let mut s = CaptureStream::new(Failing {
+            bytes: &pcap,
+            left: 100,
+        })
+        .unwrap();
+        let mut results = std::iter::from_fn(|| Some(s.next_packet())).take(4);
+        assert!(results.any(|r| matches!(r, Err(TraceError::Io(_)))));
+        assert!(matches!(s.next_packet(), Ok(None)));
+    }
+
+    #[test]
+    fn pcapng_fault_resumes_at_the_next_section() {
+        let mut b = NgBuilder::new();
+        b.idb();
+        b.epb(1, 40);
+        let bad = b.buf.len();
+        b.epb(2, 41);
+        let second = NgBuilder::new();
+        b.buf.extend_from_slice(&second.buf);
+        b.idb();
+        b.epb(3, 42);
+        // The second EPB's length is not a multiple of 4.
+        b.buf[bad + 4..bad + 8].copy_from_slice(&13u32.to_le_bytes());
+
+        let mut s = CaptureStream::new(b.buf.as_slice()).unwrap();
+        assert_eq!(s.next_packet().unwrap().unwrap().size, 40);
+        assert!(matches!(
+            s.next_packet(),
+            Err(TraceError::OversizedRecord { caplen: 13 })
+        ));
+        assert_eq!(s.fault_offset(), Some(bad as u64));
+        assert_eq!(s.next_packet().unwrap().unwrap().size, 42);
+        assert!(s.next_packet().unwrap().is_none());
+        assert_eq!(s.packets_read(), 2);
+        // The broken block and the rest of its section are not consumed.
+        let skipped = b.buf.len() - bad - second.buf.len() - 20 - 32;
+        assert_eq!(s.byte_offset(), (b.buf.len() - skipped) as u64);
+    }
+
+    #[test]
+    fn pcap_fault_ends_the_stream() {
+        let mut buf = Vec::new();
+        write_pcap(&mut buf, &sample_trace(5)).unwrap();
+        let second = 24 + 16 + 28;
+        buf[second + 8..second + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut s = CaptureStream::new(buf.as_slice()).unwrap();
+        assert!(s.next_packet().unwrap().is_some());
+        assert!(matches!(
+            s.next_packet(),
+            Err(TraceError::OversizedRecord { caplen: u32::MAX })
+        ));
+        assert_eq!(s.fault_offset(), Some(second as u64));
+        // The header whose length was refused is counted until the
+        // next call, which finds no resync marker and ends the stream.
+        assert_eq!(s.byte_offset(), (second + 16) as u64);
+        assert!(s.next_packet().unwrap().is_none());
+        assert_eq!(s.byte_offset(), second as u64);
+        assert_eq!(s.bytes_read(), buf.len() as u64);
+    }
+
+    #[test]
+    fn buffer_grows_only_with_the_bytes_that_arrive() {
+        // A legal but huge declared length with little behind it: the
+        // decoder must not reserve what the stream never delivers.
+        let mut b = NgBuilder::new();
+        b.idb();
+        b.buf.extend_from_slice(&pcapng::EPB_TYPE.to_le_bytes());
+        b.buf.extend_from_slice(&pcapng::MAX_BLOCK.to_le_bytes());
+        b.buf.extend_from_slice(&[0u8; 100]);
+        let mut s = CaptureStream::new(b.buf.as_slice()).unwrap();
+        assert!(matches!(
+            s.next_packet(),
+            Err(TraceError::TruncatedRecord { .. })
+        ));
+        assert_eq!(s.input.buf.len(), BUF_START);
+
+        // A large block that does arrive is decoded in one piece, and
+        // the buffer grows no further than twice what it holds.
+        let mut b = NgBuilder::new();
+        b.idb();
+        b.block(0x0BAD, &vec![7u8; 100_000]);
+        b.epb(5, 40);
+        let mut s = CaptureStream::new(Trickle(&b.buf)).unwrap();
+        assert_eq!(s.next_packet().unwrap().unwrap().size, 40);
+        assert!(s.input.buf.len() >= 100_012 && s.input.buf.len() <= 2 * 100_012);
+    }
+
+    #[test]
+    fn every_call_after_a_fault_advances() {
+        // Garbage behind a section header magic, studded with bare SHB
+        // magics: each fault is past the last, and the calls end.
+        let mut bytes = pcapng::SHB_TYPE.to_le_bytes().to_vec();
+        for i in 0..400u32 {
+            let word = if i % 7 == 0 {
+                pcapng::SHB_TYPE
+            } else {
+                i.wrapping_mul(0x9e37_79b9)
+            };
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut s = CaptureStream::new(bytes.as_slice()).unwrap();
+        let mut last = None;
+        for _ in 0..=bytes.len() {
+            match s.next_packet() {
+                Ok(None) => return,
+                Ok(Some(_)) => {}
+                Err(_) => {
+                    assert!(s.fault_offset() > last, "fault did not advance");
+                    last = s.fault_offset();
+                }
+            }
+        }
+        panic!("no end after {} calls", bytes.len() + 1);
     }
 }

@@ -552,6 +552,10 @@ mod tests {
         ));
     }
 
+    /// The shed counters are process-wide and tests run in parallel: the
+    /// tests that read their deltas hold this so their runs never overlap.
+    static SHED_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Drive `source_loop` against a deliberately slow consumer and
     /// return the `(stalls, shed_packets, adaptive_shed)` deltas this
     /// run contributed to the global counters.
@@ -593,6 +597,7 @@ mod tests {
 
     #[test]
     fn adaptive_shed_reduces_block_stalls_while_alert_fires() {
+        let _serial = SHED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         // The control gauge the alert engine would normally flip.
         obskit::gauge_labeled("alert_active", &[("rule", "pipeline_test_hiwater")]).set(1);
         // Static Block path: 60 one-packet batches into a depth-2
@@ -614,6 +619,7 @@ mod tests {
 
     #[test]
     fn adaptive_shed_stays_inert_while_alert_is_clear() {
+        let _serial = SHED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         obskit::gauge_labeled("alert_active", &[("rule", "pipeline_test_quiet")]).set(0);
         let (stalls, _, adaptive) = drive_source(Backpressure::Block, Some("pipeline_test_quiet"));
         assert!(stalls > 0, "clear alert keeps the static Block policy");

@@ -10,7 +10,7 @@
 use netsample::netsynth;
 use netsample::sampling::experiment::{Experiment, MethodFamily};
 use netsample::sampling::Target;
-use nettrace::pcap::{read_pcap, write_pcap};
+use nettrace::pcap::write_pcap;
 use nettrace::Micros;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Read it back; every analysis-relevant field survives.
-    let reread = read_pcap(BufReader::new(File::open(&path)?))?;
+    let reread = nettrace::read_capture(BufReader::new(File::open(&path)?))?;
     assert_eq!(reread.len(), trace.len());
     assert_eq!(reread.total_bytes(), trace.total_bytes());
     println!(

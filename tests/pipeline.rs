@@ -5,7 +5,7 @@
 use netsample::netstat::{Backbone, CollectorNode, ObjectSet};
 use netsample::netsynth;
 use netsample::sampling::{select_indices, MethodSpec, Target};
-use nettrace::pcap::{read_pcap, write_pcap};
+use nettrace::pcap::write_pcap;
 use nettrace::{Micros, PerSecondSeries, Trace};
 
 fn minute() -> Trace {
@@ -17,7 +17,7 @@ fn pcap_roundtrip_preserves_analysis() {
     let trace = minute();
     let mut buf = Vec::new();
     write_pcap(&mut buf, &trace).unwrap();
-    let back = read_pcap(buf.as_slice()).unwrap();
+    let back = nettrace::read_capture(buf.as_slice()).unwrap();
     assert_eq!(back.len(), trace.len());
     // Every characterization target sees identical distributions.
     for target in Target::all() {
@@ -117,7 +117,7 @@ fn sample_from_pcap_sourced_trace() {
     let trace = minute();
     let mut buf = Vec::new();
     write_pcap(&mut buf, &trace).unwrap();
-    let back = read_pcap(buf.as_slice()).unwrap();
+    let back = nettrace::read_capture(buf.as_slice()).unwrap();
     let packets = back.packets();
     let mut sampler =
         MethodSpec::Systematic { interval: 50 }.build(packets.len(), Micros::ZERO, 0, 0);

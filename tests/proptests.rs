@@ -5,7 +5,7 @@ use netsample::sampling::{
     disparity, select_indices, MethodSpec, SimpleRandomSampler, StratifiedSampler,
     SystematicSampler, Target,
 };
-use nettrace::pcap::{read_pcap, write_pcap};
+use nettrace::pcap::write_pcap;
 use nettrace::{
     BinSpec, ClockModel, FlowKey, FlowTable, Histogram, Micros, PacketRecord, Protocol, Trace,
 };
@@ -89,7 +89,7 @@ proptest! {
         let trace = Trace::new(pkts).unwrap();
         let mut buf = Vec::new();
         write_pcap(&mut buf, &trace).unwrap();
-        let back = read_pcap(buf.as_slice()).unwrap();
+        let back = nettrace::read_capture(buf.as_slice()).unwrap();
         prop_assert_eq!(back.len(), trace.len());
         for (a, b) in trace.iter().zip(back.iter()) {
             prop_assert_eq!(a.timestamp, b.timestamp);
@@ -313,13 +313,22 @@ proptest! {
     #[test]
     fn pcap_reader_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
         // Robustness: arbitrary input must produce Ok or Err, never a
-        // panic (the reader faces untrusted files).
-        let _ = read_pcap(bytes.as_slice());
+        // panic (the reader faces untrusted files). A valid pcap magic
+        // in front sends the garbage through the record decoder.
+        let mut pcap = 0xa1b2_c3d4u32.to_le_bytes().to_vec();
+        pcap.extend_from_slice(&bytes);
+        let _ = nettrace::read_capture(pcap.as_slice());
+        let _ = nettrace::read_capture_lossy(pcap.as_slice());
     }
 
     #[test]
     fn pcapng_reader_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
-        let _ = nettrace::pcapng::read_pcapng(bytes.as_slice());
+        // Likewise behind the pcapng section-header magic, where the
+        // salvage also resynchronizes through the garbage.
+        let mut pcapng = 0x0a0d_0d0au32.to_le_bytes().to_vec();
+        pcapng.extend_from_slice(&bytes);
+        let _ = nettrace::read_capture(pcapng.as_slice());
+        let _ = nettrace::read_capture_lossy(pcapng.as_slice());
         let _ = nettrace::read_capture(bytes.as_slice());
     }
 
@@ -338,8 +347,8 @@ proptest! {
                 buf[i] = val;
             }
         }
-        let _ = read_pcap(buf.as_slice());
         let _ = nettrace::read_capture(buf.as_slice());
+        let _ = nettrace::read_capture_lossy(buf.as_slice());
     }
 
     #[test]
