@@ -2,17 +2,12 @@
 //!
 //! Each experiment is wall-clock timed under a `repro_experiment` span
 //! and a per-figure timing table is appended, so regressions in
-//! reproduction cost are visible run-to-run. Report serialization runs
-//! under a sibling `bench_report` span — experiment wall times never
-//! include it.
+//! reproduction cost are visible run-to-run.
 //!
 //! Flags:
 //! * `--jobs <n>` — worker-pool width for every experiment grid
 //!   (default: available parallelism / `NETSAMPLE_JOBS`; `1` forces the
 //!   serial path). Results are bit-identical at any width.
-//! * `--bench-json <dir>` — also write the run as the next
-//!   `BENCH_<n>.json` in `<dir>` and diff it against the newest prior
-//!   report there (see the perfkit crate).
 //! * `--profile-out <file>` — write the aggregated span tree in
 //!   collapsed-stack format (one `path;path;leaf self_us` line each),
 //!   consumable by `inferno-flamegraph` or speedscope.
@@ -22,27 +17,18 @@ use sampling::Target;
 use std::path::PathBuf;
 
 struct Flags {
-    bench_json: Option<PathBuf>,
     profile_out: Option<PathBuf>,
     jobs: usize,
 }
 
 fn parse_flags() -> Flags {
     let mut flags = Flags {
-        bench_json: None,
         profile_out: None,
         jobs: parkit::default_jobs(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench-json" => match args.next() {
-                Some(dir) => flags.bench_json = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--bench-json needs a directory argument");
-                    std::process::exit(64);
-                }
-            },
             "--profile-out" => match args.next() {
                 Some(file) => flags.profile_out = Some(PathBuf::from(file)),
                 None => {
@@ -58,9 +44,7 @@ fn parse_flags() -> Flags {
                 }
             },
             other => {
-                eprintln!(
-                    "unknown flag {other}; known: --jobs <n>, --bench-json <dir>, --profile-out <file>"
-                );
+                eprintln!("unknown flag {other}; known: --jobs <n>, --profile-out <file>");
                 std::process::exit(64);
             }
         }
@@ -129,14 +113,6 @@ fn main() {
     show(tm.timed("bins", || ex::bins::run(&t, bench::STUDY_SEED)));
     show(tm.timed("nullband", || ex::nullband::run(&t, bench::STUDY_SEED)));
 
-    // Measure this machine's parallel speedup on the 100k-packet probe
-    // workload; the ratio is recorded as gauges and lands in the BENCH
-    // report. Only meaningful with a multi-worker pool.
-    if flags.jobs > 1 {
-        let s = bench::timing::record_speedup(t.packets(), flags.jobs, bench::STUDY_SEED);
-        eprintln!("parallel speedup probe: {s:.2}x at {} jobs", flags.jobs);
-    }
-
     println!("## Timing\n");
     print!("{}", timings.render_table());
 
@@ -147,47 +123,6 @@ fn main() {
             std::process::exit(74);
         }
         eprintln!("folded-stack profile written: {}", path.display());
-    }
-    if let Some(dir) = &flags.bench_json {
-        // Sibling of the repro_experiment spans: serialization cost
-        // stays out of every experiment's subtree and wall time.
-        let _report_span = bench::timing::report_span();
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(74);
-        }
-        let ts_us = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0);
-        let mut report = perfkit::BenchReport::collect(
-            perfkit::RunMeta {
-                ts_us,
-                source: "repro_all".to_string(),
-                seed: bench::STUDY_SEED,
-                packets: t.len() as u64,
-                jobs: flags.jobs as u64,
-            },
-            timings.to_experiment_times(),
-        );
-        match report.write_next(dir) {
-            Ok(path) => {
-                eprintln!("bench report written: {}", path.display());
-                if let Some((base, _)) = perfkit::baseline_before(dir, report.bench_version) {
-                    match perfkit::BenchReport::load(&base) {
-                        Ok(old) => eprint!(
-                            "{}",
-                            perfkit::diff(&old, &report, perfkit::DEFAULT_THRESHOLD).render()
-                        ),
-                        Err(e) => eprintln!("cannot load baseline: {e}"),
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("bench report failed: {e}");
-                std::process::exit(74);
-            }
-        }
     }
     drop(root);
 }

@@ -1,15 +1,10 @@
-//! Span-structured wall-clock timing for the `repro_all` driver, plus
-//! the parallel-speedup probe.
+//! Span-structured wall-clock timing for the `repro_all` driver.
 //!
 //! Each experiment runs under a labeled `repro_experiment` span nested
-//! in the driver's `repro_all` root; report serialization runs under a
-//! separate `bench_report` span that is a **sibling** of the experiment
-//! spans. Per-experiment wall times therefore never absorb report
-//! serialization cost — the regression test below pins the tree shape.
+//! in the driver's `repro_all` root, so a `--profile-out` profile
+//! attributes every experiment's time to its own subtree.
 
 use obskit::SpanGuard;
-use sampling::experiment::MethodFamily;
-use sampling::{Experiment, Target};
 use std::time::{Duration, Instant};
 
 /// Per-experiment wall clocks for one driver run.
@@ -60,102 +55,34 @@ impl Timings {
         ));
         out
     }
-
-    /// The entries as perfkit experiment rows (µs).
-    #[must_use]
-    pub fn to_experiment_times(&self) -> Vec<perfkit::ExperimentTime> {
-        self.0
-            .iter()
-            .map(|(name, d)| perfkit::ExperimentTime {
-                name: (*name).to_string(),
-                wall_us: d.as_micros() as u64,
-            })
-            .collect()
-    }
 }
 
-/// Open the driver's root span; every `repro_experiment` and the
-/// `bench_report` span nest under it.
+/// Open the driver's root span; every `repro_experiment` nests under
+/// it.
 #[must_use]
 pub fn root_span() -> SpanGuard {
     obskit::span("repro_all")
-}
-
-/// Open the report-serialization span. Call it **after** all experiment
-/// spans have closed, so it aggregates as a sibling of
-/// `repro_experiment` — never as a child that would fold serialization
-/// time into an experiment's subtree.
-#[must_use]
-pub fn report_span() -> SpanGuard {
-    obskit::span("bench_report")
-}
-
-/// Number of packets the speedup probe samples from the study trace.
-pub const SPEEDUP_PROBE_PACKETS: usize = 100_000;
-
-/// Measure the parallel speedup on this machine: the five paper methods
-/// at interval 50, 20 replications each, over the first
-/// [`SPEEDUP_PROBE_PACKETS`] packets of `packets` — once on a `jobs`-wide
-/// pool, once serially — and record the ratio as gauges
-/// (`parkit_speedup_x1000`, `parkit_speedup_jobs`) that perfkit's
-/// report collection picks up. Returns the speedup (serial / parallel).
-pub fn record_speedup(packets: &[nettrace::PacketRecord], jobs: usize, seed: u64) -> f64 {
-    let _span = obskit::span("parkit_speedup_probe");
-    let probe = &packets[..packets.len().min(SPEEDUP_PROBE_PACKETS)];
-    let exp = Experiment::new(probe, Target::PacketSize);
-    let cells: Vec<(MethodFamily, usize)> = MethodFamily::paper_five()
-        .into_iter()
-        .map(|f| (f, 50))
-        .collect();
-    let wall = |pool: &parkit::Pool| {
-        let start = Instant::now();
-        let results = exp.run_grid_with(pool, &cells, 20, seed);
-        assert_eq!(results.len(), cells.len());
-        start.elapsed().as_secs_f64()
-    };
-    let parallel = wall(&parkit::Pool::new(jobs));
-    let serial = wall(&parkit::Pool::serial());
-    let speedup = if parallel > 0.0 {
-        serial / parallel
-    } else {
-        1.0
-    };
-    obskit::gauge("parkit_speedup_x1000").set((speedup * 1000.0).round() as i64);
-    obskit::gauge("parkit_speedup_jobs").set(jobs as i64);
-    speedup
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Satellite regression test: the serialization span must aggregate
-    /// as a sibling of the experiment spans under the root — per-
-    /// experiment subtrees (and their wall times) exclude it.
+    /// Every experiment's span aggregates under the driver root, so a
+    /// folded profile attributes its time to its own subtree.
     #[test]
-    fn report_span_is_sibling_not_child_of_experiments() {
+    fn experiment_spans_nest_under_the_root() {
         {
             let _root = root_span();
             let mut t = Timings::new();
             let out = t.timed("span_probe", || "rendered".to_string());
             assert_eq!(out, "rendered");
             assert_eq!(t.entries().len(), 1);
-            // The experiment span is already closed when the report span
-            // opens — exactly the call order the driver uses.
-            let _report = report_span();
         }
         let folded = obskit::tree::render_folded();
         assert!(
             folded.contains("repro_all;repro_experiment"),
             "experiment span not under root:\n{folded}"
-        );
-        assert!(
-            folded.contains("repro_all;bench_report"),
-            "report span not under root:\n{folded}"
-        );
-        assert!(
-            !folded.contains("repro_experiment;bench_report"),
-            "serialization span nested inside an experiment:\n{folded}"
         );
     }
 
@@ -167,20 +94,7 @@ mod tests {
         let table = t.render_table();
         assert!(table.contains("experiment"));
         assert!(table.contains("total"));
-        assert_eq!(t.to_experiment_times().len(), 2);
+        assert_eq!(t.entries().len(), 2);
         assert!(t.total() >= t.entries()[0].1);
-    }
-
-    #[test]
-    fn speedup_probe_sets_gauges() {
-        // Tiny synthetic window: the probe must run, compute a finite
-        // positive ratio, and publish both gauges.
-        let packets: Vec<nettrace::PacketRecord> = (0..2_000)
-            .map(|i| nettrace::PacketRecord::new(nettrace::Micros(1 + i as u64 * 500), 100))
-            .collect();
-        let s = record_speedup(&packets, 2, 7);
-        assert!(s.is_finite() && s > 0.0, "speedup {s}");
-        assert_eq!(obskit::gauge("parkit_speedup_jobs").get(), 2);
-        assert!(obskit::gauge("parkit_speedup_x1000").get() > 0);
     }
 }

@@ -27,10 +27,10 @@ pub enum CmdError {
     Data(String),
     /// The operating system failed an open/read/write (`EX_IOERR`, 74).
     Io(String),
-    /// A quality gate failed: a perf diff crossed the regression gate,
-    /// or the fuzzer surfaced a contract violation (exit 1, the
-    /// conventional "check failed" code CI systems key on). For perf,
-    /// `PERF_ALLOW_REGRESSION=1` downgrades the gate to a report.
+    /// A quality gate failed: the fuzzer surfaced a contract violation,
+    /// a run outgrew its RSS budget, `serve` missed `--target-flows`, or
+    /// a `watch --fail-on` rule fired (exit 1, the conventional "check
+    /// failed" code CI systems key on).
     Regression(String),
 }
 
@@ -173,7 +173,12 @@ fn parse_method(args: &Args) -> Result<MethodSpec, CmdError> {
                 "timer methods need a rate; use `sweep` which derives it",
             ))
         }
-        other => return Err(CmdError::usage(format!("unknown method '{other}'"))),
+        other => {
+            return Err(CmdError::usage(format!(
+                "unknown method '{other}' (systematic|stratified|random|geometric; \
+                 stream and serve also take reservoir)"
+            )))
+        }
     };
     Ok(spec)
 }
@@ -560,43 +565,19 @@ pub fn flows(args: &Args) -> Result<String, CmdError> {
     Ok(out)
 }
 
-/// Method selection for the streaming engine. Mirrors [`parse_method`]
-/// plus the stream-only reservoir; `random` additionally needs
-/// `--population` (the engine rejects it otherwise, pointing at the
-/// reservoir as the hint-free alternative).
+/// Method selection for the streaming engine: the stream-only
+/// reservoir, or any [`parse_method`] method. `random` additionally
+/// needs `--population` (the engine rejects it otherwise, pointing at
+/// the reservoir as the hint-free alternative).
 pub(crate) fn parse_stream_method(args: &Args) -> Result<StreamMethod, CmdError> {
-    let k: usize = args.opt_num("interval", 50)?;
-    if k == 0 {
-        return Err(CmdError::usage(
-            "--interval must be at least 1 (a 1-in-0 selection is undefined)",
-        ));
+    if args.opt("method") != Some("reservoir") {
+        return Ok(StreamMethod::Spec(parse_method(args)?));
     }
-    let method = match args.opt_or("method", "systematic") {
-        "systematic" => StreamMethod::Spec(MethodSpec::Systematic { interval: k }),
-        "stratified" => StreamMethod::Spec(MethodSpec::StratifiedRandom { bucket: k }),
-        "geometric" => StreamMethod::Spec(MethodSpec::GeometricSkip { mean_interval: k }),
-        "random" => StreamMethod::Spec(MethodSpec::SimpleRandom {
-            fraction: 1.0 / k as f64,
-        }),
-        "reservoir" => {
-            let capacity: usize = args.opt_num("capacity", 100)?;
-            if capacity == 0 {
-                return Err(CmdError::usage("--capacity must be at least 1"));
-            }
-            StreamMethod::Reservoir { capacity }
-        }
-        "sys-timer" | "strat-timer" => {
-            return Err(CmdError::usage(
-                "timer methods need a rate; use `sweep` which derives it",
-            ))
-        }
-        other => {
-            return Err(CmdError::usage(format!(
-                "unknown method '{other}' (systematic|stratified|random|geometric|reservoir)"
-            )))
-        }
-    };
-    Ok(method)
+    let capacity: usize = args.opt_num("capacity", 100)?;
+    if capacity == 0 {
+        return Err(CmdError::usage("--capacity must be at least 1"));
+    }
+    Ok(StreamMethod::Reservoir { capacity })
 }
 
 /// One scored window as a JSONL record (hand-rendered; the workspace
@@ -681,11 +662,6 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
     cfg.replication = args.opt_num("replication", 0)?;
     if args.opt("population").is_some() {
         cfg.population_hint = Some(args.opt_num("population", 0usize)?);
-    }
-    cfg.batch = args.opt_num("batch", cfg.batch)?;
-    cfg.queue = args.opt_num("queue", cfg.queue)?;
-    if cfg.batch == 0 || cfg.queue == 0 {
-        return Err(CmdError::usage("--batch and --queue must be at least 1"));
     }
     cfg.backpressure = match args.opt_or("backpressure", "block") {
         "block" => Backpressure::Block,
@@ -1030,9 +1006,14 @@ mod tests {
         // Missing file: the OS failed us.
         let e = analyze(&args(&["/nonexistent/x.pcap"], &[])).unwrap_err();
         assert_eq!(e.exit_code(), 74, "{e}");
-        // Bad flag value: caller error.
-        let e = parse_method(&args(&["--method", "magic"], &["method"])).unwrap_err();
+        // Bad flag value: caller error, and `score` and `stream` name
+        // the valid methods in the same words.
+        let magic = args(&["--method", "magic"], &["method"]);
+        let e = parse_method(&magic).unwrap_err();
         assert_eq!(e.exit_code(), 64, "{e}");
+        assert!(e.to_string().contains("systematic|stratified"), "{e}");
+        let stream_e = parse_stream_method(&magic).unwrap_err();
+        assert_eq!(stream_e.to_string(), e.to_string());
         // Readable file, not a pcap: data error.
         let garbage = tmp("garbage");
         std::fs::write(&garbage, b"this is not a capture file").unwrap();
@@ -1199,8 +1180,6 @@ mod tests {
         "seed",
         "replication",
         "population",
-        "batch",
-        "queue",
         "backpressure",
         "jsonl",
         "reference",
@@ -1355,8 +1334,6 @@ mod tests {
                 "2",
                 "--window",
                 "200",
-                "--queue",
-                "4",
                 "--adaptive-shed",
                 "cli_shed_probe",
             ],

@@ -21,7 +21,7 @@
 
 mod args;
 mod commands;
-mod perf;
+mod json;
 mod serve;
 mod watch;
 
@@ -46,12 +46,15 @@ USAGE:
                     `synth --profile zipf` carry the flow ids this needs)
   netsample stream  <trace.pcap|-> [--window N|DUR] [--slide N|DUR] [--method M]
                     [--interval k] [--capacity c] [--target T] [--seed S]
+                    [--replication R] [--population N]
                     [--backpressure block|drop-newest] [--jsonl out.jsonl]
                     [--reference ref.pcap] [--adaptive-shed RULE]
                     (- reads the capture from stdin; one-pass, O(window)
-                    memory; DUR like 500ms, 10s, 1m; --adaptive-shed widens
-                    shedding while alert RULE fires — a built-in channel
-                    high-water rule is installed if RULE is not loaded)
+                    memory; DUR like 500ms, 10s, 1m; --method random draws
+                    exactly n of N and needs the packet count N as
+                    --population; --adaptive-shed widens shedding while
+                    alert RULE fires — a built-in channel high-water rule
+                    is installed if RULE is not loaded)
   netsample stream  --soak N [--pace-pps R] [--rss-budget-kb KB] [stream options]
                     (no trace argument: replays N synthetic windows, paced at
                     R pkt/s, and fails with exit 1 if RSS grows past the budget)
@@ -74,7 +77,6 @@ USAGE:
                     (poll a serving netsample's /series and /alerts,
                     render sparklines; with --fail-on, exit 1 if RULE
                     fires, 65 if RULE is unknown to the server)
-  netsample perf    record|report|diff ...   (see `netsample perf`)
 
 global options (any position):
   --serve <addr>       serve live telemetry over HTTP for the duration of the
@@ -102,8 +104,8 @@ global options (any position):
 methods: systematic | stratified | random | geometric (stream adds: reservoir)
 targets: packet-size | interarrival | protocol | port
 
-exit codes: 0 ok, 1 failed gate (perf regression, fuzz finding),
-            64 usage error, 65 bad data, 74 I/O error
+exit codes: 0 ok, 1 failed gate (fuzz finding, RSS budget, --target-flows,
+            watch --fail-on), 64 usage error, 65 bad data, 74 I/O error
 ";
 
 /// The global flags every subcommand accepts without listing them.
@@ -411,8 +413,6 @@ fn run(cmd: &str, rest: Vec<String>) -> Result<String, commands::CmdError> {
                     "seed",
                     "replication",
                     "population",
-                    "batch",
-                    "queue",
                     "backpressure",
                     "jsonl",
                     "reference",
@@ -458,7 +458,6 @@ fn run(cmd: &str, rest: Vec<String>) -> Result<String, commands::CmdError> {
             let a = Args::parse(rest, &["for", "interval-ms", "fail-on", "series", "step"])?;
             watch::watch(&a)
         }
-        "perf" => perf::perf(&rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(commands::CmdError::usage(format!(
             "unknown command '{other}'\n\n{USAGE}"

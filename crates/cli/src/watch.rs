@@ -14,7 +14,7 @@
 
 use crate::args::Args;
 use crate::commands::CmdError;
-use perfkit::json::Json;
+use crate::json::Json;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -96,6 +96,8 @@ fn exit_codes_distinguish_error_classes() {
     // Usage failures: EX_USAGE.
     let out = netsample(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(64));
+    let out = netsample(&["perf", "report"]);
+    assert_eq!(out.status.code(), Some(64));
     let out = netsample(&["synth", "/tmp/x.pcap", "--sed", "1"]);
     assert_eq!(out.status.code(), Some(64));
     // Readable but malformed input: EX_DATAERR.
@@ -239,125 +241,71 @@ fn trace_is_flushed_even_when_the_command_fails() {
     std::fs::remove_file(&sink).ok();
 }
 
-fn perf_tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("netsample_bin_perf_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
-fn perf_record_report_and_profile_out_work_end_to_end() {
-    let dir = perf_tmpdir("record");
-    let dir_s = dir.to_str().unwrap().to_string();
-    let folded = dir.join("profile.folded");
+fn profile_out_writes_the_span_tree_as_folded_stacks() {
+    let pop = tmp("profile");
+    let folded = std::env::temp_dir()
+        .join(format!(
+            "netsample_bin_profile_{}.folded",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    let out = netsample(&["synth", &pop, "--seconds", "10", "--seed", "7"]);
+    assert!(out.status.success());
+    // One worker keeps the sampler spans nested under their cell; on a
+    // wider pool they are roots of the worker threads.
     let out = netsample(&[
-        "perf",
-        "record",
-        "--dir",
-        &dir_s,
-        "--packets",
-        "2000",
-        "--seed",
-        "7",
+        "--jobs",
+        "1",
         "--profile-out",
-        folded.to_str().unwrap(),
+        &folded,
+        "score",
+        &pop,
+        "--interval",
+        "20",
+        "--replications",
+        "3",
     ]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("BENCH_1.json"), "{text}");
-    assert!(text.contains("cell/systematic"), "{text}");
-
-    // The BENCH file is valid versioned JSON with the documented keys.
-    let body = std::fs::read_to_string(dir.join("BENCH_1.json")).unwrap();
-    for key in [
-        "schema_version",
-        "bench_version",
-        "experiments",
-        "samplers",
-        "spans",
-    ] {
-        assert!(body.contains(key), "BENCH_1.json missing {key}: {body}");
-    }
-
-    // The folded profile nests the workload under the record root span.
     let profile = std::fs::read_to_string(&folded).unwrap();
     assert!(
-        profile.lines().any(|l| l.starts_with("perf_record;")),
-        "no nested spans in profile: {profile}"
+        profile
+            .lines()
+            .any(|l| l.starts_with("experiment_cell;sampling_select")),
+        "no nested sampler span in profile:\n{profile}"
     );
-
-    // `perf report` renders the file it just wrote.
-    let out = netsample(&["perf", "report", "--dir", &dir_s]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("experiments"), "{text}");
-
-    // A second record diffs against the first and stays within the gate
-    // (same workload, same machine).
-    let out = netsample(&[
-        "perf",
-        "record",
-        "--dir",
-        &dir_s,
-        "--packets",
-        "2000",
-        "--seed",
-        "7",
-        "--threshold",
-        "400",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("BENCH_2.json"), "{text}");
-    assert!(text.contains("perf diff: BENCH_1 -> BENCH_2"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&pop).ok();
+    std::fs::remove_file(&folded).ok();
 }
 
 #[test]
-fn perf_diff_gate_fails_on_regression_and_env_bypasses_it() {
-    let dir = perf_tmpdir("gatebin");
-    let fast = r#"{
-  "schema_version": 1, "bench_version": 1,
-  "run": {"ts_us": 1, "source": "test", "seed": 7, "packets": 2000},
-  "experiments": [{"name": "cell/systematic", "wall_us": 200000}],
-  "samplers": [], "timings": [], "benches": [], "spans": []
-}"#;
-    let slow = fast
-        .replace("200000", "900000")
-        .replace("\"bench_version\": 1", "\"bench_version\": 2");
-    let old = dir.join("BENCH_1.json");
-    let new = dir.join("BENCH_2.json");
-    std::fs::write(&old, fast).unwrap();
-    std::fs::write(&new, slow).unwrap();
+fn stream_flags_in_help_are_the_flags_stream_takes() {
+    let out = netsample(&["help"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    for flag in ["[--population N]", "[--replication R]"] {
+        assert!(text.contains(flag), "help does not list {flag}:\n{text}");
+    }
 
-    let out = netsample(&["perf", "diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(err.contains("REGRESSED"), "{err}");
-    assert!(err.contains("regression gate failed"), "{err}");
-
-    // PERF_ALLOW_REGRESSION=1 downgrades the gate to a report.
-    let out = Command::new(env!("CARGO_BIN_EXE_netsample"))
-        .args(["perf", "diff", old.to_str().unwrap(), new.to_str().unwrap()])
-        .env("PERF_ALLOW_REGRESSION", "1")
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-    std::fs::remove_dir_all(&dir).ok();
+    // The queue geometry is a library knob, not a CLI flag.
+    let pop = tmp("stream_flags");
+    let out = netsample(&["synth", &pop, "--seconds", "5"]);
+    assert!(out.status.success());
+    for (flag, value) in [("--batch", "64"), ("--queue", "4")] {
+        let out = netsample(&["stream", &pop, flag, value]);
+        assert_eq!(
+            out.status.code(),
+            Some(64),
+            "{flag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_file(&pop).ok();
 }
 
 #[test]

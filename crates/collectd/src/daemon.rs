@@ -355,6 +355,13 @@ impl Collector {
         obskit::gauge("collectd_routing_imbalance_x1000").set(plan.imbalance_x1000() as i64);
         obskit::gauge("collectd_shards").set(cfg.shards as i64);
         obskit::gauge("collectd_lanes").set(plan.lane_count() as i64);
+        obskit::global().describe(
+            "collectd_shard_rss_kb",
+            &format!(
+                "Modelled shard flow state, not a measured RSS: \
+                 live_flows * {FLOW_STATE_BYTES} / 1024 + 1 kB ({FLOW_STATE_BYTES} B per live flow)."
+            ),
+        );
         let evictions = vec![0u64; cfg.shards as usize];
         Ok(Collector {
             cfg,

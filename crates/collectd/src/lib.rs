@@ -248,4 +248,16 @@ mod tests {
             rounds.iter().map(|r| r.1).max().unwrap()
         );
     }
+
+    #[test]
+    fn shard_rss_gauge_says_it_is_modelled() {
+        run_collector(small_cfg(2), &Pool::serial(), None, |_| {}).unwrap();
+        let text = obskit::global().render_prometheus();
+        let help = text
+            .lines()
+            .find(|l| l.starts_with("# HELP collectd_shard_rss_kb "))
+            .unwrap_or_else(|| panic!("no HELP line for the shard RSS gauge:\n{text}"));
+        assert!(help.contains("Modelled"), "{help}");
+        assert!(help.contains("live_flows * 96"), "{help}");
+    }
 }

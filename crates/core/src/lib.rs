@@ -12,12 +12,12 @@
 //! | stratified random | [`StratifiedSampler`] | [`StratifiedTimerSampler`] |
 //! | simple random | [`SimpleRandomSampler`] | — |
 //!
-//! plus three operational extensions from the method's deployment
+//! plus two operational extensions from the method's deployment
 //! lineage (sFlow/NetFlow-style sampling): [`GeometricSkipSampler`]
-//! (i.i.d. 1-in-k via geometric skips), [`ReservoirSampler`] (fixed-size
-//! uniform sample over an unbounded stream), and [`AdaptiveSampler`]
-//! (AIMD interval control holding the selection rate to a processor
-//! budget).
+//! (i.i.d. 1-in-k via geometric skips) and [`AdaptiveSampler`] (AIMD
+//! interval control holding the selection rate to a processor budget).
+//! The fixed-size uniform sample over a stream of unknown length is
+//! `streamkit::ReservoirStream` (Vitter's Algorithm L).
 //!
 //! Every sampler is an **event-driven state machine**: the router (or the
 //! simulator) offers each arriving packet via [`Sampler::offer`] and the
@@ -80,7 +80,6 @@ pub mod geometric;
 pub mod metrics;
 pub mod nullband;
 pub mod random;
-pub mod reservoir;
 pub mod sampler;
 pub mod samplesize;
 pub mod stratified;
@@ -99,7 +98,6 @@ pub use geometric::GeometricSkipSampler;
 pub use metrics::{disparity, DisparityReport};
 pub use nullband::{phi_null_band, PhiNullBand};
 pub use random::SimpleRandomSampler;
-pub use reservoir::ReservoirSampler;
 pub use sampler::{
     select_indices, select_indices_ts, BuildError, MethodClass, MethodSpec, Sampler,
 };

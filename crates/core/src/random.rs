@@ -10,7 +10,7 @@
 //! packet.
 //!
 //! Algorithm S needs the population size `N` up front — fine for trace
-//! replay; for unbounded streams use [`crate::reservoir::ReservoirSampler`].
+//! replay; for unbounded streams use `streamkit::ReservoirStream`.
 
 use crate::sampler::{BuildError, Sampler};
 use nettrace::PacketRecord;

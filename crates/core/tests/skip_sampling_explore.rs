@@ -1,9 +1,10 @@
 //! Exploratory bench: can a *skip-sampling* random family beat
 //! Algorithm S?
 //!
-//! The BENCH_3 trajectory note (ROADMAP.md) accepts that the
-//! `cell/random/*` perf cells moved only ~1.3–1.5× under the columnar
-//! refactor: [`sampling::SimpleRandomSampler`] spends one RNG draw per
+//! Simple random selection sped up only ~1.3–1.5× under the columnar
+//! refactor (BENCH_3, from the retired `netsample perf` harness; netbench
+//! tracks it as `sampling.select_ns_per_sel.random`):
+//! [`sampling::SimpleRandomSampler`] spends one RNG draw per
 //! in-population element, and that draw schedule is pinned by the
 //! bit-identical determinism guarantee — batching cannot remove draws
 //! without changing which packets are selected under a given seed.

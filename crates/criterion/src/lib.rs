@@ -131,10 +131,6 @@ fn human_ns(ns: f64) -> String {
 }
 
 fn report(label: &str, est: Estimate, throughput: Option<Throughput>) {
-    // Record the median where perfkit can find it: a BENCH_<n>.json
-    // written after this run (see `finalize`) picks these up as its
-    // `benches` section.
-    obskit::gauge_labeled("criterion_median_ns", &[("bench", label)]).set(est.median_ns as i64);
     let rate = match throughput {
         Some(Throughput::Elements(n)) => {
             format!("  {:>12.1} Melem/s", n as f64 / est.median_ns * 1_000.0)
@@ -261,61 +257,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Post-run hook: when `NETSAMPLE_BENCH_DIR` names a directory, write
-/// the run's metrics (criterion medians, span tree, duration
-/// histograms) as the next `BENCH_<n>.json` there and diff it against
-/// the newest prior report. A no-op otherwise, so plain `cargo bench`
-/// output is unchanged.
-pub fn finalize() {
-    let Ok(dir) = std::env::var("NETSAMPLE_BENCH_DIR") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("criterion: cannot create bench dir {}: {e}", dir.display());
-        return;
-    }
-    let ts_us = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0);
-    let mut report = perfkit::BenchReport::collect(
-        perfkit::RunMeta {
-            ts_us,
-            source: "criterion".to_string(),
-            seed: 0,
-            packets: 0,
-            // Bench iterations are single-threaded by construction.
-            jobs: 1,
-        },
-        Vec::new(),
-    );
-    match report.write_next(&dir) {
-        Ok(path) => {
-            println!("\nbench report written: {}", path.display());
-            if let Some((base, _)) = perfkit::baseline_before(&dir, report.bench_version) {
-                match perfkit::BenchReport::load(&base) {
-                    Ok(old) => {
-                        print!(
-                            "{}",
-                            perfkit::diff(&old, &report, perfkit::DEFAULT_THRESHOLD).render()
-                        );
-                    }
-                    Err(e) => eprintln!("criterion: cannot load baseline: {e}"),
-                }
-            }
-        }
-        Err(e) => eprintln!("criterion: bench report failed: {e}"),
-    }
-}
-
-/// Entry point: run the named groups, then [`finalize`].
+/// Entry point: run the named groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::finalize();
         }
     };
 }

@@ -75,9 +75,8 @@ impl StreamSampler for EventDriven {
 /// One-pass uniform `k`-of-stream sampling: Vitter's **Algorithm L**
 /// (*Random sampling with a gap distribution*, TOMS 1994 lineage).
 ///
-/// Unlike the workspace's Algorithm R
-/// ([`sampling::ReservoirSampler`], one RNG draw per arrival), L draws
-/// geometric *skip counts*: O(k·(1 + log(N/k))) RNG work total, so a
+/// Unlike Algorithm R (one RNG draw per arrival), L draws geometric
+/// *skip counts*: O(k·(1 + log(N/k))) RNG work total, so a
 /// 1-in-50-style monitor spends its per-packet budget on nothing but a
 /// counter compare — the same budget argument the paper makes for
 /// systematic sampling (§4).

@@ -37,7 +37,6 @@ pub use netsynth;
 pub use nettrace;
 pub use obskit;
 pub use parkit;
-pub use perfkit;
 pub use sampling;
 pub use statkit;
 
