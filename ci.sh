@@ -83,22 +83,47 @@ fi
 echo "== stream: one-pass windowed characterization (stdin, deterministic)"
 # The streaming engine is a pure function of the capture bytes: piping
 # the same capture through stdin twice must print byte-identical
-# output, and reading the same capture as a file must match the pipe.
+# output and per-window JSONL, and reading the same capture as a file
+# must match the pipe. rss_kb, a process reading, is the one JSONL
+# field masked before the compare.
 for pass in 1 2; do
-    "$bin" stream - --window 2000 --interval 50 < "$tmpdir/pop.pcap" \
-        > "$tmpdir/stream.$pass.out"
+    "$bin" stream - --window 2000 --interval 50 --jsonl "$tmpdir/stream.$pass.jsonl" \
+        < "$tmpdir/pop.pcap" > "$tmpdir/stream.$pass.out"
+done
+"$bin" stream "$tmpdir/pop.pcap" --window 2000 --interval 50 \
+    --jsonl "$tmpdir/stream.file.jsonl" > "$tmpdir/stream.file.out"
+for run in 1 2 file; do
+    sed -E 's/"rss_kb":[0-9]+/"rss_kb":0/' "$tmpdir/stream.$run.jsonl" \
+        > "$tmpdir/stream.$run.masked"
 done
 diff "$tmpdir/stream.1.out" "$tmpdir/stream.2.out" || {
     echo "stream output is nondeterministic across runs" >&2
     exit 1
 }
-"$bin" stream "$tmpdir/pop.pcap" --window 2000 --interval 50 \
-    > "$tmpdir/stream.file.out"
+cmp "$tmpdir/stream.1.masked" "$tmpdir/stream.2.masked" || {
+    echo "stream --jsonl output is nondeterministic across runs" >&2
+    exit 1
+}
 diff "$tmpdir/stream.1.out" "$tmpdir/stream.file.out" || {
     echo "stream differs between stdin and file ingestion" >&2
     exit 1
 }
+cmp "$tmpdir/stream.1.masked" "$tmpdir/stream.file.masked" || {
+    echo "stream --jsonl differs between stdin and file ingestion" >&2
+    exit 1
+}
 grep -q "mean phi=" "$tmpdir/stream.1.out"
+# Simple random sampling draws exactly n = 2000/50 = 40 of every full
+# 2000-packet window, not only of the first.
+"$bin" stream "$tmpdir/pop.pcap" --method random --interval 50 --window 2000 \
+    --jsonl "$tmpdir/stream.random.jsonl" > /dev/null
+full="$(grep -c '"packets":2000,' "$tmpdir/stream.random.jsonl" || true)"
+off="$(grep '"packets":2000,' "$tmpdir/stream.random.jsonl" | grep -vc '"selected":40,' || true)"
+if [ "$full" -lt 2 ] || [ "$off" -ne 0 ]; then
+    echo "stream --method random: $off of $full full windows did not select 40" >&2
+    cat "$tmpdir/stream.random.jsonl" >&2
+    exit 1
+fi
 # A capture that ends mid-record is a data error (sysexits 65) carrying
 # the byte offset of the broken record, like the salvage reader reports.
 if "$bin" stream "$tmpdir/cut.pcap" --window 1000 > /dev/null 2> "$tmpdir/stream.err"; then

@@ -46,7 +46,6 @@ fn bench_stream_vs_batch(c: &mut Criterion) {
             WindowSpec::Count(n as u64),
         );
         cfg.seed = 42;
-        cfg.population_hint = Some(n);
         b.iter(|| {
             let summary = run_stream(black_box(bytes.as_slice()), &cfg).unwrap();
             black_box(summary.windows.len())

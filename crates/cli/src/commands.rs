@@ -566,9 +566,9 @@ pub fn flows(args: &Args) -> Result<String, CmdError> {
 }
 
 /// Method selection for the streaming engine: the stream-only
-/// reservoir, or any [`parse_method`] method. `random` additionally
-/// needs `--population` (the engine rejects it otherwise, pointing at
-/// the reservoir as the hint-free alternative).
+/// reservoir, or any [`parse_method`] method. `random` takes each
+/// window's `N` from a tumbling packet-count `--window` (the engine
+/// rejects time windows and slides, pointing at the reservoir).
 pub(crate) fn parse_stream_method(args: &Args) -> Result<StreamMethod, CmdError> {
     if args.opt("method") != Some("reservoir") {
         return Ok(StreamMethod::Spec(parse_method(args)?));
@@ -609,12 +609,8 @@ fn jsonl_record(w: &streamkit::WindowReport) -> String {
     // flows that began in-window (SYN-marked).
     let _ = write!(s, ",\"flows\":{},\"syn_flows\":{}", w.flows, w.syn_flows);
     // The same telemetry the live scrape endpoint exposes, per window:
-    // cumulative shed count, emission→score lag, and process RSS.
-    let _ = write!(
-        s,
-        ",\"shed\":{},\"lag_us\":{},\"rss_kb\":{}",
-        w.shed_packets, w.lag_us, w.rss_kb
-    );
+    // cumulative shed count and process RSS.
+    let _ = write!(s, ",\"shed\":{},\"rss_kb\":{}", w.shed_packets, w.rss_kb);
     match &w.report {
         Some(r) => {
             let _ = write!(
@@ -660,9 +656,6 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
         .map_err(CmdError::usage)?;
     cfg.seed = args.opt_num("seed", 1993)?;
     cfg.replication = args.opt_num("replication", 0)?;
-    if args.opt("population").is_some() {
-        cfg.population_hint = Some(args.opt_num("population", 0usize)?);
-    }
     cfg.backpressure = match args.opt_or("backpressure", "block") {
         "block" => Backpressure::Block,
         "drop-newest" => Backpressure::DropNewest,
@@ -672,7 +665,6 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
             )))
         }
     };
-    cfg.jobs = parkit::default_jobs();
     if let Some(rule) = args.opt("adaptive-shed") {
         cfg.adaptive_shed = Some(rule.to_string());
         // The control loop reads alert_active{rule}, which only flips on
@@ -684,7 +676,7 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
         if !engine.has_rule(rule) {
             // No rule of that name loaded (via --rules): install the
             // built-in channel high-water tripwire at 3/4 queue depth.
-            let hiwater = (3 * cfg.queue).div_ceil(4).max(1);
+            let hiwater = (3 * streamkit::QUEUE_DEPTH).div_ceil(4);
             let text = format!(
                 "rule {rule} value(stream_channel_depth{{stage=\"transform\"}}) >= {hiwater} for 2"
             );
@@ -1179,7 +1171,6 @@ mod tests {
         "target",
         "seed",
         "replication",
-        "population",
         "backpressure",
         "jsonl",
         "reference",
@@ -1250,12 +1241,43 @@ mod tests {
         assert_eq!(lines.len(), windows, "one JSONL record per window");
         assert!(lines[0].starts_with("{\"index\":0,"), "{}", lines[0]);
         assert!(lines[0].contains("\"phi\":"), "{}", lines[0]);
-        // Every record carries the telemetry triple alongside the score.
+        // Every record carries the telemetry pair alongside the score;
+        // a window is scored when it closes, so there is no lag field.
         for line in &lines {
-            for field in ["\"shed\":", "\"lag_us\":", "\"rss_kb\":"] {
+            for field in ["\"shed\":", "\"rss_kb\":"] {
                 assert!(line.contains(field), "missing {field} in {line}");
             }
+            assert!(!line.contains("\"lag_us\":"), "{line}");
         }
+        std::fs::remove_file(&pop).ok();
+        std::fs::remove_file(&sink).ok();
+    }
+
+    /// `--method random` takes each window's N from the tumbling
+    /// packet-count window and draws a fresh n-of-N in every one.
+    #[test]
+    fn stream_random_selects_n_of_n_in_every_full_window() {
+        let pop = tmp("stream_random_pop");
+        synth(&args(
+            &[&pop, "--seconds", "20", "--seed", "5"],
+            &["seconds", "seed", "profile"],
+        ))
+        .unwrap();
+        let sink = tmp("stream_random_out");
+        let flags = ["--method", "random", "--interval", "10", "--window", "2000"];
+        let argv = [&[&pop as &str][..], &flags, &["--jsonl", &sink]].concat();
+        stream(&args(&argv, STREAM_OPTS)).unwrap();
+        let text = std::fs::read_to_string(&sink).unwrap();
+        let mut full = 0;
+        for line in text.lines() {
+            let rec = crate::json::Json::parse(line).unwrap();
+            let count = |key| rec.get(key).and_then(crate::json::Json::as_u64).unwrap();
+            if count("packets") == 2000 {
+                assert_eq!(count("selected"), 200, "{line}");
+                full += 1;
+            }
+        }
+        assert!(full >= 3, "only {full} full windows:\n{text}");
         std::fs::remove_file(&pop).ok();
         std::fs::remove_file(&sink).ok();
     }
@@ -1384,7 +1406,7 @@ mod tests {
             vec![&pop as &str, "--window", "0"],
             vec![&pop, "--window", "10x"],
             vec![&pop, "--window", "10s", "--slide", "3s"],
-            vec![&pop, "--method", "random"], // needs --population
+            vec![&pop, "--method", "random", "--window", "2s"], // needs a packet count
             vec![&pop, "--method", "reservoir", "--slide", "500"],
             vec![&pop, "--backpressure", "sometimes"],
         ] {

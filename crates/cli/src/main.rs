@@ -46,15 +46,15 @@ USAGE:
                     `synth --profile zipf` carry the flow ids this needs)
   netsample stream  <trace.pcap|-> [--window N|DUR] [--slide N|DUR] [--method M]
                     [--interval k] [--capacity c] [--target T] [--seed S]
-                    [--replication R] [--population N]
+                    [--replication R]
                     [--backpressure block|drop-newest] [--jsonl out.jsonl]
                     [--reference ref.pcap] [--adaptive-shed RULE]
                     (- reads the capture from stdin; one-pass, O(window)
                     memory; DUR like 500ms, 10s, 1m; --method random draws
-                    exactly n of N and needs the packet count N as
-                    --population; --adaptive-shed widens shedding while
-                    alert RULE fires — a built-in channel high-water rule
-                    is installed if RULE is not loaded)
+                    exactly n of each window's N packets, so it needs a
+                    tumbling packet-count --window; --adaptive-shed widens
+                    shedding while alert RULE fires — a built-in channel
+                    high-water rule is installed if RULE is not loaded)
   netsample stream  --soak N [--pace-pps R] [--rss-budget-kb KB] [stream options]
                     (no trace argument: replays N synthetic windows, paced at
                     R pkt/s, and fails with exit 1 if RSS grows past the budget)
@@ -412,7 +412,6 @@ fn run(cmd: &str, rest: Vec<String>) -> Result<String, commands::CmdError> {
                     "target",
                     "seed",
                     "replication",
-                    "population",
                     "backpressure",
                     "jsonl",
                     "reference",

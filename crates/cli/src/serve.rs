@@ -368,6 +368,35 @@ mod tests {
         );
     }
 
+    /// Simple random sampling draws a fresh n-of-N in every lane
+    /// window, not only in the first.
+    #[test]
+    fn random_selects_n_of_n_in_every_window() {
+        let path = std::env::temp_dir().join(format!(
+            "netsample_serve_random_{}.jsonl",
+            std::process::id()
+        ));
+        let p = path.to_string_lossy().into_owned();
+        let flags = "--method random --interval 10 --windows 4 --tenants 1 --interfaces 1 \
+                     --shards 1 --window-packets 2000 --flows-per-window 100 --jsonl";
+        let mut argv: Vec<&str> = flags.split_whitespace().collect();
+        argv.push(&p);
+        serve(&parse(&argv)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let selected: Vec<u64> = text
+            .lines()
+            .filter(|l| !l.contains("\"summary\":true"))
+            .map(|l| {
+                let rec = crate::json::Json::parse(l).unwrap();
+                rec.get("selected")
+                    .and_then(crate::json::Json::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(selected, vec![200; 4], "{text}");
+    }
+
     #[test]
     fn soak_target_gate_fails_with_exit_1() {
         let a = parse(&[

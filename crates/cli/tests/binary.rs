@@ -288,15 +288,23 @@ fn stream_flags_in_help_are_the_flags_stream_takes() {
     let out = netsample(&["help"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    for flag in ["[--population N]", "[--replication R]"] {
-        assert!(text.contains(flag), "help does not list {flag}:\n{text}");
-    }
+    assert!(
+        text.contains("[--replication R]"),
+        "help does not list --replication:\n{text}"
+    );
+    // The engine works N out from the window: no --population.
+    assert!(!text.contains("--population"), "{text}");
 
-    // The queue geometry is a library knob, not a CLI flag.
+    // The queue geometry is a library constant and the batch size a
+    // library knob, not CLI flags.
     let pop = tmp("stream_flags");
     let out = netsample(&["synth", &pop, "--seconds", "5"]);
     assert!(out.status.success());
-    for (flag, value) in [("--batch", "64"), ("--queue", "4")] {
+    for (flag, value) in [
+        ("--batch", "64"),
+        ("--queue", "4"),
+        ("--population", "2000"),
+    ] {
         let out = netsample(&["stream", &pop, flag, value]);
         assert_eq!(
             out.status.code(),

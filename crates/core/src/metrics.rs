@@ -47,8 +47,9 @@ pub struct DisparityReport {
     pub x2: f64,
     /// Average normalized deviation `k̄ = sqrt(X² / B)`.
     pub k_avg: f64,
-    /// Fleiss' φ coefficient — the paper's primary score. Always finite
-    /// and in `[0, √2]` for any nonempty sample.
+    /// Fleiss' φ coefficient — the paper's primary score, computed by
+    /// [`obskit::paired_phi`]. Always finite and in `[0, √2]` for any
+    /// nonempty sample.
     pub phi: f64,
     /// Sample size (packets).
     pub sample_size: u64,
@@ -92,16 +93,13 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
         population.total() > 0,
         "population histogram must be nonempty"
     );
+    let phi = obskit::paired_phi(population.counts(), sample.counts())?;
     let n = sample.total();
-    if n == 0 {
-        return None;
-    }
     let big_n = population.total();
     let fraction = n as f64 / big_n as f64;
     let scale = n as f64 / big_n as f64;
 
     let mut chi2 = 0.0;
-    let mut chi2_paired = 0.0;
     let mut x2 = 0.0;
     let mut cost = 0.0;
     let mut used_bins = 0u32;
@@ -116,15 +114,6 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
             chi2 += d * d / expected;
             x2 += d * d / (expected * expected);
             used_bins += 1;
-        }
-        // The paired chi-square keeps every bin where either side has
-        // mass: a sample observation in a bin the population says is
-        // impossible contributes O (not 0/0 or ∞), and a near-empty
-        // expected bin contributes at most E + O — which is what keeps
-        // φ finite and ≤ √2.
-        let both = expected + obs;
-        if both > 0.0 {
-            chi2_paired += d * d / both;
         }
         // Cost compares the provider's scaled-up estimate against truth.
         cost += (obs / fraction - pop).abs();
@@ -146,8 +135,7 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
         relative_cost: cost * fraction,
         x2,
         k_avg: (x2 / bins as f64).sqrt(),
-        // Fleiss: φ² = χ²ₚ/n with χ²ₚ ≤ Σ(Eᵢ+Oᵢ) = 2n, so φ ≤ √2.
-        phi: (chi2_paired / n as f64).sqrt(),
+        phi,
         sample_size: n,
         fraction,
     })

@@ -10,14 +10,17 @@
 //! packet.
 //!
 //! Algorithm S needs the population size `N` up front — fine for trace
-//! replay; for unbounded streams use `streamkit::ReservoirStream`.
+//! replay and for packet-count windows of `N` packets; every further
+//! block of `N` offers is a fresh n-of-N draw on the same RNG stream.
+//! For windows of unknown length use `streamkit::ReservoirStream`.
 
 use crate::sampler::{BuildError, Sampler};
 use nettrace::PacketRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Exact n-of-N uniform sampling (Knuth Algorithm S).
+/// Exact n-of-N uniform sampling (Knuth Algorithm S), repeated per
+/// block of `N` offers: offers `jN .. (j+1)N` select exactly `n`.
 #[derive(Debug)]
 pub struct SimpleRandomSampler {
     population: usize,
@@ -74,18 +77,24 @@ impl SimpleRandomSampler {
     pub fn sample_size(&self) -> usize {
         self.sample
     }
+
+    /// Start the next block's n-of-N draw; the RNG stream continues.
+    fn next_block(&mut self) {
+        self.remaining_pop = self.population;
+        self.remaining_sample = self.sample;
+    }
 }
 
 impl Sampler for SimpleRandomSampler {
     fn offer(&mut self, _pkt: &PacketRecord) -> bool {
-        if self.remaining_pop == 0 || self.remaining_sample == 0 {
-            // Offers beyond the declared population are never selected.
-            self.remaining_pop = self.remaining_pop.saturating_sub(1);
-            return false;
+        if self.remaining_pop == 0 {
+            self.next_block();
         }
-        // Select with probability remaining_sample / remaining_pop.
-        let selected =
-            (self.rng.random::<f64>() * self.remaining_pop as f64) < self.remaining_sample as f64;
+        // Select with probability remaining_sample / remaining_pop; a
+        // block whose sample is complete rejects without a draw.
+        let selected = self.remaining_sample > 0
+            && (self.rng.random::<f64>() * self.remaining_pop as f64)
+                < self.remaining_sample as f64;
         self.remaining_pop -= 1;
         if selected {
             self.remaining_sample -= 1;
@@ -94,18 +103,21 @@ impl Sampler for SimpleRandomSampler {
     }
 
     /// Tight-loop override: the same Algorithm S recurrence — one draw
-    /// per in-population element, in the same stream positions — minus
-    /// the per-packet dispatch. Once the sample or the population is
-    /// exhausted, the rest of the run is rejected in O(1) (the
-    /// per-packet path's chain of `saturating_sub(1)` collapses to one
-    /// saturating subtraction of the remaining run length).
+    /// per offer while the block still needs selections, in the same
+    /// stream positions — minus the per-packet dispatch. Once a block's
+    /// sample is complete, the rest of that block is rejected in O(1).
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         let n = ts.len();
         let mut i = 0;
         while i < n {
-            if self.remaining_pop == 0 || self.remaining_sample == 0 {
-                self.remaining_pop = self.remaining_pop.saturating_sub(n - i);
-                return;
+            if self.remaining_pop == 0 {
+                self.next_block();
+            }
+            if self.remaining_sample == 0 {
+                let skip = self.remaining_pop.min(n - i);
+                self.remaining_pop -= skip;
+                i += skip;
+                continue;
             }
             let selected = (self.rng.random::<f64>() * self.remaining_pop as f64)
                 < self.remaining_sample as f64;
@@ -208,12 +220,42 @@ mod tests {
     }
 
     #[test]
-    fn offers_beyond_population_are_ignored() {
-        let pkts = packets(30);
-        let mut s = SimpleRandomSampler::new(20, 20, 3);
-        let sel = select_indices(&mut s, &pkts);
-        assert_eq!(sel.len(), 20);
-        assert!(sel.iter().all(|&i| i < 20));
+    fn each_block_of_n_offers_is_a_fresh_n_of_n_draw() {
+        // 20 of 100, offered 3.5 blocks: every full block selects
+        // exactly 20 inside itself, and the half block at most 20.
+        let pkts = packets(350);
+        for seed in 0..20 {
+            let sel = select_indices(&mut SimpleRandomSampler::new(100, 20, seed), &pkts);
+            for block in 0..4 {
+                let inside = sel.iter().filter(|&&i| i / 100 == block).count();
+                assert!(inside == 20 || (block == 3 && inside <= 20), "seed {seed}");
+            }
+        }
+        // The first block is the single n-of-N draw, bit for bit as
+        // before blocks repeated (indices recorded from that code).
+        let sel = select_indices(&mut SimpleRandomSampler::new(100, 20, 3), &pkts);
+        let want = [
+            0, 5, 6, 9, 14, 22, 23, 35, 42, 49, 52, 53, 54, 63, 65, 67, 70, 80, 81, 92,
+        ];
+        assert_eq!(sel[..20], want);
+    }
+
+    #[test]
+    fn batch_path_matches_per_packet_across_blocks() {
+        let pkts = packets(1_000);
+        let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
+        for (population, sample) in [(37, 5), (100, 100), (64, 0), (1, 1)] {
+            let mut s = SimpleRandomSampler::new(population, sample, 11);
+            let want: Vec<usize> = (0..pkts.len()).filter(|&i| s.offer(&pkts[i])).collect();
+            for chunk in [1usize, 7, 100] {
+                s.reset();
+                let mut got = Vec::new();
+                for (c, part) in ts.chunks(chunk).enumerate() {
+                    s.offer_ts_batch(c * chunk, part, &mut got);
+                }
+                assert_eq!(got, want, "N={population} n={sample} chunk {chunk}");
+            }
+        }
     }
 
     #[test]

@@ -52,8 +52,10 @@ use statkit::inversion::{em_invert, naive_scaling, syn_flow_count, tail_rescale}
 use statkit::InversionError;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use streamkit::StreamMethod;
-use streamkit::{Offer, ReservoirStream, StreamSampler};
+use streamkit::{
+    run_stream, Offer, ReservoirStream, StreamConfig, StreamMethod, StreamSampler, WindowPayload,
+    WindowSpec, Windower,
+};
 
 /// State-machine fuzzing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +63,8 @@ pub struct StateFuzzConfig {
     /// Master seed.
     pub seed: u64,
     /// Cases to run, spread round-robin over the seven batch samplers,
-    /// the streaming reservoir, the disparity metric, the telemetry
+    /// the stream engine's windower and `run_stream`, the streaming
+    /// reservoir, the disparity metric, the telemetry
     /// server's three text surfaces (HTTP request line, `/series`
     /// query, alert-rule grammar), the flow table, the flow-size
     /// inversion estimators, the columnar packet-batch path, and the
@@ -289,6 +292,178 @@ impl Fuzzer {
                     self.digest.update_u64(ts.as_u64());
                 }
             }
+        }
+    }
+
+    /// Drive the stream engine's window state machine — a [`Windower`]
+    /// over hostile flow packets (equal, backwards and huge-gap
+    /// timestamps) with a random method (event-driven specs, `random`
+    /// with N = the window, reservoir), count or time windows, tumbling
+    /// or sliding, with or without a flow budget. Contracts: no panic;
+    /// `offer_slice` at a random chunking equals per-packet `offer`;
+    /// tumbling windows' packets sum to the offered count; every window
+    /// has `selected ≤ packets` and flows within the budget; φ is
+    /// finite in [0, √2]; and when the packets fit a pcap and the
+    /// budget is the default, [`run_stream`] over their capture yields
+    /// the direct windower's (index, packets, selected, flows, φ bits).
+    fn fuzz_stream(&mut self, rng: &mut StdRng) {
+        /// First timestamp a classic pcap's 32-bit seconds cannot hold.
+        const PCAP_TS_LIMIT: u64 = (u32::MAX as u64 + 1) * 1_000_000;
+        let mut packets = hostile_flow_packets(rng);
+        if rng.random_range(0u8..3) != 0 {
+            for p in &mut packets {
+                p.timestamp = Micros(p.timestamp.as_u64() % PCAP_TS_LIMIT);
+            }
+        }
+        let pcap_ok = packets.iter().all(|p| p.timestamp.as_u64() < PCAP_TS_LIMIT);
+        let target = [Target::PacketSize, Target::Interarrival][rng.random_range(0usize..2)];
+        let k = rng.random_range(1usize..=20);
+        let method = match rng.random_range(0u8..6) {
+            0 => StreamMethod::Spec(MethodSpec::Systematic { interval: k }),
+            1 => StreamMethod::Spec(MethodSpec::StratifiedRandom { bucket: k }),
+            2 => StreamMethod::Spec(MethodSpec::SystematicTimer {
+                period: Micros(hostile_period(rng)),
+            }),
+            3 => StreamMethod::Spec(MethodSpec::StratifiedTimer {
+                period: Micros(hostile_period(rng)),
+            }),
+            4 => StreamMethod::Spec(MethodSpec::SimpleRandom {
+                fraction: 1.0 / k as f64,
+            }),
+            _ => StreamMethod::Reservoir { capacity: k },
+        };
+        // As `run_stream` requires: simple random sampling takes N from
+        // a tumbling count window, and the reservoir needs tumbling.
+        let random = matches!(method, StreamMethod::Spec(MethodSpec::SimpleRandom { .. }));
+        let time = !random && rng.random_range(0u8..2) == 0;
+        let stride = match (time, rng.random_range(0u8..3)) {
+            (false, _) => rng.random_range(1u64..=64),
+            (true, 0) => 1,
+            (true, 1) => rng.random_range(1u64..=20_000),
+            (true, _) => rng.random_range(1u64..=u64::MAX / 8),
+        };
+        let buckets = if random || method.is_buffered() {
+            1
+        } else {
+            rng.random_range(1u64..=4)
+        };
+        let spec = |n| {
+            if time {
+                WindowSpec::Time(Micros(n))
+            } else {
+                WindowSpec::Count(n)
+            }
+        };
+        let (window, slide) = (spec(stride * buckets), (buckets > 1).then(|| spec(stride)));
+        let population = (!time && buckets == 1).then_some(stride as usize);
+        let budget = (rng.random_range(0u8..3) == 0).then(|| rng.random_range(1usize..=16));
+        let (seed, chunk) = (rng.random::<u64>(), rng.random_range(1usize..=64));
+        let anchor = packets.first().map_or(Micros::ZERO, |p| p.timestamp);
+        let build = || {
+            let sampler = method.build(anchor, population, 0, seed).ok()?;
+            let w = Windower::new(target, window, slide, sampler);
+            Some(match budget {
+                Some(b) => w.with_flow_budget(b),
+                None => w,
+            })
+        };
+        let (Some(mut one), Some(mut sliced)) = (build(), build()) else {
+            self.record("stream", "rejected");
+            return;
+        };
+        self.offers += 2 * packets.len() as u64;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut per_packet: Vec<WindowPayload> =
+                packets.iter().flat_map(|p| one.offer(p)).collect();
+            per_packet.extend(one.finish());
+            let mut chunked: Vec<WindowPayload> = packets
+                .chunks(chunk)
+                .flat_map(|c| sliced.offer_slice(c))
+                .collect();
+            chunked.extend(sliced.finish());
+            let engine = (pcap_ok && budget.is_none()).then(|| {
+                let mut bytes = Vec::new();
+                nettrace::pcap::write_pcap_header(&mut bytes).expect("in-memory write");
+                for p in &packets {
+                    nettrace::pcap::write_pcap_record(&mut bytes, p).expect("in-memory write");
+                }
+                let mut cfg = StreamConfig::new(method, target, window);
+                (cfg.slide, cfg.seed, cfg.batch) = (slide, seed, chunk);
+                run_stream(bytes.as_slice(), &cfg).map_err(|e| e.to_string())
+            });
+            (per_packet, chunked, one.packets(), engine)
+        }));
+        let (windows, chunked, offered, engine) = match outcome {
+            Ok(v) => v,
+            Err(panic) => {
+                let msg = crate::panic_message(&*panic);
+                self.violation("stream", format!("panicked: {msg}"));
+                self.record("stream", "panic");
+                return;
+            }
+        };
+        let mut problems = Vec::new();
+        // Payloads carry no floats, so their debug text is exact.
+        if format!("{windows:?}") != format!("{chunked:?}") {
+            problems.push(format!("offer_slice at chunk {chunk} diverged from offer"));
+        }
+        let held: u64 = windows.iter().map(|w| w.packets).sum();
+        if offered != packets.len() as u64 || (slide.is_none() && held != offered) {
+            problems.push(format!(
+                "{} offered, {offered} counted, {held} in windows",
+                packets.len()
+            ));
+        }
+        let cap = budget.map_or(u64::MAX, |b| b as u64);
+        let mut direct = Vec::with_capacity(windows.len());
+        for w in &windows {
+            let sampled = w.sampled_sizes.len() as u64;
+            if w.selected > w.packets
+                || w.flows > w.packets.min(cap)
+                || sampled > w.selected.min(cap)
+            {
+                problems.push(format!(
+                    "window {}: {} of {} selected, {} flows, {sampled} sampled, budget {cap}",
+                    w.index, w.selected, w.packets, w.flows
+                ));
+            }
+            let phi = (w.population.total() > 0)
+                .then(|| disparity(&w.population, &w.sample))
+                .flatten()
+                .map(|r| r.phi);
+            if phi.is_some_and(|phi| !(0.0..=std::f64::consts::SQRT_2).contains(&phi)) {
+                problems.push(format!("window {}: φ = {phi:?}", w.index));
+            }
+            direct.push((
+                w.index,
+                w.packets,
+                w.selected,
+                w.flows,
+                phi.map(f64::to_bits),
+            ));
+        }
+        match engine {
+            Some(Ok(summary)) => {
+                let streamed = summary.windows.iter().map(|w| {
+                    let phi = w.report.map(|r| r.phi.to_bits());
+                    (w.index, w.packets, w.selected, w.flows, phi)
+                });
+                if streamed.ne(direct.iter().copied()) {
+                    problems.push("run_stream diverged from the direct windower".to_string());
+                }
+            }
+            Some(Err(e)) => problems.push(format!("run_stream failed: {e}")),
+            None => {}
+        }
+        for p in problems {
+            self.violation("stream", p);
+        }
+        self.record("stream", "ok");
+        self.digest.update_u64(direct.len() as u64);
+        for (_, packets, selected, _, phi) in direct {
+            self.digest.update_u64(packets);
+            self.digest.update_u64(selected);
+            self.digest.update_u64(phi.unwrap_or(u64::MAX));
         }
     }
 
@@ -1237,9 +1412,8 @@ fn hostile_period(rng: &mut StdRng) -> u64 {
 }
 
 /// Run the state-machine fuzz: `cases` hostile sequences spread over
-/// the seven batch samplers, the streaming reservoir (two of the 17
-/// slots, so every other machine keeps its `case % 17` slot), the
-/// disparity metric, the telemetry server's three text surfaces (HTTP
+/// the seven batch samplers, the stream engine's windower and
+/// `run_stream`, the streaming reservoir, the disparity metric, the telemetry server's three text surfaces (HTTP
 /// request line, `/series` query, alert-rule grammar), the flow table,
 /// the flow-size inversion estimators, the columnar packet-batch path
 /// (chunked `offer_ts_batch` vs the per-packet loop), and the sharded
@@ -1324,7 +1498,8 @@ pub fn run_state_fuzz(cfg: &StateFuzzConfig) -> StateFuzzReport {
                     Ok(Box::new(AdaptiveSampler::new(interval, config)));
                 fuzzer.fuzz_sampler("adaptive", s, &mut rng);
             }
-            7 | 8 => fuzzer.fuzz_reservoir_stream(&mut rng),
+            7 => fuzzer.fuzz_stream(&mut rng),
+            8 => fuzzer.fuzz_reservoir_stream(&mut rng),
             9 => fuzzer.fuzz_disparity(&mut rng),
             10 => fuzzer.fuzz_http_request(&mut rng),
             11 => fuzzer.fuzz_series_query(&mut rng),
@@ -1398,6 +1573,7 @@ mod tests {
             "systematic_timer",
             "stratified_timer",
             "adaptive",
+            "stream",
             "reservoir_stream",
             "disparity",
             "http_request",

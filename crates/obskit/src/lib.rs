@@ -77,7 +77,7 @@ pub use metrics::{Counter, CounterShard, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricKind, Registry, SnapshotValue};
 pub use rules::{parse_rules, Rule, RuleEngine, RuleParseError};
 pub use series::{
-    downsample_systematic, fidelity_phi, parse_series_query, SeriesConfig, SeriesPoint,
+    downsample_systematic, fidelity_phi, paired_phi, parse_series_query, SeriesConfig, SeriesPoint,
     SeriesQuery, SeriesStore,
 };
 pub use serve::{parse_request_line, serve, RequestError, RequestLine, ServeConfig, ServeHandle};

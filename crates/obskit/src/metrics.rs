@@ -206,26 +206,6 @@ impl Histogram {
         }
     }
 
-    /// Estimate the `p`-th percentile (`0 ≤ p ≤ 100`) of recorded
-    /// values; `None` on an empty histogram. Convenience over
-    /// [`HistogramSnapshot::percentile`] for one-off reads.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        self.snapshot().percentile(p)
-    }
-
-    /// The median (50th percentile); `None` on an empty histogram.
-    #[must_use]
-    pub fn p50(&self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
-    /// The 99th percentile; `None` on an empty histogram.
-    #[must_use]
-    pub fn p99(&self) -> Option<u64> {
-        self.percentile(99.0)
-    }
-
     /// A point-in-time copy of the histogram state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -285,37 +265,6 @@ impl HistogramSnapshot {
             }
         }
         Some(self.max)
-    }
-
-    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`) as the geometric midpoint
-    /// of the bucket containing it; `None` on an empty histogram. The
-    /// pre-interpolation estimator, kept for comparison against
-    /// [`HistogramSnapshot::quantile`].
-    #[must_use]
-    pub fn quantile_midpoint(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(c);
-            if seen >= rank {
-                let (lo, hi) = Histogram::bucket_bounds(i);
-                // Geometric midpoint, clamped to the observed max.
-                let mid = ((lo.max(1) as f64) * (hi as f64)).sqrt() as u64;
-                return Some(mid.min(self.max).max(lo));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Estimate the `p`-th percentile (`0 ≤ p ≤ 100`, clamped);
-    /// `None` on an empty histogram. `percentile(50.0)` is the median.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        self.quantile(p.clamp(0.0, 100.0) / 100.0)
     }
 
     /// Mean of recorded values (0 for an empty histogram).
@@ -389,45 +338,37 @@ mod tests {
     #[test]
     fn empty_histogram_has_no_quantile() {
         let s = Histogram::new().snapshot();
-        assert_eq!(s.quantile(0.5), None);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), None);
+        }
         assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
-    fn empty_histogram_has_no_percentile() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.p50(), None);
-        assert_eq!(h.p99(), None);
-        assert_eq!(h.snapshot().percentile(99.0), None);
-    }
-
-    #[test]
     #[cfg(not(feature = "noop"))]
-    fn single_bucket_percentiles_all_land_in_that_bucket() {
+    fn single_bucket_quantiles_all_land_in_that_bucket() {
         let h = Histogram::new();
         for _ in 0..100 {
             h.record(700); // bucket [512, 1024)
         }
+        let s = h.snapshot();
         let (lo, hi) = Histogram::bucket_bounds(Histogram::bucket_index(700));
-        for p in [0.0, 1.0, 50.0, 90.0, 99.0, 100.0] {
-            let v = h.percentile(p).unwrap();
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            let v = s.quantile(q).unwrap();
             assert!(
                 (lo..hi).contains(&v),
-                "p{p} = {v} escaped bucket [{lo},{hi})"
+                "q{q} = {v} escaped bucket [{lo},{hi})"
             );
             // Estimates never exceed the observed max.
             assert!(v <= 700);
         }
-        assert_eq!(h.p50(), h.percentile(50.0));
-        assert_eq!(h.p99(), h.percentile(99.0));
     }
 
     #[test]
     fn interpolated_quantile_moves_smoothly_within_a_bucket() {
         // 100 observations in one bucket [512, 1024): interpolation must
         // be nondecreasing in q and sweep a wide span of the bucket,
-        // where the midpoint estimator returns one constant.
+        // where a bucket-midpoint estimate would return one constant.
         let mut buckets = [0u64; BUCKETS];
         let idx = Histogram::bucket_index(700);
         buckets[idx] = 100;
@@ -448,14 +389,11 @@ mod tests {
             prev = v;
             distinct.insert(v);
         }
-        // Midpoint estimator: one value for every q. Interpolation:
-        // many.
         assert!(
             distinct.len() > 10,
             "only {} distinct values",
             distinct.len()
         );
-        assert_eq!(s.quantile_midpoint(0.1), s.quantile_midpoint(0.9));
     }
 
     #[test]
@@ -476,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn saturating_counts_do_not_overflow_percentile() {
+    fn saturating_counts_do_not_overflow_quantile() {
         // Hand-built snapshot whose bucket counts would wrap u64 if the
         // cumulative walk used unchecked addition.
         let mut buckets = [0u64; BUCKETS];
@@ -488,24 +426,25 @@ mod tests {
             sum: u64::MAX,
             max: 2_000,
         };
-        // Low percentiles resolve to the first populated bucket, high
+        // Low quantiles resolve to the first populated bucket, high
         // ones to the second; nothing panics or wraps.
-        let p1 = s.percentile(1.0).unwrap();
-        assert!((8..16).contains(&p1), "p1 = {p1}");
-        let p99 = s.percentile(99.0).unwrap();
-        assert!((1024..2048).contains(&p99), "p99 = {p99}");
-        assert!(s.percentile(100.0).unwrap() <= 2_000);
+        let q01 = s.quantile(0.01).unwrap();
+        assert!((8..16).contains(&q01), "q0.01 = {q01}");
+        let q99 = s.quantile(0.99).unwrap();
+        assert!((1024..2048).contains(&q99), "q0.99 = {q99}");
+        assert!(s.quantile(1.0).unwrap() <= 2_000);
     }
 
     #[test]
-    fn percentile_clamps_out_of_range_inputs() {
+    fn quantile_clamps_out_of_range_inputs() {
         let h = Histogram::new();
         h.record(5);
+        let s = h.snapshot();
         if crate::recording_enabled() {
-            assert_eq!(h.percentile(-3.0), h.percentile(0.0));
-            assert_eq!(h.percentile(250.0), h.percentile(100.0));
+            assert_eq!(s.quantile(-0.03), s.quantile(0.0));
+            assert_eq!(s.quantile(2.5), s.quantile(1.0));
         } else {
-            assert_eq!(h.percentile(-3.0), None);
+            assert_eq!(s.quantile(-0.03), None);
         }
     }
 

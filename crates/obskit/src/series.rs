@@ -66,7 +66,6 @@ impl Default for SeriesConfig {
             fidelity_keys: vec![
                 "proc_rss_kb".to_string(),
                 "stream_channel_depth{stage=\"transform\"}".to_string(),
-                "stream_channel_depth{stage=\"score\"}".to_string(),
             ],
             fidelity_ks: vec![2, 5, 10],
         }
@@ -367,15 +366,50 @@ fn bucket_value(v: f64) -> Option<u64> {
     Some(v.round() as u64)
 }
 
+/// The paper's disparity φ = √(χ²ₚ/n) between a population and a
+/// sample binned alike — the one φ kernel of the workspace, called by
+/// `sampling::disparity` and by [`fidelity_phi`]. The population counts
+/// are scaled to the sample size `n`, and the paired statistic
+/// χ²ₚ = Σ (O−E)²/(E+O) runs over every bin where either side has mass:
+/// a sample observation in a bin the population says is impossible
+/// contributes O (not 0/0 or ∞), and a near-empty expected bin at most
+/// E + O, so φ stays finite and in [0, √2] (Fleiss: χ²ₚ ≤ Σ(E+O) = 2n).
+/// `None` when either side is empty.
+///
+/// # Panics
+/// Panics if the two count slices differ in length.
+#[must_use]
+pub fn paired_phi(population: &[u64], sample: &[u64]) -> Option<f64> {
+    assert_eq!(
+        population.len(),
+        sample.len(),
+        "population and sample must share bins"
+    );
+    let big_n: u64 = population.iter().sum();
+    let n: u64 = sample.iter().sum();
+    if big_n == 0 || n == 0 {
+        return None;
+    }
+    let scale = n as f64 / big_n as f64;
+    let mut chi2_paired = 0.0;
+    for (&pop, &obs) in population.iter().zip(sample) {
+        let expected = pop as f64 * scale;
+        let observed = obs as f64;
+        let both = expected + observed;
+        if both > 0.0 {
+            let d = observed - expected;
+            chi2_paired += d * d / both;
+        }
+    }
+    Some((chi2_paired / n as f64).sqrt())
+}
+
 /// Score a systematic 1-in-`k` downsample of `full` against `full`
 /// itself with the paper's disparity metric: both go through the log₂
-/// histogram ([`Histogram::bucket_index`]), the population counts are
-/// scaled to the sample size, and φ = √(χ²ₚ/n) with the paired
-/// statistic χ²ₚ = Σ (E−O)²/(E+O) over non-empty buckets — the same
-/// formula `sampling::disparity` applies to packet populations
-/// (cross-checked bit-for-bit in streamkit's `fidelity_crosscheck`
-/// test). Non-finite values are skipped. `None` when either side has
-/// no representable mass. φ ∈ [0, √2]; 0 = perfect fidelity.
+/// histogram ([`Histogram::bucket_index`]) and [`paired_phi`] scores
+/// the two bucket vectors. Non-finite values are skipped. `None` when
+/// either side has no representable mass. φ ∈ [0, √2]; 0 = perfect
+/// fidelity.
 #[must_use]
 pub fn fidelity_phi(full: &[f64], k: usize) -> Option<f64> {
     let mut pop = [0u64; 64];
@@ -390,23 +424,7 @@ pub fn fidelity_phi(full: &[f64], k: usize) -> Option<f64> {
             obs[Histogram::bucket_index(u)] += 1;
         }
     }
-    let big_n: u64 = pop.iter().sum();
-    let n: u64 = obs.iter().sum();
-    if big_n == 0 || n == 0 {
-        return None;
-    }
-    let scale = n as f64 / big_n as f64;
-    let mut chi2_paired = 0.0;
-    for i in 0..64 {
-        let expected = pop[i] as f64 * scale;
-        let observed = obs[i] as f64;
-        let both = expected + observed;
-        if both > 0.0 {
-            let d = expected - observed;
-            chi2_paired += d * d / both;
-        }
-    }
-    Some((chi2_paired / n as f64).sqrt())
+    paired_phi(&pop, &obs)
 }
 
 /// A parsed `/series` query.

@@ -1,18 +1,24 @@
 //! Configuration, validation, and the one-call entry point.
 //!
 //! [`run_stream`] validates a [`StreamConfig`], opens a
-//! [`CaptureStream`] over any `Read` source, and drives the staged
-//! pipeline to a [`StreamSummary`]. All configuration errors surface
-//! *before* the first packet is read; a mid-stream decode fault
-//! surfaces as [`StreamError::Ingest`] with the byte offset of the
-//! broken structure, mirroring the salvage reader's reporting.
+//! [`CaptureStream`] over any `Read` source, spawns the source stage
+//! ([`crate::pipeline`]) and runs the lane loop on the calling thread:
+//! each decoded batch goes through the [`Windower`], and each window is
+//! scored with [`sampling::disparity`] the moment it closes. All
+//! configuration errors surface *before* the first packet is read; a
+//! mid-stream decode fault surfaces as [`StreamError::Ingest`] with the
+//! byte offset of the broken structure, mirroring the salvage reader's
+//! reporting.
 
-use crate::pipeline::{run_pipeline, Backpressure, PipelineParams};
+use crate::pipeline::{source_loop, Backpressure, LiveStats, SourceMsg, QUEUE_DEPTH};
 use crate::sampler::StreamMethod;
-use crate::window::{WindowSpec, Windower};
+use crate::window::{WindowPayload, WindowSpec, Windower};
 use nettrace::{CaptureStream, Histogram, Micros, TraceError};
 use sampling::{BuildError, DisparityReport, MethodSpec, Target};
 use std::io::Read;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::thread;
 
 /// Everything `netsample stream` needs to run: the sampling method,
 /// characterization target, window geometry, and runtime knobs.
@@ -32,18 +38,10 @@ pub struct StreamConfig {
     pub replication: u64,
     /// Base random seed.
     pub seed: u64,
-    /// Known population size per window, required only by the paper's
-    /// simple-random method (which draws exactly `n` of `N`). The
-    /// reservoir method needs no hint.
-    pub population_hint: Option<usize>,
     /// Packets per ingestion batch.
     pub batch: usize,
-    /// Bounded channel depth, in batches (and scored windows).
-    pub queue: usize,
     /// Policy when the ingestion queue is full.
     pub backpressure: Backpressure,
-    /// Worker threads for window scoring (bit-identical at any level).
-    pub jobs: usize,
     /// Score each window against this fixed reference instead of the
     /// window's own population. Bins must match the target's.
     pub reference: Option<Histogram>,
@@ -58,8 +56,7 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// A config with the defaults the CLI uses: tumbling, replication
-    /// 0, seed 1993, 512-packet batches, queue depth 4, blocking
-    /// backpressure, serial scoring.
+    /// 0, seed 1993, 512-packet batches, blocking backpressure.
     #[must_use]
     pub fn new(method: StreamMethod, target: Target, window: WindowSpec) -> Self {
         StreamConfig {
@@ -69,13 +66,20 @@ impl StreamConfig {
             slide: None,
             replication: 0,
             seed: 1993,
-            population_hint: None,
             batch: 512,
-            queue: 4,
             backpressure: Backpressure::Block,
-            jobs: 1,
             reference: None,
             adaptive_shed: None,
+        }
+    }
+
+    /// The population size `N` of every full window, as the exact
+    /// n-of-N simple random method needs it: the packet count of a
+    /// tumbling count window. `None` for time windows and slides.
+    fn window_population(&self) -> Option<usize> {
+        match (self.window, self.slide) {
+            (WindowSpec::Count(n), None) => usize::try_from(n).ok(),
+            _ => None,
         }
     }
 }
@@ -83,8 +87,9 @@ impl StreamConfig {
 /// Why a stream run could not start or finish.
 #[derive(Debug)]
 pub enum StreamError {
-    /// Invalid configuration (bad window geometry, missing population
-    /// hint, mismatched reference bins). A usage error for the CLI.
+    /// Invalid configuration (bad window geometry, simple random
+    /// sampling without a tumbling count window, mismatched reference
+    /// bins). A usage error for the CLI.
     Config(String),
     /// The sampling method itself is degenerate (zero interval, …).
     Build(BuildError),
@@ -147,12 +152,10 @@ pub struct WindowReport {
     /// Window flows that carried a SYN (flows that began in-window).
     pub syn_flows: u64,
     /// Packets shed by backpressure across the run so far, sampled when
-    /// this window was scored (cumulative, monotone across windows).
+    /// this window closed (cumulative, monotone across windows).
     pub shed_packets: u64,
-    /// Queueing lag: wall time from window emission to scoring, µs.
-    pub lag_us: u64,
-    /// Process RSS in kB when this window's score chunk ran (0 when
-    /// procfs is unavailable).
+    /// Process RSS in kB, read when the window closed and reused for up
+    /// to 64 windows (0 when procfs is unavailable).
     pub rss_kb: u64,
     /// The window's disparity scores (`None` when the sample — or the
     /// reference — was empty).
@@ -240,12 +243,12 @@ fn validate(cfg: &StreamConfig) -> Result<(), StreamError> {
     if matches!(
         cfg.method,
         StreamMethod::Spec(MethodSpec::SimpleRandom { .. })
-    ) && cfg.population_hint.is_none()
+    ) && cfg.window_population().is_none()
     {
         return Err(StreamError::Config(
-            "simple random sampling draws exactly n of N and needs the population size up \
-             front; pass --population <n>, or use --method reservoir for one-pass exact-n \
-             sampling without a hint"
+            "simple random sampling draws exactly n of each window's N packets, so it needs \
+             a tumbling packet-count --window; drop --slide and give --window a packet \
+             count, or use --method reservoir"
                 .into(),
         ));
     }
@@ -263,20 +266,58 @@ fn validate(cfg: &StreamConfig) -> Result<(), StreamError> {
             ));
         }
     }
-    // Probe-build the sampler so degenerate methods fail here, not in
-    // the transform thread. The real build differs only in its window
-    // anchor, which cannot affect fallibility.
-    cfg.method
-        .build(Micros::ZERO, cfg.population_hint, cfg.replication, cfg.seed)?;
+    // Probe-build the sampler so degenerate methods fail here, not
+    // mid-stream. The real build differs only in its window anchor,
+    // which cannot affect fallibility.
+    cfg.method.build(
+        Micros::ZERO,
+        cfg.window_population(),
+        cfg.replication,
+        cfg.seed,
+    )?;
     Ok(())
 }
 
-/// Run the streaming pipeline over `reader` to completion.
+/// Windows between two reads of the process RSS: a procfs read costs
+/// far more than scoring a window.
+const RSS_EVERY: usize = 64;
+
+/// Score one window as it closes.
+fn score(
+    p: WindowPayload,
+    reference: Option<&Histogram>,
+    shed_packets: u64,
+    rss_kb: u64,
+) -> WindowReport {
+    let popref = reference.unwrap_or(&p.population);
+    let report = if popref.total() == 0 {
+        None
+    } else {
+        sampling::disparity(popref, &p.sample)
+    };
+    WindowReport {
+        index: p.index,
+        start_ts: p.start_ts,
+        first_ts: p.first_ts,
+        last_ts: p.last_ts,
+        packets: p.packets,
+        selected: p.selected,
+        flows: p.flows,
+        syn_flows: p.syn_flows,
+        shed_packets,
+        rss_kb,
+        report,
+    }
+}
+
+/// Run the streaming engine over `reader` to completion.
 ///
-/// Memory stays bounded by the window geometry and queue depth — the
-/// capture is never materialized. One tumbling window spanning a whole
-/// capture reproduces the batch `Experiment` φ bit-for-bit for every
-/// packet-driven method.
+/// Two stages: a spawned source thread decodes the capture into
+/// batches, and the calling thread windows them and scores each window
+/// where it closes. Memory stays bounded by the window geometry and
+/// the queue depth — the capture is never materialized. One tumbling
+/// window spanning a whole capture reproduces the batch `Experiment`
+/// φ bit-for-bit for every packet-driven method.
 ///
 /// # Errors
 /// [`StreamError::Config`]/[`StreamError::Build`] before any byte is
@@ -290,36 +331,79 @@ pub fn run_stream<R: Read + Send>(
     let stream =
         CaptureStream::new(reader).map_err(|error| StreamError::Ingest { offset: 0, error })?;
     let format = stream.format();
-    let method = cfg.method;
-    let target = cfg.target;
-    let (window, slide) = (cfg.window, cfg.slide);
-    let (replication, seed, hint) = (cfg.replication, cfg.seed, cfg.population_hint);
-    let make = move |window_start: Micros| {
-        let sampler = method
-            .build(window_start, hint, replication, seed)
+    let population = cfg.window_population();
+    // The windower (and through it the sampler) is built at the first
+    // packet, whose timestamp anchors the sampling schedule exactly
+    // like the batch path's `window_start`.
+    let make = |window_start: Micros| {
+        let sampler = cfg
+            .method
+            .build(window_start, population, cfg.replication, cfg.seed)
             .expect("method construction was validated before streaming");
-        Windower::new(target, window, slide, sampler)
+        Windower::new(cfg.target, cfg.window, cfg.slide, sampler)
     };
-    let params = PipelineParams {
-        batch: cfg.batch,
-        queue: cfg.queue,
-        backpressure: cfg.backpressure,
-        jobs: cfg.jobs,
-        reference: cfg.reference.as_ref(),
-        shed_rule: cfg.adaptive_shed.as_deref(),
-    };
-    let out = run_pipeline(stream, make, &params)
-        .map_err(|(offset, error)| StreamError::Ingest { offset, error })?;
-    Ok(StreamSummary {
-        format,
-        method: method.name(),
-        target,
-        packets: out.packets,
-        selected: out.selected,
-        dropped_batches: out.dropped_batches,
-        dropped_packets: out.dropped_packets,
-        windows: out.windows,
-    })
+    let stats = LiveStats::new();
+    let (batch, policy) = (cfg.batch.max(1), cfg.backpressure);
+    let shed_rule = cfg.adaptive_shed.as_deref();
+    let end = thread::scope(|s| {
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
+        let stats = &stats;
+        s.spawn(move || source_loop(stream, tx, batch, policy, shed_rule, stats));
+
+        let _span = obskit::span_labeled("stream_stage", &[("stage", "transform")]);
+        let mut windower: Option<Windower> = None;
+        let mut windows: Vec<WindowReport> = Vec::new();
+        let mut rss_kb = 0;
+        let mut close = |closed: Vec<WindowPayload>| {
+            for p in closed {
+                if windows.len().is_multiple_of(RSS_EVERY) {
+                    rss_kb = obskit::telemetry::rss_kb().unwrap_or(0);
+                }
+                let shed = stats.shed_packets.load(Ordering::Relaxed);
+                windows.push(score(p, cfg.reference.as_ref(), shed, rss_kb));
+                stats.windows_scored.inc();
+            }
+        };
+        for msg in rx {
+            match msg {
+                SourceMsg::Batch(pkts) => {
+                    stats.depth_ingest.add(-1);
+                    let Some(first) = pkts.first() else { continue };
+                    let w = windower.get_or_insert_with(|| make(first.timestamp));
+                    close(w.offer_slice(&pkts));
+                }
+                SourceMsg::Done {
+                    dropped_batches,
+                    dropped_packets,
+                } => {
+                    let (packets, selected) = match windower.as_mut() {
+                        Some(w) => {
+                            close(w.finish());
+                            (w.packets(), w.selected())
+                        }
+                        None => (0, 0),
+                    };
+                    return Some(Ok(StreamSummary {
+                        format,
+                        method: cfg.method.name(),
+                        target: cfg.target,
+                        packets,
+                        selected,
+                        dropped_batches,
+                        dropped_packets,
+                        windows,
+                    }));
+                }
+                SourceMsg::Fault { offset, error } => {
+                    return Some(Err(StreamError::Ingest { offset, error }));
+                }
+            }
+        }
+        // The source hung up without a terminal message: it panicked,
+        // and the scope re-raises that panic on exit.
+        None
+    });
+    end.expect("the source stage ended without a terminal message")
 }
 
 #[cfg(test)]
@@ -345,38 +429,57 @@ mod tests {
     #[test]
     fn tumbling_run_scores_every_window() {
         let bytes = capture(1_000);
-        let cfg = StreamConfig::new(systematic(10), Target::PacketSize, WindowSpec::Count(200));
-        let summary = run_stream(bytes.as_slice(), &cfg).unwrap();
-        assert_eq!(summary.format, "pcap");
-        assert_eq!(summary.packets, 1_000);
-        assert_eq!(summary.selected, 100);
-        assert_eq!(summary.windows.len(), 5);
-        for w in &summary.windows {
-            assert_eq!(w.packets, 200);
-            assert_eq!(w.selected, 20);
-            let r = w.report.expect("scored");
-            assert!(r.phi.is_finite());
+        // Simple random sampling takes N from the count window and
+        // draws a fresh 20-of-200 in every window.
+        let random = StreamMethod::Spec(MethodSpec::SimpleRandom { fraction: 0.1 });
+        for method in [systematic(10), random] {
+            let cfg = StreamConfig::new(method, Target::PacketSize, WindowSpec::Count(200));
+            let summary = run_stream(bytes.as_slice(), &cfg).unwrap();
+            assert_eq!(summary.format, "pcap");
+            assert_eq!(summary.packets, 1_000);
+            assert_eq!(summary.selected, 100);
+            assert_eq!(summary.windows.len(), 5);
+            for w in &summary.windows {
+                assert_eq!(w.packets, 200);
+                assert_eq!(w.selected, 20, "{} window {}", summary.method, w.index);
+                let r = w.report.expect("scored");
+                assert!(r.phi.is_finite());
+            }
+            assert!(summary.mean_phi().is_some());
         }
-        assert!(summary.mean_phi().is_some());
     }
 
+    /// The engine is the direct single-thread pass: decode, window,
+    /// score each window as it closes — same windows, same φ bits.
     #[test]
-    fn parallel_scoring_is_bit_identical_to_serial() {
+    fn run_stream_matches_a_direct_windower_pass() {
         let bytes = capture(3_000);
-        let mut cfg =
-            StreamConfig::new(systematic(7), Target::Interarrival, WindowSpec::Count(100));
-        let serial = run_stream(bytes.as_slice(), &cfg).unwrap();
-        cfg.jobs = 4;
-        let parallel = run_stream(bytes.as_slice(), &cfg).unwrap();
-        assert_eq!(serial.windows.len(), parallel.windows.len());
-        for (a, b) in serial.windows.iter().zip(&parallel.windows) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.packets, b.packets);
-            match (a.report, b.report) {
-                (Some(x), Some(y)) => assert_eq!(x.phi.to_bits(), y.phi.to_bits()),
-                (None, None) => {}
-                _ => panic!("score presence diverged"),
+        for (window, slide) in [
+            (WindowSpec::Count(100), None),
+            (WindowSpec::Count(300), Some(WindowSpec::Count(100))),
+            (WindowSpec::Time(Micros(250_000)), None),
+        ] {
+            let mut cfg = StreamConfig::new(systematic(7), Target::Interarrival, window);
+            cfg.slide = slide;
+            cfg.batch = 37;
+            let got = run_stream(bytes.as_slice(), &cfg).unwrap();
+
+            let trace = nettrace::read_capture(bytes.as_slice()).unwrap();
+            let pkts = trace.packets();
+            let sampler = cfg.method.build(pkts[0].timestamp, None, 0, 1993).unwrap();
+            let mut w = Windower::new(cfg.target, window, slide, sampler);
+            let mut want = w.offer_slice(pkts);
+            want.extend(w.finish());
+            assert_eq!(got.windows.len(), want.len(), "{window}");
+            for (a, b) in got.windows.iter().zip(&want) {
+                assert_eq!(
+                    (a.index, a.packets, a.selected, a.flows, a.syn_flows),
+                    (b.index, b.packets, b.selected, b.flows, b.syn_flows)
+                );
+                let phi = sampling::disparity(&b.population, &b.sample).map(|r| r.phi.to_bits());
+                assert_eq!(a.report.map(|r| r.phi.to_bits()), phi, "window {}", a.index);
             }
+            assert_eq!((got.packets, got.selected), (w.packets(), w.selected()));
         }
     }
 
@@ -422,12 +525,17 @@ mod tests {
             Err(StreamError::Config(_))
         ));
 
-        let cfg = base(StreamMethod::Spec(MethodSpec::SimpleRandom {
-            fraction: 0.02,
-        }));
-        match run_stream(&[][..], &cfg) {
-            Err(StreamError::Config(msg)) => assert!(msg.contains("reservoir"), "{msg}"),
-            other => panic!("expected config error, got {other:?}"),
+        // Simple random sampling needs N: a tumbling packet count.
+        let random = StreamMethod::Spec(MethodSpec::SimpleRandom { fraction: 0.02 });
+        let mut timed = base(random);
+        timed.window = WindowSpec::Time(Micros(1_000));
+        let mut sliding = base(random);
+        sliding.slide = Some(WindowSpec::Count(5));
+        for cfg in [timed, sliding] {
+            match run_stream(&[][..], &cfg) {
+                Err(StreamError::Config(msg)) => assert!(msg.contains("reservoir"), "{msg}"),
+                other => panic!("expected config error, got {other:?}"),
+            }
         }
 
         let mut cfg = base(StreamMethod::Reservoir { capacity: 8 });

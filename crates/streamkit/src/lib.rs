@@ -21,11 +21,11 @@
 //!   sliding windows over packet count or time, each carrying the
 //!   paper's size/interarrival histograms, and emits a per-window φ
 //!   against the window's own population or a fixed reference;
-//! * **pipeline runtime** — [`run_stream`] wires source → sampler →
-//!   scorer → sink over bounded channels with explicit backpressure
-//!   (block, or drop-with-counter), obskit counters and spans per
-//!   stage, and parkit-scored windows whose merged output is
-//!   bit-identical to the serial run.
+//! * **two-stage runtime** — [`run_stream`] decodes on a source thread
+//!   behind one bounded channel with explicit backpressure (block, or
+//!   drop-with-counter) and adaptive shedding, and runs the windower
+//!   and sampler on the calling thread, scoring each window where it
+//!   closes; obskit counters, gauges and spans cover both stages.
 //!
 //! The streaming path reproduces the batch
 //! [`Experiment`](sampling::Experiment) exactly: one tumbling window
@@ -41,6 +41,6 @@ pub mod sampler;
 pub mod window;
 
 pub use engine::{run_stream, StreamConfig, StreamError, StreamSummary, WindowReport};
-pub use pipeline::Backpressure;
+pub use pipeline::{Backpressure, QUEUE_DEPTH};
 pub use sampler::{Offer, ReservoirStream, SampleItem, StreamMethod, StreamSampler};
 pub use window::{WindowPayload, WindowSpec, Windower};

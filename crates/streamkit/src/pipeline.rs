@@ -1,21 +1,22 @@
-//! The staged streaming runtime: source → sampler/windower → scorer.
-//!
-//! Three stages connected by **bounded** channels, so memory stays
-//! O(queue × batch + window) no matter how large the capture is:
+//! The source stage: capture decode on its own thread, handing packet
+//! batches to the lane loop over one **bounded** channel.
 //!
 //! ```text
-//!   source thread          transform thread         main thread
-//!   CaptureStream ──batches──▶ Windower ──windows──▶ scorer (parkit)
+//!   source thread                     calling thread (run_stream)
+//!   CaptureStream ──batches (≤ 4)──▶ Windower → disparity per window
 //! ```
 //!
+//! Memory stays O([`QUEUE_DEPTH`] × batch + window) no matter how large
+//! the capture is. Decode overlaps windowing; scoring runs inline where
+//! each window closes (a few µs per window), so no second hand-off is
+//! needed.
+//!
 //! Backpressure at the ingestion edge is explicit policy: [`Block`]
-//! (lossless; the reader stalls until the sampler catches up — the
-//! right default for files) or [`DropNewest`] (a full queue sheds the
+//! (lossless; the reader stalls until the lane catches up — the right
+//! default for files) or [`DropNewest`] (a full queue sheds the
 //! freshest batch and counts it — the live-capture stance, where the
 //! kernel would drop anyway and an honest counter beats a silent
-//! stall). Window scoring fans out over a [`parkit::Pool`]; outputs
-//! are merged in window order, so any `--jobs` level is bit-identical
-//! to serial.
+//! stall).
 //!
 //! **Scrape-driven adaptive control**: when the engine names a shed
 //! rule ([`crate::StreamConfig::adaptive_shed`]), the source stage
@@ -31,16 +32,15 @@
 //! [`Block`]: Backpressure::Block
 //! [`DropNewest`]: Backpressure::DropNewest
 
-use crate::engine::WindowReport;
-use crate::window::{WindowPayload, Windower};
-use nettrace::{CaptureStream, Histogram, Micros, PacketRecord, TraceError};
-use parkit::Pool;
+use nettrace::{CaptureStream, PacketRecord, TraceError};
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
+use std::sync::mpsc::{SyncSender, TrySendError};
+
+/// Depth of the source → lane channel, in batches. Also the scale of
+/// the adaptive-shed high-water mark (half of it) and of the CLI's
+/// built-in `stream_channel_depth` tripwire (three quarters of it).
+pub const QUEUE_DEPTH: usize = 4;
 
 /// Policy when the ingestion queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,28 +61,8 @@ impl std::fmt::Display for Backpressure {
     }
 }
 
-/// Runtime knobs the engine resolves before launching the pipeline.
-pub(crate) struct PipelineParams<'a> {
-    pub batch: usize,
-    pub queue: usize,
-    pub backpressure: Backpressure,
-    pub jobs: usize,
-    pub reference: Option<&'a Histogram>,
-    /// Alert rule whose `alert_active{rule=...}` gauge widens shedding
-    /// while it fires (`None` = static backpressure policy).
-    pub shed_rule: Option<&'a str>,
-}
-
-/// What the pipeline hands back to the engine.
-pub(crate) struct PipelineOutput {
-    pub packets: u64,
-    pub selected: u64,
-    pub dropped_batches: u64,
-    pub dropped_packets: u64,
-    pub windows: Vec<WindowReport>,
-}
-
-enum SourceMsg {
+/// What the source stage hands the lane loop.
+pub(crate) enum SourceMsg {
     Batch(Vec<PacketRecord>),
     Done {
         dropped_batches: u64,
@@ -94,48 +74,31 @@ enum SourceMsg {
     },
 }
 
-enum StageMsg {
-    /// A completed window plus its emission instant, so the scorer can
-    /// report queueing lag (`lag_us`) per window.
-    Window(Box<WindowPayload>, Instant),
-    Done {
-        packets: u64,
-        selected: u64,
-        dropped_batches: u64,
-        dropped_packets: u64,
-    },
-    Fault {
-        offset: u64,
-        error: TraceError,
-    },
-}
-
-/// Live per-run telemetry shared across the three stages.
+/// Live per-run telemetry shared by the source stage and the lane
+/// loop.
 ///
 /// The obskit counters/gauges are flushed *per batch / per window*
 /// (not at end of run) so a concurrent `/metrics` scrape sees them
 /// move; `shed_packets` additionally keeps a run-local total so a
-/// [`WindowReport`] can carry the shed count of *this* run even when
-/// several runs share the process-wide registry.
-struct LiveStats {
+/// [`crate::WindowReport`] can carry the shed count of *this* run even
+/// when several runs share the process-wide registry.
+pub(crate) struct LiveStats {
     packets: obskit::Counter,
     batches: obskit::Counter,
     shed_packets_total: obskit::Counter,
     shed_batches_total: obskit::Counter,
     stalls: obskit::Counter,
-    depth_ingest: obskit::Gauge,
-    depth_score: obskit::Gauge,
-    windows_emitted: obskit::Counter,
-    windows_scored: obskit::Counter,
+    pub(crate) depth_ingest: obskit::Gauge,
+    pub(crate) windows_scored: obskit::Counter,
     adaptive_shed: obskit::Counter,
-    shed_packets: AtomicU64,
+    pub(crate) shed_packets: AtomicU64,
 }
 
 impl LiveStats {
-    fn new() -> Arc<LiveStats> {
+    pub(crate) fn new() -> LiveStats {
         obskit::global().describe(
             "stream_channel_depth",
-            "Occupancy of the bounded inter-stage channels, by consuming stage.",
+            "Occupancy of the bounded source-to-lane channel, by consuming stage.",
         );
         obskit::global().describe(
             "stream_shed_total",
@@ -145,19 +108,17 @@ impl LiveStats {
             "stream_adaptive_shed_total",
             "Packets shed because an adaptive-shed alert rule was firing.",
         );
-        Arc::new(LiveStats {
+        LiveStats {
             packets: obskit::counter("stream_packets_ingested_total"),
             batches: obskit::counter("stream_batches_ingested_total"),
             shed_packets_total: obskit::counter("stream_shed_total"),
             shed_batches_total: obskit::counter("stream_shed_batches_total"),
             stalls: obskit::counter("stream_backpressure_stalls_total"),
             depth_ingest: obskit::gauge_labeled("stream_channel_depth", &[("stage", "transform")]),
-            depth_score: obskit::gauge_labeled("stream_channel_depth", &[("stage", "score")]),
-            windows_emitted: obskit::counter("stream_windows_emitted_total"),
             windows_scored: obskit::counter("stream_windows_scored_total"),
             adaptive_shed: obskit::counter("stream_adaptive_shed_total"),
             shed_packets: AtomicU64::new(0),
-        })
+        }
     }
 }
 
@@ -211,11 +172,10 @@ fn send_blocking_counted(
 /// Read batches off the capture stream until EOF, fault, or a closed
 /// downstream. Ingest counters, the channel-depth gauge, and shed
 /// counters are flushed per batch so a live scrape sees them move.
-fn source_loop<R: Read>(
+pub(crate) fn source_loop<R: Read>(
     mut stream: CaptureStream<R>,
     tx: SyncSender<SourceMsg>,
     batch: usize,
-    queue: usize,
     policy: Backpressure,
     shed_rule: Option<&str>,
     stats: &LiveStats,
@@ -226,7 +186,7 @@ fn source_loop<R: Read>(
     let shed_gauge = shed_rule.map(|r| obskit::gauge_labeled("alert_active", &[("rule", r)]));
     // "Widened" shedding threshold: once the alert fires, shed at half
     // queue occupancy instead of waiting for a full queue.
-    let hiwater = i64::try_from(queue / 2).unwrap_or(i64::MAX).max(1);
+    let hiwater = (QUEUE_DEPTH / 2) as i64;
     let mut dropped_batches = 0u64;
     let mut dropped_packets = 0u64;
     loop {
@@ -292,215 +252,10 @@ fn source_loop<R: Read>(
     }
 }
 
-/// Drive the windower over incoming batches and forward completed
-/// windows. The windower (and through it the sampler) is built lazily
-/// at the first packet, whose timestamp anchors the sampling schedule
-/// exactly like the batch path's `window_start`.
-fn transform_loop<F>(
-    rx: mpsc::Receiver<SourceMsg>,
-    tx: SyncSender<StageMsg>,
-    make_windower: F,
-    stats: &LiveStats,
-) where
-    F: FnOnce(Micros) -> Windower,
-{
-    let _span = obskit::span_labeled("stream_stage", &[("stage", "transform")]);
-    let mut make = Some(make_windower);
-    let mut windower: Option<Windower> = None;
-    let mut closed = false;
-    let send_window = |payload: WindowPayload| {
-        stats.windows_emitted.inc();
-        stats.depth_score.add(1);
-        let sent = tx
-            .send(StageMsg::Window(Box::new(payload), Instant::now()))
-            .is_ok();
-        if !sent {
-            stats.depth_score.add(-1);
-        }
-        sent
-    };
-    'messages: for msg in rx {
-        match msg {
-            SourceMsg::Batch(pkts) => {
-                stats.depth_ingest.add(-1);
-                let Some(first) = pkts.first() else { continue };
-                if windower.is_none() {
-                    windower = Some((make.take().expect("built once"))(first.timestamp));
-                }
-                let w = windower.as_mut().expect("windower");
-                for payload in w.offer_slice(&pkts) {
-                    if !send_window(payload) {
-                        closed = true;
-                        break 'messages;
-                    }
-                }
-            }
-            SourceMsg::Done {
-                dropped_batches,
-                dropped_packets,
-            } => {
-                let (packets, selected) = match windower.as_mut() {
-                    Some(w) => {
-                        for payload in w.finish() {
-                            if !send_window(payload) {
-                                closed = true;
-                                break 'messages;
-                            }
-                        }
-                        (w.packets(), w.selected())
-                    }
-                    None => (0, 0),
-                };
-                let _ = tx.send(StageMsg::Done {
-                    packets,
-                    selected,
-                    dropped_batches,
-                    dropped_packets,
-                });
-                break;
-            }
-            SourceMsg::Fault { offset, error } => {
-                let _ = tx.send(StageMsg::Fault { offset, error });
-                break;
-            }
-        }
-    }
-    let _ = closed;
-}
-
-fn score_one(
-    p: &WindowPayload,
-    reference: Option<&Histogram>,
-    emitted_at: Instant,
-    shed_packets: u64,
-    rss_kb: u64,
-) -> WindowReport {
-    let popref = reference.unwrap_or(&p.population);
-    let report = if popref.total() == 0 {
-        None
-    } else {
-        sampling::disparity(popref, &p.sample)
-    };
-    WindowReport {
-        index: p.index,
-        start_ts: p.start_ts,
-        first_ts: p.first_ts,
-        last_ts: p.last_ts,
-        packets: p.packets,
-        selected: p.selected,
-        flows: p.flows,
-        syn_flows: p.syn_flows,
-        shed_packets,
-        lag_us: u64::try_from(emitted_at.elapsed().as_micros()).unwrap_or(u64::MAX),
-        rss_kb,
-        report,
-    }
-}
-
-/// Score a chunk of pending windows on the pool. `Pool::run` places
-/// outputs by task index, so report order — and every bit of every φ —
-/// is identical at any worker count. Telemetry fields are sampled once
-/// per chunk: shed count and RSS are per-run/process facts, not
-/// per-window ones, and a chunk scores within a few milliseconds.
-fn score_chunk(
-    pool: &Pool,
-    reference: Option<&Histogram>,
-    pending: &mut Vec<(WindowPayload, Instant)>,
-    reports: &mut Vec<WindowReport>,
-    stats: &LiveStats,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let _span = obskit::span_labeled("stream_stage", &[("stage", "score")]);
-    let batch = std::mem::take(pending);
-    let shed = stats.shed_packets.load(Ordering::Relaxed);
-    let rss_kb = obskit::telemetry::rss_kb().unwrap_or(0);
-    let scored = pool
-        .run(batch.len(), |i| {
-            let (payload, emitted_at) = &batch[i];
-            score_one(payload, reference, *emitted_at, shed, rss_kb)
-        })
-        .unwrap_or_else(|e| panic!("window scoring failed: {e}"));
-    stats.windows_scored.add(batch.len() as u64);
-    reports.extend(scored);
-}
-
-/// Windows buffered before a scoring fan-out. Small enough to keep the
-/// sink responsive, large enough to amortize pool dispatch.
-const SCORE_CHUNK: usize = 64;
-
-/// Run the full pipeline to completion.
-pub(crate) fn run_pipeline<R, F>(
-    stream: CaptureStream<R>,
-    make_windower: F,
-    params: &PipelineParams<'_>,
-) -> Result<PipelineOutput, (u64, TraceError)>
-where
-    R: Read + Send,
-    F: FnOnce(Micros) -> Windower + Send,
-{
-    let batch = params.batch.max(1);
-    let queue = params.queue.max(1);
-    let policy = params.backpressure;
-    let pool = Pool::new(params.jobs.max(1));
-    let stats = LiveStats::new();
-    thread::scope(|s| {
-        let (src_tx, src_rx) = mpsc::sync_channel::<SourceMsg>(queue);
-        let (win_tx, win_rx) = mpsc::sync_channel::<StageMsg>(queue);
-        let src_stats = Arc::clone(&stats);
-        let tf_stats = Arc::clone(&stats);
-        let shed_rule = params.shed_rule;
-        s.spawn(move || source_loop(stream, src_tx, batch, queue, policy, shed_rule, &src_stats));
-        s.spawn(move || transform_loop(src_rx, win_tx, make_windower, &tf_stats));
-
-        let mut pending: Vec<(WindowPayload, Instant)> = Vec::new();
-        let mut reports: Vec<WindowReport> = Vec::new();
-        let mut outcome: Option<Result<PipelineOutput, (u64, TraceError)>> = None;
-        while let Ok(msg) = win_rx.recv() {
-            match msg {
-                StageMsg::Window(p, emitted_at) => {
-                    stats.depth_score.add(-1);
-                    pending.push((*p, emitted_at));
-                    if pending.len() >= SCORE_CHUNK {
-                        score_chunk(&pool, params.reference, &mut pending, &mut reports, &stats);
-                    }
-                }
-                StageMsg::Done {
-                    packets,
-                    selected,
-                    dropped_batches,
-                    dropped_packets,
-                } => {
-                    outcome = Some(Ok(PipelineOutput {
-                        packets,
-                        selected,
-                        dropped_batches,
-                        dropped_packets,
-                        windows: Vec::new(),
-                    }));
-                    break;
-                }
-                StageMsg::Fault { offset, error } => {
-                    outcome = Some(Err((offset, error)));
-                    break;
-                }
-            }
-        }
-        score_chunk(&pool, params.reference, &mut pending, &mut reports, &stats);
-        // A missing outcome means a stage panicked; the scope join
-        // below re-raises that panic, so this expect never fires first.
-        let mut outcome = outcome.expect("pipeline ended without a terminal message");
-        if let Ok(out) = outcome.as_mut() {
-            out.windows = reports;
-        }
-        outcome
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nettrace::Micros;
     use std::sync::mpsc::sync_channel;
 
     fn batch_of(n: usize) -> Vec<PacketRecord> {
@@ -574,15 +329,15 @@ mod tests {
             buf
         };
         let stream = CaptureStream::new(bytes.as_slice()).unwrap();
-        let (tx, rx) = sync_channel::<SourceMsg>(2);
-        let consumer = thread::spawn(move || {
+        let (tx, rx) = sync_channel::<SourceMsg>(QUEUE_DEPTH);
+        let consumer = std::thread::spawn(move || {
             for msg in rx {
                 if matches!(msg, SourceMsg::Batch(_)) {
                     stats_sleep();
                 }
             }
         });
-        source_loop(stream, tx, 1, 2, policy, shed_rule, &stats);
+        source_loop(stream, tx, 1, policy, shed_rule, &stats);
         consumer.join().unwrap();
         (
             stats.stalls.get() - stalls0,
@@ -600,7 +355,7 @@ mod tests {
         let _serial = SHED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         // The control gauge the alert engine would normally flip.
         obskit::gauge_labeled("alert_active", &[("rule", "pipeline_test_hiwater")]).set(1);
-        // Static Block path: 60 one-packet batches into a depth-2
+        // Static Block path: 60 one-packet batches into the depth-4
         // queue drained at 2ms/batch must stall the reader repeatedly.
         let (stalls_static, _, adaptive_static) = drive_source(Backpressure::Block, None);
         assert!(stalls_static > 0, "static Block path must stall");

@@ -212,7 +212,7 @@ impl StreamSampler for ReservoirStream {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamMethod {
     /// An event-driven method built from its batch [`MethodSpec`].
-    /// `SimpleRandom` additionally requires a population-size hint.
+    /// `SimpleRandom` additionally needs each window's packet count.
     Spec(MethodSpec),
     /// One-pass reservoir: a uniform `capacity`-of-window sample.
     Reservoir {
@@ -243,27 +243,24 @@ impl StreamMethod {
     /// [`MethodSpec::try_build`], so a one-window stream reproduces the
     /// batch experiment bit for bit.
     ///
-    /// `population_hint` stands in for the batch path's known window
-    /// length; only `MethodSpec::SimpleRandom` consults it.
+    /// `population` is the packet count `N` of each window, the batch
+    /// path's known window length; only `MethodSpec::SimpleRandom`
+    /// consults it, drawing a fresh n-of-N per `N` offers.
     ///
     /// # Errors
     /// The batch [`BuildError`]s, plus `EmptyPopulation` when simple
-    /// random sampling is asked for without a hint.
+    /// random sampling is asked for without a population.
     pub fn build(
         &self,
         window_start: Micros,
-        population_hint: Option<usize>,
+        population: Option<usize>,
         replication: u64,
         seed: u64,
     ) -> Result<Box<dyn StreamSampler>, BuildError> {
         match *self {
             StreamMethod::Spec(spec) => {
-                let inner = spec.try_build(
-                    population_hint.unwrap_or(0),
-                    window_start,
-                    replication,
-                    seed,
-                )?;
+                let inner =
+                    spec.try_build(population.unwrap_or(0), window_start, replication, seed)?;
                 Ok(Box::new(EventDriven { inner }))
             }
             StreamMethod::Reservoir { capacity } => {
@@ -379,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn simple_random_needs_a_population_hint() {
+    fn simple_random_needs_a_population() {
         let m = StreamMethod::Spec(MethodSpec::SimpleRandom { fraction: 0.02 });
         assert!(matches!(
             m.build(Micros(0), None, 0, 1),

@@ -4,14 +4,13 @@
 //! One tumbling window spanning a whole capture must reproduce the
 //! batch [`Experiment`] path **bit-for-bit**: same selections, same
 //! histograms, same φ down to the last f64 bit, for every packet-driven
-//! method in the paper's set — serially and at `--jobs 4`. The
+//! method in the paper's set. The
 //! reservoir sampler has no batch twin (that is its point: no `N` up
 //! front), so it is held to a *distributional* bar against the paper's
 //! simple random method instead.
 
 use nettrace::pcap::write_pcap;
 use nettrace::read_capture;
-use parkit::Pool;
 use sampling::{Experiment, MethodSpec, Target};
 use streamkit::{run_stream, StreamConfig, StreamMethod, WindowSpec};
 
@@ -32,26 +31,20 @@ fn capture_bytes() -> Vec<u8> {
 }
 
 /// φ bits from the batch `Experiment` path, replication 0.
-fn batch_phi_bits(
-    bytes: &[u8],
-    method: MethodSpec,
-    target: Target,
-    seed: u64,
-    jobs: usize,
-) -> Option<u64> {
+fn batch_phi_bits(bytes: &[u8], method: MethodSpec, target: Target, seed: u64) -> Option<u64> {
     let trace = read_capture(bytes).unwrap();
     let exp = Experiment::new(trace.packets(), target);
-    let result = exp.run_with(&Pool::new(jobs), method, 1, seed);
+    let result = exp.run(method, 1, seed);
     result.replications.first().map(|r| r.report.phi.to_bits())
 }
 
-/// φ bits from one whole-capture tumbling window through the stream.
+/// φ bits from one whole-capture tumbling window through the stream
+/// (the window's packet count is simple random sampling's `N`).
 fn stream_phi_bits(
     bytes: &[u8],
     method: MethodSpec,
     target: Target,
     seed: u64,
-    jobs: usize,
     population: usize,
 ) -> Option<u64> {
     let mut cfg = StreamConfig::new(
@@ -60,8 +53,6 @@ fn stream_phi_bits(
         WindowSpec::Count(population as u64),
     );
     cfg.seed = seed;
-    cfg.jobs = jobs;
-    cfg.population_hint = Some(population);
     let summary = run_stream(bytes, &cfg).unwrap();
     assert_eq!(summary.packets as usize, population);
     assert_eq!(summary.windows.len(), 1, "one window spans the capture");
@@ -84,14 +75,12 @@ fn paper_five_methods_match_batch_phi_bit_for_bit() {
         Target::Port,
     ] {
         for method in MethodSpec::paper_five(50, mean_pps) {
-            let batch = batch_phi_bits(&bytes, method, target, seed, 1);
-            for jobs in [1, 4] {
-                let stream = stream_phi_bits(&bytes, method, target, seed, jobs, population);
-                assert_eq!(
-                    stream, batch,
-                    "{method} on {target} (jobs={jobs}): stream φ must be bit-identical"
-                );
-            }
+            let batch = batch_phi_bits(&bytes, method, target, seed);
+            let stream = stream_phi_bits(&bytes, method, target, seed, population);
+            assert_eq!(
+                stream, batch,
+                "{method} on {target}: stream φ must be bit-identical"
+            );
             assert!(
                 batch.is_some(),
                 "{method} on {target}: batch produced a score"
@@ -126,7 +115,7 @@ fn windowed_stream_matches_batch_run_on_each_slice() {
         let lo = i * window;
         let hi = (lo + window).min(packets.len());
         let exp = Experiment::new(&packets[lo..hi], target);
-        let result = exp.run_with(&Pool::serial(), method, 1, seed);
+        let result = exp.run(method, 1, seed);
         let batch_bits = result.replications.first().map(|r| r.report.phi.to_bits());
         let stream_bits = win.report.map(|r| r.phi.to_bits());
         // One systematic sampler spans the whole stream, but interval
@@ -171,7 +160,7 @@ fn reservoir_is_distribution_equivalent_to_simple_random() {
     let method = MethodSpec::SimpleRandom {
         fraction: k as f64 / 2_000.0,
     };
-    let result = exp.run_with(&Pool::serial(), method, runs as u32, 5_551);
+    let result = exp.run(method, runs as u32, 5_551);
     let random_mean = result.mean_phi().unwrap();
     let reservoir_mean = reservoir_sum / reservoir_n as f64;
 
@@ -191,12 +180,11 @@ fn hundred_thousand_packets_stream_in_bounded_windows() {
     let trace = netsynth::canonical::randomly_ordered(100_000, 3);
     let mut bytes = Vec::new();
     write_pcap(&mut bytes, &trace).unwrap();
-    let mut cfg = StreamConfig::new(
+    let cfg = StreamConfig::new(
         StreamMethod::Spec(MethodSpec::Systematic { interval: 50 }),
         Target::PacketSize,
         WindowSpec::Count(1_000),
     );
-    cfg.jobs = 2;
     let summary = run_stream(bytes.as_slice(), &cfg).unwrap();
     assert_eq!(summary.packets, 100_000);
     assert_eq!(summary.windows.len(), 100);

@@ -1,12 +1,12 @@
 //! Cross-check the telemetry self-sampling φ against the paper path.
 //!
-//! `obskit::series::fidelity_phi` re-implements the paired-χ² φ over
-//! obskit's log₂ buckets (obskit sits below `sampling` in the crate
-//! graph, so it cannot call `sampling::disparity` directly). This test
-//! pins the two implementations to each other: the same series pushed
-//! through `nettrace::Histogram` with explicit log₂ edges and scored
-//! by `sampling::disparity` must produce the same φ, for every
-//! systematic stride the self-check uses (k ∈ {2, 5, 10}).
+//! `obskit::series::fidelity_phi` and `sampling::disparity` share one φ
+//! kernel, `obskit::paired_phi`, but bin differently: obskit by its
+//! log₂ buckets, `sampling` by `nettrace::Histogram` edges. This test
+//! pins the binnings to each other: the same series pushed through
+//! `nettrace::Histogram` with explicit log₂ edges and scored by
+//! `sampling::disparity` must produce the same φ, for every systematic
+//! stride the self-check uses (k ∈ {2, 5, 10}).
 
 use nettrace::{BinSpec, Histogram};
 
