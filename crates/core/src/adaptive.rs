@@ -22,7 +22,6 @@
 //! needs to scale counts back up.
 
 use crate::sampler::Sampler;
-use nettrace::PacketRecord;
 
 /// Configuration for the AIMD interval controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,33 +170,36 @@ impl AdaptiveSampler {
 }
 
 impl Sampler for AdaptiveSampler {
-    fn offer(&mut self, pkt: &PacketRecord) -> bool {
-        let ts = pkt.timestamp.as_u64();
-        match self.period_start {
-            None => self.period_start = Some(ts),
-            Some(start) => {
-                // Saturating: a non-monotone timestamp before the period
-                // start closes nothing, and a start near u64::MAX must
-                // not wrap the comparison.
-                let elapsed = ts.saturating_sub(start) / self.config.period_us;
-                if elapsed > 0 {
-                    // Close the period that actually saw traffic with its
-                    // real counts, then the remaining packet-free periods
-                    // in closed form (each sees zero selections and
-                    // decreases the interval until it floors).
-                    self.end_period();
-                    self.idle_periods(elapsed - 1);
-                    self.period_start =
-                        Some(start.saturating_add(elapsed.saturating_mul(self.config.period_us)));
+    fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
+        for (i, &t) in ts.iter().enumerate() {
+            match self.period_start {
+                None => self.period_start = Some(t),
+                Some(start) => {
+                    // Saturating: a non-monotone timestamp before the
+                    // period start closes nothing, and a start near
+                    // u64::MAX must not wrap the comparison.
+                    let elapsed = t.saturating_sub(start) / self.config.period_us;
+                    if elapsed > 0 {
+                        // Close the period that actually saw traffic with
+                        // its real counts, then the remaining packet-free
+                        // periods in closed form (each sees zero
+                        // selections and decreases the interval until it
+                        // floors).
+                        self.end_period();
+                        self.idle_periods(elapsed - 1);
+                        self.period_start = Some(
+                            start.saturating_add(elapsed.saturating_mul(self.config.period_us)),
+                        );
+                    }
                 }
             }
+            let selected = self.counter.is_multiple_of(self.interval);
+            self.counter += 1;
+            if selected {
+                self.selected_this_period += 1;
+                out.push(base + i);
+            }
         }
-        let selected = self.counter.is_multiple_of(self.interval);
-        self.counter += 1;
-        if selected {
-            self.selected_this_period += 1;
-        }
-        selected
     }
 
     fn reset(&mut self) {
@@ -216,7 +218,7 @@ impl Sampler for AdaptiveSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nettrace::Micros;
+    use nettrace::{Micros, PacketRecord};
 
     /// `rate` packets/second for `secs` seconds.
     fn stream(rate: u64, secs: u64, start_sec: u64) -> Vec<PacketRecord> {

@@ -786,6 +786,27 @@ mod tests {
             2
         );
         assert_eq!(MethodFamily::Systematic.name(), "systematic");
+        // Timer period: 50 packets at 424.2 pps is ≈ 117,869 µs.
+        assert_eq!(
+            MethodFamily::SystematicTimer.at_granularity(50, 424.2),
+            MethodSpec::SystematicTimer {
+                period: Micros(117_869)
+            }
+        );
+    }
+
+    /// The sampler's metric label and the family's name are one
+    /// spelling, so `/metrics` and the sweep table agree.
+    #[test]
+    fn samplers_report_their_family_name() {
+        let mut families = MethodFamily::paper_five().to_vec();
+        families.push(MethodFamily::GeometricSkip);
+        for family in families {
+            let sampler = family
+                .at_granularity(50, 424.2)
+                .build(1_000, Micros(0), 0, 1);
+            assert_eq!(sampler.method_name(), family.name());
+        }
     }
 
     #[test]

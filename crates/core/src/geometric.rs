@@ -8,9 +8,25 @@
 //! random draw per selection instead of one per packet.
 
 use crate::sampler::{BuildError, Sampler};
-use nettrace::PacketRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// Geometric skip: the number of failures before the first success in
+/// Bernoulli trials of success probability `p`, by inversion of one
+/// uniform draw.
+///
+/// A `p` so small that `1 - p` rounds to 1.0 (below about 2⁻⁵⁴) has no
+/// representable skip distribution: the skip is `u64::MAX` and no draw
+/// is spent, which parks the caller's schedule. Dividing by `ln(1.0)`
+/// instead would turn the skip into 0 and select every packet.
+pub fn draw_skip(rng: &mut StdRng, p: f64) -> u64 {
+    let denom = (1.0 - p).ln();
+    if denom == 0.0 {
+        return u64::MAX;
+    }
+    let u: f64 = 1.0 - rng.random::<f64>(); // (0,1]
+    (u.ln() / denom).floor() as u64
+}
 
 /// i.i.d. 1-in-k sampling via geometric skips.
 #[derive(Debug)]
@@ -45,7 +61,7 @@ impl GeometricSkipSampler {
             return Err(BuildError::ZeroMeanInterval);
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let skip = Self::draw_skip(&mut rng, mean_interval);
+        let skip = Self::next_skip(&mut rng, mean_interval);
         Ok(GeometricSkipSampler {
             mean_interval,
             seed,
@@ -54,39 +70,19 @@ impl GeometricSkipSampler {
         })
     }
 
-    /// Geometric skip: number of failures before the first success at
-    /// probability `p = 1/k`, by inversion.
-    fn draw_skip(rng: &mut StdRng, k: usize) -> u64 {
+    /// The skip to the next selection at probability `1/k`; `k = 1`
+    /// selects every packet without a draw.
+    fn next_skip(rng: &mut StdRng, k: usize) -> u64 {
         if k == 1 {
             return 0;
         }
-        let p = 1.0 / k as f64;
-        let u: f64 = 1.0 - rng.random::<f64>(); // (0,1]
-                                                // floor(ln(u) / ln(1-p)) is Geometric(p) on {0,1,2,…}.
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
-    /// The mean selection interval `k`.
-    #[must_use]
-    pub fn mean_interval(&self) -> usize {
-        self.mean_interval
+        draw_skip(rng, 1.0 / k as f64)
     }
 }
 
 impl Sampler for GeometricSkipSampler {
-    fn offer(&mut self, _pkt: &PacketRecord) -> bool {
-        if self.skip > 0 {
-            self.skip -= 1;
-            return false;
-        }
-        self.skip = Self::draw_skip(&mut self.rng, self.mean_interval);
-        true
-    }
-
-    /// Skip-jump override: hop straight from selection to selection.
-    /// Each iteration lands on one selected packet and spends exactly
-    /// the one RNG draw the per-packet path spends there, so the random
-    /// stream stays aligned; skipped packets cost nothing.
+    /// Skip-jump: hop straight from selection to selection, one RNG draw
+    /// per selected packet; skipped packets cost nothing.
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         let n = ts.len() as u64;
         let mut i = 0u64;
@@ -98,14 +94,14 @@ impl Sampler for GeometricSkipSampler {
             }
             i += self.skip;
             out.push(base + i as usize);
-            self.skip = Self::draw_skip(&mut self.rng, self.mean_interval);
+            self.skip = Self::next_skip(&mut self.rng, self.mean_interval);
             i += 1;
         }
     }
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
-        self.skip = Self::draw_skip(&mut self.rng, self.mean_interval);
+        self.skip = Self::next_skip(&mut self.rng, self.mean_interval);
     }
 
     fn method_name(&self) -> &'static str {
@@ -117,7 +113,7 @@ impl Sampler for GeometricSkipSampler {
 mod tests {
     use super::*;
     use crate::sampler::select_indices;
-    use nettrace::Micros;
+    use nettrace::{Micros, PacketRecord};
 
     fn packets(n: usize) -> Vec<PacketRecord> {
         (0..n)
@@ -184,7 +180,20 @@ mod tests {
         let a = select_indices(&mut s, &pkts);
         s.reset();
         assert_eq!(a, select_indices(&mut s, &pkts));
-        assert_eq!(s.mean_interval(), 13);
+    }
+
+    #[test]
+    fn skip_probability_below_f64_resolution_parks() {
+        // From k = 2^54 on, 1 - 1/k rounds to 1.0: the skip draw divided
+        // by ln(1.0) = 0 and selected every packet.
+        let pkts = packets(1_000);
+        for k in [1usize << 54, usize::MAX] {
+            let mut s = GeometricSkipSampler::new(k, 42);
+            assert!(select_indices(&mut s, &pkts).is_empty(), "k = {k}");
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(draw_skip(&mut rng, 0.0), u64::MAX);
+        assert_eq!(draw_skip(&mut rng, 1e-17), u64::MAX);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! `streamkit::ReservoirStream` (Vitter's Algorithm L).
 //!
 //! Every sampler is an **event-driven state machine**: the router (or the
-//! simulator) offers each arriving packet via [`Sampler::offer`] and the
-//! sampler answers "selected or not" in O(1) with no buffering — exactly
-//! the shape deployed in the T3 backbone's forwarding firmware (paper §2).
+//! simulator) offers arriving packets in order and the sampler answers
+//! "selected or not" in O(1) per packet with no buffering — exactly the
+//! shape deployed in the T3 backbone's forwarding firmware (paper §2).
+//! The one decision call, [`Sampler::offer_ts_batch`], takes a run of
+//! arrival timestamps; [`Sampler::offer`] is a run of one.
 //!
 //! ## Scoring a sample against its parent population (paper §5.2)
 //!

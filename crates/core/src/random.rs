@@ -15,7 +15,6 @@
 //! For windows of unknown length use `streamkit::ReservoirStream`.
 
 use crate::sampler::{BuildError, Sampler};
-use nettrace::PacketRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -66,18 +65,6 @@ impl SimpleRandomSampler {
         })
     }
 
-    /// The configured population size `N`.
-    #[must_use]
-    pub fn population(&self) -> usize {
-        self.population
-    }
-
-    /// The configured sample size `n`.
-    #[must_use]
-    pub fn sample_size(&self) -> usize {
-        self.sample
-    }
-
     /// Start the next block's n-of-N draw; the RNG stream continues.
     fn next_block(&mut self) {
         self.remaining_pop = self.population;
@@ -86,26 +73,10 @@ impl SimpleRandomSampler {
 }
 
 impl Sampler for SimpleRandomSampler {
-    fn offer(&mut self, _pkt: &PacketRecord) -> bool {
-        if self.remaining_pop == 0 {
-            self.next_block();
-        }
-        // Select with probability remaining_sample / remaining_pop; a
-        // block whose sample is complete rejects without a draw.
-        let selected = self.remaining_sample > 0
-            && (self.rng.random::<f64>() * self.remaining_pop as f64)
-                < self.remaining_sample as f64;
-        self.remaining_pop -= 1;
-        if selected {
-            self.remaining_sample -= 1;
-        }
-        selected
-    }
-
-    /// Tight-loop override: the same Algorithm S recurrence — one draw
-    /// per offer while the block still needs selections, in the same
-    /// stream positions — minus the per-packet dispatch. Once a block's
-    /// sample is complete, the rest of that block is rejected in O(1).
+    /// Algorithm S: select with probability
+    /// `remaining_sample / remaining_pop`, one draw per offer while the
+    /// block still needs selections. Once a block's sample is complete,
+    /// the rest of that block is rejected in O(1) without a draw.
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         let n = ts.len();
         let mut i = 0;
@@ -145,7 +116,7 @@ impl Sampler for SimpleRandomSampler {
 mod tests {
     use super::*;
     use crate::sampler::select_indices;
-    use nettrace::Micros;
+    use nettrace::{Micros, PacketRecord};
 
     fn packets(n: usize) -> Vec<PacketRecord> {
         (0..n)
@@ -241,12 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_matches_per_packet_across_blocks() {
+    fn runs_carry_block_state_across_seams() {
         let pkts = packets(1_000);
         let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
         for (population, sample) in [(37, 5), (100, 100), (64, 0), (1, 1)] {
             let mut s = SimpleRandomSampler::new(population, sample, 11);
-            let want: Vec<usize> = (0..pkts.len()).filter(|&i| s.offer(&pkts[i])).collect();
+            let want = select_indices(&mut s, &pkts);
             for chunk in [1usize, 7, 100] {
                 s.reset();
                 let mut got = Vec::new();

@@ -77,44 +77,38 @@ impl std::error::Error for BuildError {}
 /// An event-driven packet sampler. `Send` is a supertrait so boxed
 /// samplers can live inside per-shard state handed to worker pools
 /// (every in-tree sampler is plain owned data).
+///
+/// A sampler decides from the arrival schedule alone, never from packet
+/// contents (the paper's §4 methods are content-blind by construction),
+/// so its one decision method takes a run of arrival timestamps.
 pub trait Sampler: Send {
-    /// Offer one arriving packet; returns `true` if it is selected into
-    /// the sample. Packets must be offered in arrival order.
-    fn offer(&mut self, pkt: &PacketRecord) -> bool;
-
     /// Offer a run of packets by their arrival timestamps, appending
-    /// `base + i` to `out` for every selected element `i` — the
-    /// columnar hot path over an SoA timestamp column.
-    ///
-    /// **Contract:** the selection must be bit-identical to offering
-    /// the same run through [`offer`](Sampler::offer) one packet at a
-    /// time, including the positions consumed from any random stream.
-    /// The default implementation guarantees this by delegating to
-    /// `offer` with a synthesized record carrying only the timestamp —
-    /// sound because a sampler's decision depends only on the arrival
-    /// schedule, never on packet contents (the paper's §4 methods are
-    /// content-blind by construction). Implementations override this
-    /// with equivalent strided / skip-jump index math for speed.
-    fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
-        for (i, &t) in ts.iter().enumerate() {
-            if self.offer(&PacketRecord::new(Micros(t), 0)) {
-                out.push(base + i);
-            }
-        }
+    /// `base + i` to `out` for every selected element `i`. Packets must
+    /// be offered in arrival order; a run continues the state the
+    /// previous run left, so the selection does not depend on how the
+    /// stream is cut into runs.
+    fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>);
+
+    /// Offer one arriving packet, a run of one; returns `true` if it is
+    /// selected.
+    fn offer(&mut self, pkt: &PacketRecord) -> bool {
+        let mut picked = Vec::new();
+        self.offer_ts_batch(0, &[pkt.timestamp.as_u64()], &mut picked);
+        !picked.is_empty()
     }
 
     /// Restore the initial state (counters, schedules, and the random
     /// stream position are all reset to their post-construction values).
     fn reset(&mut self);
 
-    /// Stable short name used as the `method` label on metrics.
-    fn method_name(&self) -> &'static str {
-        "unknown"
-    }
+    /// Stable short name used as the `method` label on metrics: the
+    /// [`MethodFamily::name`](crate::experiment::MethodFamily::name)
+    /// spelling where the sampler has a family.
+    fn method_name(&self) -> &'static str;
 }
 
 /// Run a sampler over a packet slice, returning the *indices* of selected
-/// packets.
+/// packets: [`select_indices_ts`] over the slice's timestamp column.
 ///
 /// Indices (rather than copies) let characterization targets look up
 /// per-packet attributes computed in the parent population — in
@@ -125,34 +119,15 @@ pub fn select_indices<S: Sampler + ?Sized>(
     sampler: &mut S,
     packets: &[PacketRecord],
 ) -> Vec<usize> {
-    let span = obskit::span_labeled("sampling_select", &[("method", sampler.method_name())]);
-    let selected: Vec<usize> = packets
-        .iter()
-        .enumerate()
-        .filter_map(|(i, p)| sampler.offer(p).then_some(i))
-        .collect();
-    // Metrics are flushed once per batch, not per packet, so the offer()
-    // hot loop stays free of atomic traffic.
-    if obskit::recording_enabled() {
-        let labels = [("method", sampler.method_name())];
-        obskit::counter_labeled("sampling_packets_examined_total", &labels)
-            .add(packets.len() as u64);
-        obskit::counter_labeled("sampling_packets_selected_total", &labels)
-            .add(selected.len() as u64);
-    }
-    drop(span);
-    selected
+    let ts: Vec<u64> = packets.iter().map(|p| p.timestamp.as_u64()).collect();
+    select_indices_ts(sampler, &ts)
 }
 
-/// Columnar sibling of [`select_indices`]: run a sampler over a flat
-/// timestamp column (one element per packet, arrival order), returning
-/// the indices of selected packets.
+/// Run a sampler over a flat timestamp column (one element per packet,
+/// arrival order), returning the indices of selected packets.
 ///
-/// Dispatches once into [`Sampler::offer_ts_batch`] instead of once per
-/// packet, so the strided/skip-jump overrides run a tight loop over a
-/// dense `&[u64]`. Selection — and therefore every φ computed from it —
-/// is bit-identical to [`select_indices`] over the records the column
-/// was projected from; telemetry mirrors it counter for counter.
+/// Dispatches once into [`Sampler::offer_ts_batch`], so the strided and
+/// skip-jump families run a tight loop over a dense `&[u64]`.
 pub fn select_indices_ts<S: Sampler + ?Sized>(sampler: &mut S, ts: &[u64]) -> Vec<usize> {
     let span = obskit::span_labeled("sampling_select", &[("method", sampler.method_name())]);
     let mut selected = Vec::new();
@@ -224,26 +199,6 @@ pub enum MethodSpec {
 }
 
 impl MethodSpec {
-    /// The paper's five methods at a given packet granularity `k` /
-    /// equivalent timer period, in the order the paper lists them.
-    ///
-    /// The timer period is chosen to produce the same *expected* sampling
-    /// fraction on a population with mean rate `mean_pps`: one selection
-    /// per `k / mean_pps` seconds.
-    #[must_use]
-    pub fn paper_five(k: usize, mean_pps: f64) -> [MethodSpec; 5] {
-        let period = Micros((k as f64 / mean_pps * 1e6).round().max(1.0) as u64);
-        [
-            MethodSpec::Systematic { interval: k },
-            MethodSpec::StratifiedRandom { bucket: k },
-            MethodSpec::SimpleRandom {
-                fraction: 1.0 / k as f64,
-            },
-            MethodSpec::SystematicTimer { period },
-            MethodSpec::StratifiedTimer { period },
-        ]
-    }
-
     /// Whether this method is triggered by a timer rather than by packet
     /// arrival counts.
     #[must_use]
@@ -391,6 +346,7 @@ impl fmt::Display for MethodSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::MethodFamily;
     use nettrace::Micros;
 
     fn packets(n: usize) -> Vec<PacketRecord> {
@@ -399,17 +355,13 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn paper_five_covers_both_triggers() {
-        let five = MethodSpec::paper_five(50, 424.2);
-        assert_eq!(five.len(), 5);
-        assert_eq!(five.iter().filter(|m| m.is_timer_driven()).count(), 2);
-        // Timer period ~ 50/424.2 s ≈ 117,869 µs.
-        if let MethodSpec::SystematicTimer { period } = five[3] {
-            assert!((period.as_u64() as i64 - 117_869).abs() < 5);
-        } else {
-            panic!("expected systematic timer in slot 3");
-        }
+    /// The paper's five methods at granularity `k` for a `mean_pps`
+    /// population.
+    fn paper_five(k: usize, mean_pps: f64) -> Vec<MethodSpec> {
+        MethodFamily::paper_five()
+            .iter()
+            .map(|f| f.at_granularity(k, mean_pps))
+            .collect()
     }
 
     #[test]
@@ -434,7 +386,7 @@ mod tests {
     #[test]
     fn build_produces_working_samplers() {
         let pkts = packets(1000);
-        for spec in MethodSpec::paper_five(10, 1000.0) {
+        for spec in paper_five(10, 1000.0) {
             let mut s = spec.build(pkts.len(), Micros(0), 0, 42);
             let selected = select_indices(s.as_mut(), &pkts);
             assert!(
@@ -463,7 +415,7 @@ mod tests {
     #[test]
     fn same_replication_is_deterministic() {
         let pkts = packets(500);
-        for spec in MethodSpec::paper_five(7, 1000.0) {
+        for spec in paper_five(7, 1000.0) {
             let a = select_indices(spec.build(500, Micros(0), 3, 9).as_mut(), &pkts);
             let b = select_indices(spec.build(500, Micros(0), 3, 9).as_mut(), &pkts);
             assert_eq!(a, b, "{spec} must be deterministic");
@@ -540,7 +492,7 @@ mod tests {
     #[test]
     fn try_build_matches_build_on_valid_specs() {
         let pkts = packets(500);
-        for spec in MethodSpec::paper_five(10, 1000.0) {
+        for spec in paper_five(10, 1000.0) {
             let a = select_indices(spec.build(500, Micros(0), 2, 7).as_mut(), &pkts);
             let b = select_indices(
                 spec.try_build(500, Micros(0), 2, 7).unwrap().as_mut(),
@@ -553,25 +505,10 @@ mod tests {
     /// Every family the workspace ships, at a granularity that
     /// exercises mid-bucket / mid-skip state.
     fn all_specs() -> Vec<MethodSpec> {
-        let mut specs = MethodSpec::paper_five(7, 1000.0).to_vec();
+        let mut specs = paper_five(7, 1000.0);
         specs.push(MethodSpec::GeometricSkip { mean_interval: 7 });
         specs.push(MethodSpec::GeometricSkip { mean_interval: 1 });
         specs
-    }
-
-    #[test]
-    fn batch_selection_is_bit_identical_to_per_packet_offers() {
-        let pkts = packets(500);
-        let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
-        for spec in all_specs() {
-            for rep in 0..5u64 {
-                let pull =
-                    select_indices(spec.build(pkts.len(), Micros(0), rep, 1993).as_mut(), &pkts);
-                let batch =
-                    select_indices_ts(spec.build(pkts.len(), Micros(0), rep, 1993).as_mut(), &ts);
-                assert_eq!(pull, batch, "{spec} rep {rep}");
-            }
-        }
     }
 
     #[test]
@@ -597,9 +534,8 @@ mod tests {
 
     #[test]
     fn batch_resumes_after_reset_and_partial_runs() {
-        // A partial per-packet prefix followed by a batch over the rest
-        // must equal the all-batch run: the overrides read and write
-        // the same state the per-packet path does.
+        // A prefix offered one packet at a time, then one run over the
+        // rest, must equal the whole-column run; reset restores it.
         let pkts = packets(200);
         let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
         for spec in all_specs() {
@@ -611,7 +547,7 @@ mod tests {
                 .filter_map(|(i, p)| s.offer(p).then_some(i))
                 .collect();
             s.offer_ts_batch(37, &ts[37..], &mut mixed);
-            assert_eq!(whole, mixed, "{spec} mixed pull/batch");
+            assert_eq!(whole, mixed, "{spec} runs of one, then the rest");
             s.reset();
             let mut again = Vec::new();
             s.offer_ts_batch(0, &ts, &mut again);

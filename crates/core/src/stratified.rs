@@ -7,7 +7,6 @@
 //! pre-draws the index to select within the coming bucket.
 
 use crate::sampler::{BuildError, Sampler};
-use nettrace::PacketRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -54,30 +53,12 @@ impl StratifiedSampler {
             target,
         })
     }
-
-    /// Bucket size `k`.
-    #[must_use]
-    pub fn bucket(&self) -> usize {
-        self.bucket
-    }
 }
 
 impl Sampler for StratifiedSampler {
-    fn offer(&mut self, _pkt: &PacketRecord) -> bool {
-        let selected = self.pos == self.target;
-        self.pos += 1;
-        if self.pos == self.bucket {
-            self.pos = 0;
-            self.target = self.rng.random_range(0..self.bucket);
-        }
-        selected
-    }
-
-    /// Bucket-jump override: advance bucket by bucket instead of packet
-    /// by packet. Each full bucket costs one range check, at most one
-    /// push, and exactly the one RNG draw the per-packet path spends at
-    /// its boundary — so the random stream position stays bit-identical
-    /// while the per-packet counter churn disappears.
+    /// Bucket-jump: advance bucket by bucket instead of packet by
+    /// packet. Each bucket costs one range check, at most one push, and
+    /// one RNG draw at its boundary to place the next bucket's pick.
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         let n = ts.len();
         let mut i = 0;
@@ -111,7 +92,7 @@ impl Sampler for StratifiedSampler {
 mod tests {
     use super::*;
     use crate::sampler::select_indices;
-    use nettrace::Micros;
+    use nettrace::{Micros, PacketRecord};
 
     fn packets(n: usize) -> Vec<PacketRecord> {
         (0..n)

@@ -9,7 +9,6 @@
 //! this traffic).
 
 use crate::sampler::{BuildError, Sampler};
-use nettrace::PacketRecord;
 
 /// Selects every `interval`-th packet, starting at `offset`
 /// (`offset < interval`): packets with 0-based arrival number
@@ -76,28 +75,10 @@ impl SystematicSampler {
             count: 0,
         })
     }
-
-    /// The selection interval `k`.
-    #[must_use]
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
-    /// Packets offered so far.
-    #[must_use]
-    pub fn offered(&self) -> usize {
-        self.count
-    }
 }
 
 impl Sampler for SystematicSampler {
-    fn offer(&mut self, _pkt: &PacketRecord) -> bool {
-        let selected = self.count % self.interval == self.offset;
-        self.count += 1;
-        selected
-    }
-
-    /// Strided override: the selected arrival numbers in
+    /// Strided: the selected arrival numbers in
     /// `[count, count + n)` are the solutions of
     /// `c ≡ offset (mod interval)`, so selection is pure index math —
     /// O(selected) pushes, no per-packet work at all.
@@ -130,7 +111,7 @@ impl Sampler for SystematicSampler {
 mod tests {
     use super::*;
     use crate::sampler::select_indices;
-    use nettrace::Micros;
+    use nettrace::{Micros, PacketRecord};
 
     fn packets(n: usize) -> Vec<PacketRecord> {
         (0..n)
@@ -183,15 +164,6 @@ mod tests {
         s.reset();
         let second = select_indices(&mut s, &pkts);
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn offered_counts_offers() {
-        let pkts = packets(10);
-        let mut s = SystematicSampler::new(4);
-        let _ = select_indices(&mut s, &pkts);
-        assert_eq!(s.offered(), 10);
-        assert_eq!(s.interval(), 4);
     }
 
     #[test]

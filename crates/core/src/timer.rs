@@ -19,7 +19,7 @@
 //! so the workspace can reproduce that negative result.
 
 use crate::sampler::{BuildError, Sampler};
-use nettrace::{Micros, PacketRecord};
+use nettrace::Micros;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -59,14 +59,7 @@ impl SystematicTimerSampler {
         })
     }
 
-    /// The timer period.
-    #[must_use]
-    pub fn period(&self) -> Micros {
-        Micros(self.period)
-    }
-
-    /// The arm-and-fire decision against one arrival timestamp — the
-    /// whole of `offer`, which never reads any other packet field.
+    /// The arm-and-fire decision against one arrival timestamp.
     fn offer_ts(&mut self, ts: u64) -> bool {
         if ts < self.next_fire {
             return false;
@@ -86,14 +79,9 @@ impl SystematicTimerSampler {
 }
 
 impl Sampler for SystematicTimerSampler {
-    fn offer(&mut self, pkt: &PacketRecord) -> bool {
-        self.offer_ts(pkt.timestamp.as_u64())
-    }
-
-    /// Column override: the decision reads nothing but the timestamp,
-    /// so the batch path is a tight compare-and-rarely-rearm loop over
-    /// the dense column (most packets fail the `ts < next_fire` check
-    /// without touching the schedule).
+    /// A tight compare-and-rarely-rearm loop over the column: most
+    /// packets fail the `ts < next_fire` check without touching the
+    /// schedule.
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         for (i, &t) in ts.iter().enumerate() {
             if self.offer_ts(t) {
@@ -107,7 +95,7 @@ impl Sampler for SystematicTimerSampler {
     }
 
     fn method_name(&self) -> &'static str {
-        "sys_timer"
+        "sys-timer"
     }
 }
 
@@ -185,7 +173,7 @@ impl StratifiedTimerSampler {
     /// running while no packets arrived). A jump past
     /// [`Self::MAX_CATCHUP_DRAWS`] strata reseeds the stream
     /// deterministically from `(seed, target)` instead of replaying one
-    /// draw per skipped stratum, bounding `offer` at O(1).
+    /// draw per skipped stratum, bounding each decision at O(1).
     fn advance_to_stratum(&mut self, target: u64) {
         if target.saturating_sub(self.stratum) > Self::MAX_CATCHUP_DRAWS {
             self.rng =
@@ -200,14 +188,7 @@ impl StratifiedTimerSampler {
         }
     }
 
-    /// The stratum length.
-    #[must_use]
-    pub fn period(&self) -> Micros {
-        Micros(self.period)
-    }
-
-    /// The arm-and-fire decision against one arrival timestamp — the
-    /// whole of `offer`, which never reads any other packet field.
+    /// The arm-and-fire decision against one arrival timestamp.
     fn offer_ts(&mut self, ts: u64) -> bool {
         if ts < self.start {
             return false;
@@ -242,13 +223,6 @@ impl StratifiedTimerSampler {
 }
 
 impl Sampler for StratifiedTimerSampler {
-    fn offer(&mut self, pkt: &PacketRecord) -> bool {
-        self.offer_ts(pkt.timestamp.as_u64())
-    }
-
-    /// Column override: stratum accounting runs unchanged (same RNG
-    /// draws in the same positions), only the per-packet dispatch and
-    /// record deref disappear.
     fn offer_ts_batch(&mut self, base: usize, ts: &[u64], out: &mut Vec<usize>) {
         for (i, &t) in ts.iter().enumerate() {
             if self.offer_ts(t) {
@@ -264,7 +238,7 @@ impl Sampler for StratifiedTimerSampler {
     }
 
     fn method_name(&self) -> &'static str {
-        "strat_timer"
+        "strat-timer"
     }
 }
 
@@ -272,6 +246,7 @@ impl Sampler for StratifiedTimerSampler {
 mod tests {
     use super::*;
     use crate::sampler::select_indices;
+    use nettrace::PacketRecord;
 
     fn regular_packets(n: usize, spacing: u64) -> Vec<PacketRecord> {
         (0..n)

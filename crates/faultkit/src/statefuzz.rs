@@ -23,10 +23,10 @@
 //! `statkit::inversion` estimators get degenerate sampled-size vectors
 //! (empty, zeros, overflowing sizes, `k == 0`) that must come back as
 //! typed [`statkit::InversionError`]s — never a panic. Finally, the
-//! columnar batch path is held to the per-packet path: walking a
+//! columnar batch path must not depend on run length: walking a
 //! [`nettrace::PacketBatch`]'s timestamp column through `offer_ts_batch`
-//! in random-sized chunks must select bit-identical indices to the
-//! per-packet `offer` loop, even on hostile timestamps. The sharded
+//! in random-sized runs must select bit-identical indices to runs of
+//! one, even on hostile timestamps. The sharded
 //! collector gets hostile fleets and knobs — tenant ids carrying the
 //! forbidden `"{}\,` label bytes, non-ASCII and oversized ids, zero
 //! interfaces, zero shards, degenerate window/queue/budget values, and
@@ -53,8 +53,7 @@ use statkit::InversionError;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use streamkit::{
-    run_stream, Offer, ReservoirStream, StreamConfig, StreamMethod, StreamSampler, WindowPayload,
-    WindowSpec, Windower,
+    run_stream, ReservoirStream, StreamConfig, StreamMethod, WindowPayload, WindowSpec, Windower,
 };
 
 /// State-machine fuzzing knobs.
@@ -202,8 +201,7 @@ impl Fuzzer {
     /// Drive the streaming reservoir through a hostile offer schedule:
     /// adversarial timestamps plus adversarial window-local gaps (the
     /// engine never hands it `Some(u64::MAX)`, a corrupted window
-    /// boundary computation might). Contracts: never decides at arrival
-    /// (`Offer::Selected` is for event-driven methods), holds exactly
+    /// boundary computation might). Contracts: holds exactly
     /// `min(capacity, offered)`, same seed ⇒ bit-identical flush, and a
     /// flushed reservoir starts the next window from a clean count.
     fn fuzz_reservoir_stream(&mut self, rng: &mut StdRng) {
@@ -223,11 +221,8 @@ impl Fuzzer {
         let offered = packets.len();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let drive = |r: &mut ReservoirStream| {
-                let mut early = 0u64;
                 for (p, g) in packets.iter().zip(&gaps) {
-                    if matches!(r.offer(p, *g), Offer::Selected) {
-                        early += 1;
-                    }
+                    r.offer(p, *g);
                 }
                 let held = r.held();
                 let keys: Vec<(Micros, u16, Option<u64>)> = r
@@ -235,14 +230,14 @@ impl Fuzzer {
                     .iter()
                     .map(|item| (item.packet.timestamp, item.packet.size, item.gap_us))
                     .collect();
-                (held, keys, early)
+                (held, keys)
             };
             let mut a = ReservoirStream::new(capacity, seed);
             let mut b = ReservoirStream::new(capacity, seed);
-            let (held, first, early) = drive(&mut a);
-            let (_, twin, _) = drive(&mut b);
-            let (held_reused, _, _) = drive(&mut a);
-            (held, first, twin, held_reused, early)
+            let (held, first) = drive(&mut a);
+            let (_, twin) = drive(&mut b);
+            let (held_reused, _) = drive(&mut a);
+            (held, first, twin, held_reused)
         }));
         match outcome {
             Err(panic) => {
@@ -250,7 +245,7 @@ impl Fuzzer {
                 self.violation("reservoir_stream", format!("panicked: {msg}"));
                 self.record("reservoir_stream", "panic");
             }
-            Ok((held, first, twin, held_reused, early)) => {
+            Ok((held, first, twin, held_reused)) => {
                 let want = capacity.min(offered);
                 if held != want {
                     self.violation(
@@ -274,12 +269,6 @@ impl Fuzzer {
                         ),
                     );
                 }
-                if early != 0 {
-                    self.violation(
-                        "reservoir_stream",
-                        format!("decided {early} packets at arrival; reservoirs buffer"),
-                    );
-                }
                 if held_reused != want {
                     self.violation(
                         "reservoir_stream",
@@ -300,7 +289,7 @@ impl Fuzzer {
     /// timestamps) with a random method (event-driven specs, `random`
     /// with N = the window, reservoir), count or time windows, tumbling
     /// or sliding, with or without a flow budget. Contracts: no panic;
-    /// `offer_slice` at a random chunking equals per-packet `offer`;
+    /// `offer_slice` at a random chunking equals runs of one;
     /// tumbling windows' packets sum to the offered count; every window
     /// has `selected ≤ packets` and flows within the budget; φ is
     /// finite in [0, √2]; and when the packets fit a pcap and the
@@ -373,9 +362,11 @@ impl Fuzzer {
         };
         self.offers += 2 * packets.len() as u64;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut per_packet: Vec<WindowPayload> =
-                packets.iter().flat_map(|p| one.offer(p)).collect();
-            per_packet.extend(one.finish());
+            let mut singles: Vec<WindowPayload> = packets
+                .iter()
+                .flat_map(|p| one.offer_slice(std::slice::from_ref(p)))
+                .collect();
+            singles.extend(one.finish());
             let mut chunked: Vec<WindowPayload> = packets
                 .chunks(chunk)
                 .flat_map(|c| sliced.offer_slice(c))
@@ -391,7 +382,7 @@ impl Fuzzer {
                 (cfg.slide, cfg.seed, cfg.batch) = (slide, seed, chunk);
                 run_stream(bytes.as_slice(), &cfg).map_err(|e| e.to_string())
             });
-            (per_packet, chunked, one.packets(), engine)
+            (singles, chunked, one.packets(), engine)
         }));
         let (windows, chunked, offered, engine) = match outcome {
             Ok(v) => v,
@@ -405,7 +396,9 @@ impl Fuzzer {
         let mut problems = Vec::new();
         // Payloads carry no floats, so their debug text is exact.
         if format!("{windows:?}") != format!("{chunked:?}") {
-            problems.push(format!("offer_slice at chunk {chunk} diverged from offer"));
+            problems.push(format!(
+                "offer_slice at chunk {chunk} diverged from runs of one"
+            ));
         }
         let held: u64 = windows.iter().map(|w| w.packets).sum();
         if offered != packets.len() as u64 || (slide.is_none() && held != offered) {
@@ -894,11 +887,12 @@ impl Fuzzer {
         }
     }
 
-    /// Drive one sampler through the columnar batch path: the chunked
-    /// `offer_ts_batch` walk over a [`PacketBatch`] must select exactly
-    /// the per-packet `offer` indices, at any chunk seam, even on
-    /// hostile timestamps. This is the determinism contract the
-    /// vectorized experiment hot path rests on.
+    /// Drive one sampler through the columnar batch path: walking a
+    /// [`PacketBatch`]'s timestamp column through `offer_ts_batch` in
+    /// random-sized runs must select exactly the indices runs of one
+    /// select, at any seam, even on hostile timestamps. Selections that
+    /// do not depend on how the stream is cut into runs are what lets
+    /// the grid, `stream` and `serve` share one decision path.
     fn fuzz_packet_batch(&mut self, rng: &mut StdRng) {
         let sampler: Result<Box<dyn Sampler>, String> = match rng.random_range(0u8..6) {
             0 => SystematicSampler::try_with_offset(
@@ -947,16 +941,18 @@ impl Fuzzer {
         let chunk = rng.random_range(1usize..=64);
         self.offers += 2 * packets.len() as u64;
         let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let per_packet = select_indices(&mut *sampler, &packets);
-            sampler.reset();
             let batch = PacketBatch::from_records(&packets);
-            let mut batched = Vec::new();
-            let mut base = 0usize;
-            for ts in batch.ts.chunks(chunk) {
-                sampler.offer_ts_batch(base, ts, &mut batched);
-                base += ts.len();
-            }
-            (per_packet, batched, packets.len())
+            let mut walk = |run: usize| {
+                sampler.reset();
+                let mut out = Vec::new();
+                let mut base = 0usize;
+                for ts in batch.ts.chunks(run) {
+                    sampler.offer_ts_batch(base, ts, &mut out);
+                    base += ts.len();
+                }
+                out
+            };
+            (walk(1), walk(chunk), packets.len())
         }));
         match outcome {
             Err(panic) => {
@@ -964,14 +960,14 @@ impl Fuzzer {
                 self.violation("packet_batch", format!("batch path panicked: {msg}"));
                 self.record("packet_batch", "panic");
             }
-            Ok((per_packet, batched, offered)) => {
-                if per_packet != batched {
+            Ok((singles, batched, offered)) => {
+                if singles != batched {
                     self.violation(
                         "packet_batch",
                         format!(
-                            "chunked batch diverged from per-packet: {} vs {} selections (chunk {chunk})",
+                            "runs of {chunk} diverged from runs of one: {} vs {} selections",
                             batched.len(),
-                            per_packet.len()
+                            singles.len()
                         ),
                     );
                 }
@@ -1416,7 +1412,7 @@ fn hostile_period(rng: &mut StdRng) -> u64 {
 /// `run_stream`, the streaming reservoir, the disparity metric, the telemetry server's three text surfaces (HTTP
 /// request line, `/series` query, alert-rule grammar), the flow table,
 /// the flow-size inversion estimators, the columnar packet-batch path
-/// (chunked `offer_ts_batch` vs the per-packet loop), and the sharded
+/// (random runs of `offer_ts_batch` vs runs of one), and the sharded
 /// collector (hostile fleets, zero-shard routing, mid-stream reshards).
 #[must_use]
 pub fn run_state_fuzz(cfg: &StateFuzzConfig) -> StateFuzzReport {

@@ -13,10 +13,11 @@
 //! * **chunked ingestion** — [`nettrace::CaptureStream`] yields bounded
 //!   batches from any `Read` source (file or stdin), reusing the strict
 //!   batch decoders so the parses cannot drift;
-//! * **online samplers** — [`StreamSampler`] adapts every event-driven
-//!   [`sampling::Sampler`] to the stream, and [`ReservoirStream`]
-//!   (Vitter's Algorithm L) delivers simple random sampling in one pass
-//!   *without* knowing `N`;
+//! * **online samplers** — a [`Selector`] holds either an event-driven
+//!   [`sampling::Sampler`], which the windower runs over each decoded
+//!   run's timestamp column with one call, or a [`ReservoirStream`]
+//!   (Vitter's Algorithm L), which delivers simple random sampling in
+//!   one pass *without* knowing `N`;
 //! * **windowed characterization** — [`Windower`] maintains tumbling or
 //!   sliding windows over packet count or time, each carrying the
 //!   paper's size/interarrival histograms, and emits a per-window φ
@@ -42,5 +43,5 @@ pub mod window;
 
 pub use engine::{run_stream, StreamConfig, StreamError, StreamSummary, WindowReport};
 pub use pipeline::{Backpressure, QUEUE_DEPTH};
-pub use sampler::{Offer, ReservoirStream, SampleItem, StreamMethod, StreamSampler};
+pub use sampler::{ReservoirStream, SampleItem, Selector, StreamMethod};
 pub use window::{WindowPayload, WindowSpec, Windower};

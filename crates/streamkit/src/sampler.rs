@@ -1,13 +1,14 @@
-//! Online samplers: stream adapters for the event-driven methods and a
-//! one-pass reservoir (Vitter's Algorithm L) for simple random
-//! sampling without a-priori `N`.
+//! What a [`Windower`](crate::Windower) selects with: an event-driven
+//! [`sampling::Sampler`], or a one-pass reservoir (Vitter's Algorithm L)
+//! for simple random sampling without a-priori `N`.
 
 use nettrace::{Micros, PacketRecord};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use sampling::geometric::draw_skip;
 use sampling::{BuildError, MethodSpec, Sampler};
 
-/// A packet retained by a buffering sampler, carrying the window-local
+/// A packet retained by the reservoir, carrying the window-local
 /// interarrival gap it had when offered (the attribute the
 /// interarrival target bins; `None` for a window's first packet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,58 +19,15 @@ pub struct SampleItem {
     pub gap_us: Option<u64>,
 }
 
-/// Verdict on one offered packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Offer {
-    /// Selected into the sample, finally (event-driven methods decide
-    /// at arrival, like the T3 firmware).
-    Selected,
-    /// Not in the sample, finally.
-    Skipped,
-    /// Tentatively held by a buffering sampler (reservoir); the final
-    /// sample arrives via [`StreamSampler::flush`].
-    Buffered,
-}
-
-/// A sampler that consumes an unbounded packet stream in O(1)/O(k)
-/// memory. Packets must be offered in arrival order. `Send` is a
-/// supertrait so a boxed stream sampler (inside a `Windower`) can move
-/// into — or be shared behind a lock with — pool workers.
-pub trait StreamSampler: Send {
-    /// Offer one arriving packet with its window-local interarrival gap.
-    fn offer(&mut self, pkt: &PacketRecord, gap_us: Option<u64>) -> Offer;
-
-    /// Drain buffered selections (reservoir contents) and reset the
-    /// buffer for the next window. Event-driven samplers return an
-    /// empty vector — their selections were final at offer time.
-    fn flush(&mut self) -> Vec<SampleItem>;
-
-    /// Stable short name used on metrics labels.
-    fn name(&self) -> &'static str;
-}
-
-/// Adapter: any event-driven [`sampling::Sampler`] is a stream sampler
-/// whose decisions are final at offer time.
-struct EventDriven {
-    inner: Box<dyn Sampler>,
-}
-
-impl StreamSampler for EventDriven {
-    fn offer(&mut self, pkt: &PacketRecord, _gap_us: Option<u64>) -> Offer {
-        if self.inner.offer(pkt) {
-            Offer::Selected
-        } else {
-            Offer::Skipped
-        }
-    }
-
-    fn flush(&mut self) -> Vec<SampleItem> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.method_name()
-    }
+/// A built stream method, as [`StreamMethod::build`] returns it and
+/// [`Windower::new`](crate::Windower::new) takes it.
+pub enum Selector {
+    /// An event-driven sampler: each packet's fate is final at arrival
+    /// (like the T3 firmware's), and its selections do not depend on
+    /// window boundaries.
+    Sampler(Box<dyn Sampler>),
+    /// A reservoir: the sample is final when the window's bucket closes.
+    Reservoir(ReservoirStream),
 }
 
 /// One-pass uniform `k`-of-stream sampling: Vitter's **Algorithm L**
@@ -117,18 +75,6 @@ impl ReservoirStream {
         }
     }
 
-    /// Packets offered since the last flush.
-    #[must_use]
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Maximum held packets.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Packets currently held.
     #[must_use]
     pub fn held(&self) -> usize {
@@ -145,33 +91,20 @@ impl ReservoirStream {
         (Self::unit(rng).ln() / capacity as f64).exp()
     }
 
-    /// Draw the geometric skip to the next replacement and advance the
-    /// schedule. Degenerate `w` (underflow after astronomically many
-    /// replacements) parks the schedule at `u64::MAX`: no further
-    /// replacements, which is also where the true distribution is.
+    /// Draw the geometric skip (success probability `w`) to the next
+    /// replacement and advance the schedule. A `w` too small for the
+    /// skip draw (after astronomically many replacements) parks the
+    /// schedule at `u64::MAX`: no further replacements, which is also
+    /// where the true distribution is.
     fn schedule(&mut self) {
-        if self.w <= 0.0 {
-            self.next_replace = u64::MAX;
-            return;
-        }
-        let denom = (1.0 - self.w).ln();
-        let skip = if denom == 0.0 {
-            // w rounded to 1.0: replacement every arrival.
-            0.0
-        } else {
-            (Self::unit(&mut self.rng).ln() / denom).floor()
-        };
-        let skip = if skip.is_finite() && skip > 0.0 {
-            skip.min(9.0e18) as u64
-        } else {
-            0
-        };
+        let skip = draw_skip(&mut self.rng, self.w);
         self.next_replace = self.seen.saturating_add(skip).saturating_add(1);
     }
-}
 
-impl StreamSampler for ReservoirStream {
-    fn offer(&mut self, pkt: &PacketRecord, gap_us: Option<u64>) -> Offer {
+    /// Offer one arriving packet with its window-local interarrival gap.
+    /// Packets must be offered in arrival order; the sample is final at
+    /// [`ReservoirStream::flush`].
+    pub fn offer(&mut self, pkt: &PacketRecord, gap_us: Option<u64>) {
         self.seen += 1;
         let item = SampleItem {
             packet: *pkt,
@@ -182,27 +115,21 @@ impl StreamSampler for ReservoirStream {
             if self.buf.len() == self.capacity {
                 self.schedule();
             }
-            return Offer::Buffered;
-        }
-        if self.seen == self.next_replace {
+        } else if self.seen == self.next_replace {
             let slot = self.rng.random_range(0..self.capacity as u64) as usize;
             self.buf[slot] = item;
             self.w *= (Self::unit(&mut self.rng).ln() / self.capacity as f64).exp();
             self.schedule();
-            return Offer::Buffered;
         }
-        Offer::Skipped
     }
 
-    fn flush(&mut self) -> Vec<SampleItem> {
+    /// Drain the window's sample and start the next window from a clean
+    /// count.
+    pub fn flush(&mut self) -> Vec<SampleItem> {
         self.seen = 0;
         self.w = Self::init_w(&mut self.rng, self.capacity);
         self.next_replace = u64::MAX;
         std::mem::take(&mut self.buf)
-    }
-
-    fn name(&self) -> &'static str {
-        "reservoir"
     }
 }
 
@@ -256,13 +183,14 @@ impl StreamMethod {
         population: Option<usize>,
         replication: u64,
         seed: u64,
-    ) -> Result<Box<dyn StreamSampler>, BuildError> {
+    ) -> Result<Selector, BuildError> {
         match *self {
-            StreamMethod::Spec(spec) => {
-                let inner =
-                    spec.try_build(population.unwrap_or(0), window_start, replication, seed)?;
-                Ok(Box::new(EventDriven { inner }))
-            }
+            StreamMethod::Spec(spec) => Ok(Selector::Sampler(spec.try_build(
+                population.unwrap_or(0),
+                window_start,
+                replication,
+                seed,
+            )?)),
             StreamMethod::Reservoir { capacity } => {
                 if capacity == 0 {
                     return Err(BuildError::ZeroInterval);
@@ -271,7 +199,7 @@ impl StreamMethod {
                 let seed = seed
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(replication);
-                Ok(Box::new(ReservoirStream::new(capacity, seed)))
+                Ok(Selector::Reservoir(ReservoirStream::new(capacity, seed)))
             }
         }
     }
@@ -289,15 +217,12 @@ mod tests {
     fn reservoir_holds_exactly_capacity() {
         let mut r = ReservoirStream::new(10, 7);
         for i in 0..1000 {
-            let verdict = r.offer(&pkt(i), Some(100));
-            assert_ne!(verdict, Offer::Selected, "reservoir never final-selects");
+            r.offer(&pkt(i), Some(100));
             assert!(r.held() <= 10);
         }
-        assert_eq!(r.seen(), 1000);
         let sample = r.flush();
         assert_eq!(sample.len(), 10);
         // Flush resets for the next window.
-        assert_eq!(r.seen(), 0);
         assert_eq!(r.held(), 0);
     }
 
@@ -305,7 +230,7 @@ mod tests {
     fn short_stream_keeps_everything() {
         let mut r = ReservoirStream::new(50, 1);
         for i in 0..20 {
-            assert_eq!(r.offer(&pkt(i), None), Offer::Buffered);
+            r.offer(&pkt(i), None);
         }
         let sample = r.flush();
         assert_eq!(sample.len(), 20);
@@ -356,23 +281,6 @@ mod tests {
             imbalance < 0.02,
             "halves {halves:?}: imbalance {imbalance:.4}"
         );
-    }
-
-    #[test]
-    fn event_adapter_mirrors_batch_systematic() {
-        let spec = MethodSpec::Systematic { interval: 5 };
-        let mut stream = StreamMethod::Spec(spec)
-            .build(Micros(0), None, 0, 1993)
-            .unwrap();
-        let mut batch = spec.build(100, Micros(0), 0, 1993);
-        for i in 0..100 {
-            let p = pkt(i);
-            let want = batch.offer(&p);
-            let got = stream.offer(&p, Some(100)) == Offer::Selected;
-            assert_eq!(got, want, "packet {i}");
-        }
-        assert!(stream.flush().is_empty());
-        assert_eq!(stream.name(), "systematic");
     }
 
     #[test]

@@ -22,10 +22,15 @@
 //! separately and the merge applies it exactly when the batch
 //! semantics would.
 
-use crate::sampler::{Offer, StreamSampler};
+use crate::sampler::Selector;
 use nettrace::{FlowTable, Histogram, Micros, PacketRecord};
 use sampling::Target;
 use std::collections::VecDeque;
+
+/// Packets per sampler call in [`Windower::offer_slice`]: a slice is cut
+/// into runs of at most this many, whose timestamps fill one on-stack
+/// block.
+const RUN: usize = 512;
 
 /// Per-bucket flow budget. A window reports at most
 /// `buckets_per_window × this` live flows, keeping the engine's
@@ -192,14 +197,17 @@ impl Bucket {
     }
 }
 
-/// Streaming window state machine: offers packets to its sampler,
+/// Streaming window state machine: offers packets to its selector,
 /// accumulates per-bucket histograms, and emits completed
 /// [`WindowPayload`]s with bounded-memory bucket eviction.
 pub struct Windower {
     target: Target,
     stride: WindowSpec,
     buckets_per_window: usize,
-    sampler: Box<dyn StreamSampler>,
+    selector: Selector,
+    /// The current run's selected positions (event-driven samplers);
+    /// reused, so it never holds more than [`RUN`] entries.
+    picks: Vec<usize>,
     /// Completed buckets of the in-progress window(s); holds at most
     /// `buckets_per_window - 1` entries between offers.
     ring: VecDeque<Bucket>,
@@ -229,7 +237,7 @@ impl Windower {
         target: Target,
         window: WindowSpec,
         slide: Option<WindowSpec>,
-        sampler: Box<dyn StreamSampler>,
+        selector: Selector,
     ) -> Self {
         let stride = slide.unwrap_or(window);
         let (win_n, stride_n) = match (window, stride) {
@@ -246,7 +254,8 @@ impl Windower {
             target,
             stride,
             buckets_per_window: (win_n / stride_n) as usize,
-            sampler,
+            selector,
+            picks: Vec::new(),
             ring: VecDeque::new(),
             cur: None,
             cur_start: Micros::ZERO,
@@ -294,33 +303,35 @@ impl Windower {
         self.selected_total
     }
 
-    /// The sampler's short name.
-    #[must_use]
-    pub fn sampler_name(&self) -> &'static str {
-        self.sampler.name()
-    }
-
-    /// Offer one packet (arrival order); returns any windows it
-    /// completed.
-    pub fn offer(&mut self, pkt: &PacketRecord) -> Vec<WindowPayload> {
-        let mut out = Vec::new();
-        self.offer_into(pkt, &mut out);
-        out
-    }
-
-    /// Offer a decoded chunk in arrival order, appending every window it
-    /// completes to one output vector. Exactly the left fold of
-    /// [`Windower::offer`] — bit-identical windows — without a returned
-    /// `Vec` per packet.
+    /// Offer a decoded chunk in arrival order; returns every window it
+    /// completes. An event-driven sampler decides each run of up to
+    /// [`RUN`] packets with one `offer_ts_batch` call over an on-stack
+    /// timestamp block. Its selections do not depend on window
+    /// boundaries, so the windows are the same however the stream is cut
+    /// into slices.
     pub fn offer_slice(&mut self, pkts: &[PacketRecord]) -> Vec<WindowPayload> {
         let mut out = Vec::new();
-        for p in pkts {
-            self.offer_into(p, &mut out);
+        let mut ts = [0u64; RUN];
+        for run in pkts.chunks(RUN) {
+            self.picks.clear();
+            if let Selector::Sampler(sampler) = &mut self.selector {
+                for (t, p) in ts.iter_mut().zip(run) {
+                    *t = p.timestamp.as_u64();
+                }
+                sampler.offer_ts_batch(0, &ts[..run.len()], &mut self.picks);
+            }
+            let mut next = 0;
+            for (i, pkt) in run.iter().enumerate() {
+                let picked = self.picks.get(next) == Some(&i);
+                next += usize::from(picked);
+                self.offer_into(pkt, picked, &mut out);
+            }
         }
         out
     }
 
-    fn offer_into(&mut self, pkt: &PacketRecord, out: &mut Vec<WindowPayload>) {
+    /// Window one packet; `picked` is the event-driven sampler's verdict.
+    fn offer_into(&mut self, pkt: &PacketRecord, picked: bool, out: &mut Vec<WindowPayload>) {
         let edge_gap = self
             .prev_ts
             .map(|t| pkt.timestamp.saturating_sub(t).as_u64());
@@ -363,13 +374,13 @@ impl Windower {
                         self.cur = Some(Bucket::new(self.cur_start, self.target));
                     }
                 }
-                self.accumulate(pkt, edge_gap);
+                self.accumulate(pkt, edge_gap, picked);
             }
             WindowSpec::Count(stride) => {
                 if self.cur.is_none() {
                     self.cur = Some(Bucket::new(pkt.timestamp, self.target));
                 }
-                self.accumulate(pkt, edge_gap);
+                self.accumulate(pkt, edge_gap, picked);
                 if self.cur.as_ref().map(|b| b.packets) == Some(stride) {
                     self.close_current(out);
                 }
@@ -377,7 +388,7 @@ impl Windower {
         }
     }
 
-    /// End of stream: flush the sampler and close the partial bucket;
+    /// End of stream: flush the reservoir and close the partial bucket;
     /// a stream shorter than one full window still yields one
     /// (partial) window.
     pub fn finish(&mut self) -> Vec<WindowPayload> {
@@ -392,35 +403,37 @@ impl Windower {
         out
     }
 
-    /// Feed one packet into the current bucket and the sampler.
-    fn accumulate(&mut self, pkt: &PacketRecord, edge_gap: Option<u64>) {
+    /// Feed one packet into the current bucket and the reservoir.
+    fn accumulate(&mut self, pkt: &PacketRecord, edge_gap: Option<u64>, picked: bool) {
         let cur = self.cur.as_mut().expect("current bucket");
         let bucket_first = cur.packets == 0;
         // Within a bucket the stream predecessor is the window-local
         // predecessor; a bucket's first packet has no local gap (the
         // batch semantics for a window's first packet).
         let local_gap = if bucket_first { None } else { edge_gap };
-        let verdict = self.sampler.offer(pkt, local_gap);
-        if verdict == Offer::Selected {
+        if let Selector::Reservoir(r) = &mut self.selector {
+            r.offer(pkt, local_gap);
+        }
+        if picked {
             cur.selected += 1;
             self.selected_total += 1;
         }
         let weight = self.target.weight(pkt);
         if let Some(v) = self.target.value(pkt, local_gap) {
             cur.population.observe_weighted(v, weight);
-            if verdict == Offer::Selected {
+            if picked {
                 cur.sample.observe_weighted(v, weight);
             }
         } else if bucket_first {
             // Interarrival target, bucket seam: keep the cross-bucket
             // observation for merges where the predecessor is in-window.
             cur.pop_edge = self.target.value(pkt, edge_gap).map(|v| (v, weight));
-            if verdict == Offer::Selected {
+            if picked {
                 cur.sam_edge = cur.pop_edge;
             }
         }
         cur.flows.offer(pkt);
-        if verdict == Offer::Selected {
+        if picked {
             cur.sampled.offer(pkt);
         }
         cur.packets += 1;
@@ -432,21 +445,23 @@ impl Windower {
         self.packets_total += 1;
     }
 
-    /// Complete the current bucket: drain any buffered sampler
-    /// selections into it, rotate it into the ring, and emit a window
-    /// if one is now complete (fully-empty windows are skipped). The
-    /// eviction keeps the ring bounded at `buckets_per_window`.
+    /// Complete the current bucket: drain the reservoir's selections
+    /// into it, rotate it into the ring, and emit a window if one is now
+    /// complete (fully-empty windows are skipped). The eviction keeps
+    /// the ring bounded at `buckets_per_window`.
     fn close_current(&mut self, out: &mut Vec<WindowPayload>) {
         let mut bucket = self.cur.take().expect("current bucket");
-        for item in self.sampler.flush() {
-            bucket.selected += 1;
-            self.selected_total += 1;
-            if let Some(v) = self.target.value(&item.packet, item.gap_us) {
-                bucket
-                    .sample
-                    .observe_weighted(v, self.target.weight(&item.packet));
+        if let Selector::Reservoir(r) = &mut self.selector {
+            for item in r.flush() {
+                bucket.selected += 1;
+                self.selected_total += 1;
+                if let Some(v) = self.target.value(&item.packet, item.gap_us) {
+                    bucket
+                        .sample
+                        .observe_weighted(v, self.target.weight(&item.packet));
+                }
+                bucket.sampled.offer(&item.packet);
             }
-            bucket.sampled.offer(&item.packet);
         }
         self.ring.push_back(bucket);
         if self.ring.len() == self.buckets_per_window {
@@ -586,10 +601,7 @@ mod tests {
     fn tumbling_count_windows_match_batch_slices() {
         let pkts = packets(250, 1_000);
         let mut w = windower(Target::Interarrival, WindowSpec::Count(100), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 3); // 100 + 100 + 50 (partial tail)
         for (i, win) in windows.iter().enumerate() {
@@ -610,10 +622,7 @@ mod tests {
         let pkts = packets(300, 700);
         for target in [Target::Interarrival, Target::PacketSize] {
             let mut w = windower(target, WindowSpec::Count(100), Some(WindowSpec::Count(25)));
-            let mut windows = Vec::new();
-            for p in &pkts {
-                windows.extend(w.offer(p));
-            }
+            let mut windows = w.offer_slice(&pkts);
             windows.extend(w.finish());
             // Windows end at packet 100, 125, …, 300: 9 of them.
             assert_eq!(windows.len(), 9, "{target}");
@@ -634,10 +643,7 @@ mod tests {
         // 1 packet per ms, 10 ms windows anchored at the first packet.
         let pkts = packets(100, 1_000);
         let mut w = windower(Target::PacketSize, WindowSpec::Time(Micros(10_000)), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 10);
         for (i, win) in windows.iter().enumerate() {
@@ -650,10 +656,10 @@ mod tests {
     fn long_idle_gaps_skip_empty_windows_in_bounded_work() {
         let mut w = windower(Target::PacketSize, WindowSpec::Time(Micros(1_000)), None);
         let mut windows = Vec::new();
-        windows.extend(w.offer(&PacketRecord::new(Micros(0), 40)));
+        windows.extend(w.offer_slice(&[PacketRecord::new(Micros(0), 40)]));
         // A ~12-day silence: 10^12 µs = 10^9 empty windows, skipped in
         // O(buckets_per_window) work.
-        windows.extend(w.offer(&PacketRecord::new(Micros(1_000_000_000_000), 40)));
+        windows.extend(w.offer_slice(&[PacketRecord::new(Micros(1_000_000_000_000), 40)]));
         windows.extend(w.finish());
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].packets, 1);
@@ -670,10 +676,7 @@ mod tests {
             WindowSpec::Time(Micros(4_000)),
             Some(WindowSpec::Time(Micros(2_000))),
         );
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         for win in &windows {
             assert!(win.packets >= 2, "overlapping windows each hold packets");
@@ -688,10 +691,7 @@ mod tests {
     fn short_stream_still_reports_one_window() {
         let pkts = packets(7, 1_000);
         let mut w = windower(Target::PacketSize, WindowSpec::Count(100), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].packets, 7);
@@ -709,10 +709,7 @@ mod tests {
             })
             .collect();
         let mut w = windower(Target::PacketSize, WindowSpec::Count(60), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 2);
         assert_eq!((windows[0].flows, windows[0].syn_flows), (3, 3));
@@ -727,10 +724,7 @@ mod tests {
         // Flow-id-free packets group by 5-tuple instead.
         let plain = packets(10, 1_000);
         let mut w = windower(Target::PacketSize, WindowSpec::Count(10), None);
-        let mut windows = Vec::new();
-        for p in &plain {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&plain);
         windows.extend(w.finish());
         assert_eq!(windows[0].flows, 1, "identical 5-tuples are one flow");
         assert_eq!(windows[0].syn_flows, 0);
@@ -751,10 +745,7 @@ mod tests {
             WindowSpec::Count(100),
             Some(WindowSpec::Count(50)),
         );
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows[0].flows, 2);
         assert_eq!(windows[0].syn_flows, 2);
@@ -776,10 +767,7 @@ mod tests {
             })
             .collect();
         let mut w = windower(Target::PacketSize, WindowSpec::Count(1_000), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 2);
         assert_eq!((windows[0].flows, windows[0].syn_flows), (97, 97));
@@ -801,22 +789,20 @@ mod tests {
             .map(|i| PacketRecord::new(Micros(i * 10), 40).with_flow(i as u32 + 1, true))
             .collect();
         let mut w = windower(Target::PacketSize, WindowSpec::Count(n), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].packets, n);
         assert_eq!(windows[0].flows, BUCKET_FLOW_CAP as u64);
     }
 
-    /// `offer_slice` is the left fold of `offer`: same windows, same
-    /// histograms, same flow counts, for tumbling and sliding shapes and
-    /// for any chunking of the stream.
+    /// Windows do not depend on how the stream is cut into slices: runs
+    /// of one, slices that end mid-bucket, and slices longer than one
+    /// timestamp block all give the same windows, for tumbling and
+    /// sliding shapes.
     #[test]
-    fn offer_slice_matches_per_packet_offers() {
-        let pkts: Vec<PacketRecord> = (0..500u64)
+    fn offer_slice_is_run_length_invariant() {
+        let pkts: Vec<PacketRecord> = (0..1_300u64)
             .map(|i| {
                 PacketRecord::new(Micros(i * 900), if i % 2 == 0 { 40 } else { 552 })
                     .with_flow((i % 7) as u32 + 1, i < 7)
@@ -827,20 +813,18 @@ mod tests {
             (WindowSpec::Count(120), Some(WindowSpec::Count(30))),
             (WindowSpec::Time(Micros(50_000)), None),
         ] {
-            let mut per_packet = windower(Target::Interarrival, window, slide);
-            let mut reference = Vec::new();
-            for p in &pkts {
-                reference.extend(per_packet.offer(p));
-            }
-            reference.extend(per_packet.finish());
-
-            for chunk in [1usize, 17, 120, 500] {
-                let mut sliced = windower(Target::Interarrival, window, slide);
+            let run = |chunk: usize| {
+                let mut w = windower(Target::Interarrival, window, slide);
                 let mut got = Vec::new();
                 for c in pkts.chunks(chunk) {
-                    got.extend(sliced.offer_slice(c));
+                    got.extend(w.offer_slice(c));
                 }
-                got.extend(sliced.finish());
+                got.extend(w.finish());
+                got
+            };
+            let reference = run(1);
+            for chunk in [17usize, 120, 600, 1_300] {
+                let got = run(chunk);
                 assert_eq!(got.len(), reference.len(), "chunk {chunk}");
                 for (a, b) in got.iter().zip(&reference) {
                     assert_eq!(a.population, b.population, "chunk {chunk}");
@@ -866,10 +850,7 @@ mod tests {
             .map(|i| PacketRecord::new(Micros(i * 1_000), 552).with_flow((i % 4) as u32 + 1, i < 4))
             .collect();
         let mut w = windower(Target::PacketSize, WindowSpec::Count(100), None);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 1);
         let win = &windows[0];
@@ -892,13 +873,9 @@ mod tests {
             .unwrap();
         let mut w = Windower::new(Target::PacketSize, WindowSpec::Count(100), None, sampler)
             .with_flow_budget(30);
-        let mut windows = Vec::new();
-        for (i, p) in pkts.iter().enumerate() {
-            if i == 50 {
-                assert_eq!(w.live_flows(), 50, "open bucket holds one flow per packet");
-            }
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts[..50]);
+        assert_eq!(w.live_flows(), 50, "open bucket holds one flow per packet");
+        windows.extend(w.offer_slice(&pkts[50..]));
         windows.extend(w.finish());
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].flows, 30);
@@ -914,10 +891,7 @@ mod tests {
             .build(Micros(0), None, 0, 1993)
             .unwrap();
         let mut w = Windower::new(Target::PacketSize, WindowSpec::Count(50), None, sampler);
-        let mut windows = Vec::new();
-        for p in &pkts {
-            windows.extend(w.offer(p));
-        }
+        let mut windows = w.offer_slice(&pkts);
         windows.extend(w.finish());
         assert_eq!(windows.len(), 2);
         for win in &windows {

@@ -11,6 +11,7 @@
 
 use nettrace::pcap::write_pcap;
 use nettrace::read_capture;
+use sampling::experiment::MethodFamily;
 use sampling::{Experiment, MethodSpec, Target};
 use streamkit::{run_stream, StreamConfig, StreamMethod, WindowSpec};
 
@@ -74,7 +75,8 @@ fn paper_five_methods_match_batch_phi_bit_for_bit() {
         Target::Protocol,
         Target::Port,
     ] {
-        for method in MethodSpec::paper_five(50, mean_pps) {
+        for family in MethodFamily::paper_five() {
+            let method = family.at_granularity(50, mean_pps);
             let batch = batch_phi_bits(&bytes, method, target, seed);
             let stream = stream_phi_bits(&bytes, method, target, seed, population);
             assert_eq!(

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants, spanning all workspace crates.
 
+use netsample::sampling::experiment::MethodFamily;
 use netsample::sampling::{
     disparity, select_indices, MethodSpec, SimpleRandomSampler, StratifiedSampler,
     SystematicSampler, Target,
@@ -434,7 +435,8 @@ proptest! {
     fn samplers_never_select_more_than_offered(
         pkts in packet_stream(200), k in 1usize..30
     ) {
-        for spec in MethodSpec::paper_five(k, 500.0) {
+        for family in MethodFamily::paper_five() {
+            let spec = family.at_granularity(k, 500.0);
             let mut s = spec.build(pkts.len(), pkts[0].timestamp, 0, 7);
             let sel = select_indices(s.as_mut(), &pkts);
             prop_assert!(sel.len() <= pkts.len(), "{spec}");
