@@ -16,6 +16,12 @@
 //! The value was recorded while every family still had a per-packet
 //! `offer` body beside its batch path, so it pins the selections those
 //! bodies made.
+//!
+//! A second digest pins the windower's flow budget: which flows each
+//! window keeps, reports and evicts under budgets of 1, 7, 64 and the
+//! default, on flow-id-keyed and 5-tuple-keyed traffic. `GOLDEN` never
+//! evicts (its windows hold far fewer flows than the default budget),
+//! so the budget has its own constant.
 
 use faultkit::Digest;
 use nettrace::{Micros, PacketRecord};
@@ -28,6 +34,10 @@ use streamkit::{ReservoirStream, StreamMethod, WindowPayload, WindowSpec, Window
 /// The digest measured when the test was written. A change here means a
 /// sampler selects different packets.
 const GOLDEN: u64 = 0x548e_8ddc_a5af_6589;
+
+/// The flow-budget digest measured when the test was written. A change
+/// here means a window keeps or evicts different flows.
+const FLOW_BUDGET_GOLDEN: u64 = 0x442b_8fa4_9a8f_53e6;
 
 /// Run lengths every sampler is offered in; 0 stands for the whole
 /// column.
@@ -262,6 +272,90 @@ fn sampler_selections_match_the_golden_digest() {
         d.finish(),
         GOLDEN,
         "selection digest {:#018x} differs from the golden value",
+        d.finish()
+    );
+}
+
+/// `n` packets: a quarter from 16 long-lived flows, the rest from up to
+/// 60,000 short ones, so a 10,000-packet window overflows even the
+/// default budget. A quarter of the packets repeat their predecessor's
+/// timestamp, so evictions meet equal last-seen times, and one 10 s
+/// silence halfway through makes time windows jump the idle grid. Keyed
+/// by flow id, or by 5-tuple when `ids` is false; a flow's first packet
+/// carries a SYN either way.
+fn flow_column(n: usize, ids: bool) -> Vec<PacketRecord> {
+    let mut rng = StdRng::seed_from_u64(1993);
+    let mut seen = std::collections::HashSet::new();
+    let mut ts = 0u64;
+    (0..n)
+        .map(|i| {
+            if i == n / 2 {
+                ts += 10_000_000;
+            } else if rng.random_range(0u8..4) != 0 {
+                ts += rng.random_range(1u64..=400);
+            }
+            let flow = if rng.random_range(0u8..4) == 0 {
+                rng.random_range(1u32..=16)
+            } else {
+                rng.random_range(17u32..=60_000)
+            };
+            let first = seen.insert(flow);
+            let p = PacketRecord::new(Micros(ts), 40 + (flow % 1_460) as u16);
+            if ids {
+                p.with_flow(flow, first)
+            } else {
+                let mut p = p.with_ports((flow % 1_024) as u16, (flow / 1_024) as u16);
+                if first {
+                    p.flags |= PacketRecord::FLAG_SYN;
+                }
+                p
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn flow_budget_windows_match_the_golden_digest() {
+    let shapes = [
+        (WindowSpec::Count(10_000), None),
+        (WindowSpec::Count(6_000), Some(WindowSpec::Count(2_000))),
+        (WindowSpec::Time(Micros(1_000_000)), None),
+        (
+            WindowSpec::Time(Micros(500_000)),
+            Some(WindowSpec::Time(Micros(100_000))),
+        ),
+    ];
+    let mut d = Digest::new();
+    for ids in [true, false] {
+        let packets = flow_column(20_000, ids);
+        for (window, slide) in shapes {
+            for budget in [Some(1usize), Some(7), Some(64), None] {
+                let label = format!("ids {ids}: {window} {slide:?} budget {budget:?}");
+                let sampler = StreamMethod::Spec(MethodSpec::Systematic { interval: 7 })
+                    .build(Micros::ZERO, None, 0, 1993)
+                    .expect("valid stream method");
+                let mut w = Windower::new(Target::PacketSize, window, slide, sampler);
+                if let Some(b) = budget {
+                    w = w.with_flow_budget(b);
+                }
+                let mut windows = w.offer_slice(&packets);
+                windows.extend(w.finish());
+                d.update(label.as_bytes());
+                d.update_u64(windows.len() as u64);
+                for win in &windows {
+                    for v in [win.flows, win.syn_flows, win.evicted_flows] {
+                        d.update_u64(v);
+                    }
+                    d.update_u64(win.sampled_sizes.len() as u64);
+                    win.sampled_sizes.iter().for_each(|&s| d.update_u64(s));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        d.finish(),
+        FLOW_BUDGET_GOLDEN,
+        "flow-budget digest {:#018x} differs from the golden value",
         d.finish()
     );
 }
