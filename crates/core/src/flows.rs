@@ -208,7 +208,7 @@ impl<'a> FlowExperiment<'a> {
     #[must_use]
     pub fn with_bins(packets: &'a [PacketRecord], spec: BinSpec) -> Self {
         assert!(!packets.is_empty(), "flow experiment needs packets");
-        let truth = FlowTable::from_packets(usize::MAX, packets);
+        let truth = FlowTable::from_packets(packets);
         let truth_hist = truth.size_histogram(&spec);
         FlowExperiment {
             packets,
