@@ -55,8 +55,9 @@ use streamkit::{StreamMethod, WindowPayload, WindowSpec, Windower};
 /// windower's dispatch.
 const CHUNK: usize = 8_192;
 
-/// Estimated resident bytes per live flow (hash entry + stats + LRU
-/// index) — the accounting behind `collectd_shard_rss_kb`. Real RSS is
+/// Estimated resident bytes per live flow (hash entry holding key and
+/// stats, plus the map's spare capacity) — the accounting behind
+/// `collectd_shard_rss_kb`. Real RSS is
 /// process-global; this model attributes the dominant per-shard state
 /// (flow tables) so the per-shard budget rule has a shard-local signal.
 const FLOW_STATE_BYTES: u64 = 96;

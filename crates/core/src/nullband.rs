@@ -48,10 +48,11 @@ impl PhiNullBand {
 }
 
 /// Simulate φ's null distribution: `draws` multinomial samples of size
-/// `n` from the population's bin proportions, each scored with the
-/// paired-χ² φ formula (`φ = sqrt(χ²ₚ/n)` with
-/// `χ²ₚ = Σ (Eᵢ−Oᵢ)²/(Eᵢ+Oᵢ)`, matching
-/// [`crate::metrics::disparity`]).
+/// `n` from the population's bin proportions, each scored against the
+/// population's counts with the paired-χ² φ kernel
+/// [`obskit::paired_phi`] (`φ = sqrt(χ²ₚ/n)` with
+/// `χ²ₚ = Σ (Eᵢ−Oᵢ)²/(Eᵢ+Oᵢ)`), the one [`crate::metrics::disparity`]
+/// calls.
 ///
 /// ```
 /// use nettrace::{BinSpec, Histogram};
@@ -78,7 +79,10 @@ pub fn phi_null_band(population: &Histogram, n: u64, draws: u32, seed: u64) -> P
     let mut phis: Vec<f64> = Vec::with_capacity(draws as usize);
     for _ in 0..draws {
         let counts = multinomial(&mut rng, n, &props);
-        phis.push(paired_phi(&counts, &props, n));
+        phis.push(
+            obskit::paired_phi(population.counts(), &counts)
+                .expect("population and sample are nonempty"),
+        );
     }
     phis.sort_by(f64::total_cmp);
     let q = |p: f64| statkit::quantile_sorted(&phis, p);
@@ -89,21 +93,6 @@ pub fn phi_null_band(population: &Histogram, n: u64, draws: u32, seed: u64) -> P
         n,
         draws,
     }
-}
-
-/// φ for one set of sample counts against population proportions, using
-/// the same paired-χ² formula as [`crate::metrics::disparity`].
-fn paired_phi(counts: &[u64], props: &[f64], n: u64) -> f64 {
-    let mut chi2 = 0.0;
-    for (&c, &p) in counts.iter().zip(props) {
-        let expected = p * n as f64;
-        let both = expected + c as f64;
-        if both > 0.0 {
-            let d = c as f64 - expected;
-            chi2 += d * d / both;
-        }
-    }
-    (chi2 / n as f64).sqrt()
 }
 
 /// The closed-form large-`n` approximation of the null band: under the
@@ -191,7 +180,7 @@ mod tests {
         let trials = 1000;
         for _ in 0..trials {
             let counts = multinomial(&mut rng, 1000, &props);
-            let phi = super::paired_phi(&counts, &props, 1000);
+            let phi = obskit::paired_phi(pop.counts(), &counts).unwrap();
             if band.consistent_at_95(phi) {
                 inside += 1;
             }
@@ -208,8 +197,7 @@ mod tests {
         let band = phi_null_band(&pop, 2_000, 2000, 5);
         // Sample proportions (0.55, 0.10, 0.35) vs (0.403, 0.199, 0.398).
         let counts = [1100u64, 200, 700];
-        let props = pop.proportions();
-        let phi = super::paired_phi(&counts, &props, 2000);
+        let phi = obskit::paired_phi(pop.counts(), &counts).unwrap();
         assert!(
             !band.consistent_at_95(phi),
             "phi {phi} vs band {}",
