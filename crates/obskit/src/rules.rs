@@ -368,6 +368,10 @@ impl RuleEngine {
             return Err(format!("too many rules (max {MAX_RULES})"));
         }
         for rule in rules {
+            // Published before the first evaluation, so a scrape taken
+            // between install and the first telemetry tick already
+            // shows every rule, at rest.
+            crate::gauge_labeled("alert_active", &[("rule", &rule.name)]).set(0);
             states.push(RuleState {
                 rule,
                 active: false,
@@ -739,6 +743,25 @@ mod tests {
         ];
         assert!(e.add_rules(batch_dup).is_err(), "in-batch duplicate");
         assert_eq!(e.len(), 1, "failed batches install nothing");
+    }
+
+    #[test]
+    #[cfg(not(feature = "noop"))]
+    fn added_rules_render_at_rest_before_any_evaluation() {
+        let e = RuleEngine::new();
+        e.add_rules(
+            parse_rules("rule install_probe_a value(ia) > 1\nrule install_probe_b stale(ib) > 5")
+                .unwrap(),
+        )
+        .unwrap();
+        let text = crate::global().render_prometheus();
+        for name in ["install_probe_a", "install_probe_b"] {
+            let line = format!("alert_active{{rule=\"{name}\"}} 0");
+            assert!(
+                text.lines().any(|l| l == line),
+                "{line:?} missing from:\n{text}"
+            );
+        }
     }
 
     #[test]
