@@ -1,64 +1,12 @@
-//! The χ² distribution and Pearson's χ² goodness-of-fit test.
+//! The χ² distribution: CDF, survival function and quantile.
 //!
-//! This is the statistical backbone of the paper's §5.2: the χ² statistic
-//! over binned counts, its significance level from the χ² distribution
-//! with `bins − 1 − fitted` degrees of freedom, and the 0.05-level
-//! decision applied to the 1-in-50 systematic samples in §6.
+//! The paper's §5.2 reads a sample's significance level from the χ²
+//! distribution with `bins − 1` degrees of freedom. The Pearson
+//! statistic itself is computed by `sampling::disparity`, which calls
+//! [`chi2_sf`] for the p-value; the §6 1-in-50 decision is
+//! `DisparityReport::rejects_at`.
 
 use crate::special::{gamma_p, gamma_q};
-use std::fmt;
-
-/// Degenerate input to a χ² test, reported instead of aborting by
-/// [`Chi2Test::try_from_counts`]. `Display` messages match the historic
-/// panic messages of [`Chi2Test::from_counts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Chi2Error {
-    /// Observed and expected slices differ in length.
-    LengthMismatch {
-        /// Number of observed bins.
-        observed: usize,
-        /// Number of expected bins.
-        expected: usize,
-    },
-    /// An expected count below zero.
-    NegativeExpected,
-    /// Fewer than two bins with positive expected counts.
-    TooFewBins {
-        /// Bins with positive expected counts.
-        usable: u32,
-    },
-    /// Fitting parameters consumed every degree of freedom.
-    NoDegreesOfFreedom,
-    /// Observed counts produced a NaN or infinite statistic.
-    NonFiniteStatistic,
-}
-
-impl fmt::Display for Chi2Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Chi2Error::LengthMismatch { observed, expected } => write!(
-                f,
-                "observed/expected bin counts differ in length ({observed} vs {expected})"
-            ),
-            Chi2Error::NegativeExpected => write!(f, "expected counts cannot be negative"),
-            Chi2Error::TooFewBins { usable } => write!(
-                f,
-                "chi-square test needs at least two bins with expected counts (got {usable})"
-            ),
-            Chi2Error::NoDegreesOfFreedom => {
-                write!(f, "no degrees of freedom left after fitting")
-            }
-            Chi2Error::NonFiniteStatistic => {
-                write!(
-                    f,
-                    "observed counts produced a non-finite chi-square statistic"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for Chi2Error {}
 
 /// χ² cumulative distribution function with `df` degrees of freedom.
 ///
@@ -111,123 +59,6 @@ pub fn chi2_quantile(df: u32, p: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Result of a Pearson χ² goodness-of-fit test.
-///
-/// ```
-/// use statkit::Chi2Test;
-/// // Observed vs expected over three bins.
-/// let t = Chi2Test::from_counts(&[48.0, 35.0, 17.0], &[50.0, 30.0, 20.0], 0);
-/// assert_eq!(t.df, 2);
-/// assert!(!t.rejects_at(0.05)); // consistent with the expectation
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Chi2Test {
-    /// The χ² statistic `Σ (Oᵢ − Eᵢ)² / Eᵢ`.
-    pub statistic: f64,
-    /// Degrees of freedom used (`bins − 1 − fitted_params`).
-    pub df: u32,
-    /// Upper-tail p-value.
-    pub p_value: f64,
-}
-
-impl Chi2Test {
-    /// Pearson χ² test of observed counts against expected counts.
-    ///
-    /// Bins with zero expected count are skipped (they carry no
-    /// information and would divide by zero); the degrees of freedom are
-    /// reduced accordingly. `fitted_params` is the number of parameters
-    /// estimated from the data (0 in this workspace: the parent population
-    /// is fully known, paper §4).
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length, if fewer than two usable
-    /// bins remain, or if any expected count is negative.
-    #[must_use]
-    pub fn from_counts(observed: &[f64], expected: &[f64], fitted_params: u32) -> Chi2Test {
-        match Self::try_from_counts(observed, expected, fitted_params) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Chi2Test::from_counts`]: degenerate inputs (mismatched
-    /// slices, negative expectations, fewer than two usable bins, no
-    /// degrees of freedom) come back as a typed [`Chi2Error`] instead of
-    /// aborting the process — the variant to use on untrusted or
-    /// machine-generated bin counts.
-    ///
-    /// # Errors
-    /// Returns the first [`Chi2Error`] the input trips.
-    pub fn try_from_counts(
-        observed: &[f64],
-        expected: &[f64],
-        fitted_params: u32,
-    ) -> Result<Chi2Test, Chi2Error> {
-        if observed.len() != expected.len() {
-            return Err(Chi2Error::LengthMismatch {
-                observed: observed.len(),
-                expected: expected.len(),
-            });
-        }
-        let mut stat = 0.0;
-        let mut used = 0u32;
-        for (&o, &e) in observed.iter().zip(expected) {
-            // `!(e >= 0.0)` rather than `e < 0.0`: NaN expectations must
-            // fail this check too, and NaN compares false both ways.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(e >= 0.0) {
-                return Err(Chi2Error::NegativeExpected);
-            }
-            if e > 0.0 {
-                let d = o - e;
-                stat += d * d / e;
-                used += 1;
-            }
-        }
-        if used < 2 {
-            return Err(Chi2Error::TooFewBins { usable: used });
-        }
-        if fitted_params >= used - 1 {
-            // from_counts used to underflow `used - 1 - fitted_params`
-            // here rather than reach its df assert.
-            return Err(Chi2Error::NoDegreesOfFreedom);
-        }
-        if !stat.is_finite() {
-            // NaN/∞ observed counts would otherwise trip chi2_sf's
-            // nonnegativity assert downstream.
-            return Err(Chi2Error::NonFiniteStatistic);
-        }
-        let df = used - 1 - fitted_params;
-        if obskit::recording_enabled() {
-            obskit::counter("statkit_chi2_tests_total").inc();
-            obskit::counter("statkit_chi2_cells_evaluated_total").add(u64::from(used));
-        }
-        Ok(Chi2Test {
-            statistic: stat,
-            df,
-            p_value: chi2_sf(df, stat),
-        })
-    }
-
-    /// Whether the null hypothesis (sample drawn from the reference
-    /// distribution) is rejected at significance level `alpha`.
-    #[must_use]
-    pub fn rejects_at(&self, alpha: f64) -> bool {
-        let rejected = self.p_value < alpha;
-        if rejected && obskit::recording_enabled() {
-            obskit::counter("statkit_chi2_rejections_total").inc();
-        }
-        rejected
-    }
-
-    /// The paper plots `1 − significance level` for ease of comparison
-    /// (Figure 3); this is that quantity.
-    #[must_use]
-    pub fn one_minus_significance(&self) -> f64 {
-        1.0 - self.p_value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,96 +89,5 @@ mod tests {
                 close(chi2_cdf(df, x), p, 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn perfect_fit_has_zero_statistic() {
-        let t = Chi2Test::from_counts(&[10.0, 20.0, 30.0], &[10.0, 20.0, 30.0], 0);
-        assert_eq!(t.statistic, 0.0);
-        assert_eq!(t.df, 2);
-        close(t.p_value, 1.0, 1e-12);
-        assert!(!t.rejects_at(0.05));
-    }
-
-    #[test]
-    fn textbook_example() {
-        // Classic die example: observed [16,18,16,14,12,12], expected 88/6 each.
-        let e = 88.0 / 6.0;
-        let t = Chi2Test::from_counts(
-            &[16.0, 18.0, 16.0, 14.0, 12.0, 12.0],
-            &[e, e, e, e, e, e],
-            0,
-        );
-        close(t.statistic, 2.0, 1e-9);
-        assert_eq!(t.df, 5);
-        assert!(!t.rejects_at(0.05));
-    }
-
-    #[test]
-    fn gross_misfit_rejects() {
-        let t = Chi2Test::from_counts(&[100.0, 0.0], &[50.0, 50.0], 0);
-        assert!(t.statistic > 90.0);
-        assert!(t.rejects_at(0.001));
-        assert!(t.one_minus_significance() > 0.999);
-    }
-
-    #[test]
-    fn zero_expected_bins_are_skipped() {
-        let t = Chi2Test::from_counts(&[10.0, 0.0, 10.0], &[10.0, 0.0, 10.0], 0);
-        assert_eq!(t.df, 1); // only two usable bins
-        assert_eq!(t.statistic, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "differ in length")]
-    fn mismatched_lengths_panic() {
-        let _ = Chi2Test::from_counts(&[1.0], &[1.0, 2.0], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two bins")]
-    fn degenerate_bins_panic() {
-        let _ = Chi2Test::from_counts(&[5.0, 3.0], &[8.0, 0.0], 0);
-    }
-
-    #[test]
-    fn try_from_counts_reports_degenerate_inputs() {
-        assert_eq!(
-            Chi2Test::try_from_counts(&[1.0], &[1.0, 2.0], 0),
-            Err(Chi2Error::LengthMismatch {
-                observed: 1,
-                expected: 2
-            })
-        );
-        assert_eq!(
-            Chi2Test::try_from_counts(&[5.0, 3.0], &[8.0, -1.0], 0),
-            Err(Chi2Error::NegativeExpected)
-        );
-        assert_eq!(
-            Chi2Test::try_from_counts(&[5.0, 3.0], &[8.0, f64::NAN], 0),
-            Err(Chi2Error::NegativeExpected)
-        );
-        assert_eq!(
-            Chi2Test::try_from_counts(&[5.0, 3.0], &[8.0, 0.0], 0),
-            Err(Chi2Error::TooFewBins { usable: 1 })
-        );
-        assert_eq!(
-            Chi2Test::try_from_counts(&[], &[], 0),
-            Err(Chi2Error::TooFewBins { usable: 0 })
-        );
-        // fitted_params >= usable - 1 used to underflow the df
-        // subtraction instead of reaching the df assert.
-        assert_eq!(
-            Chi2Test::try_from_counts(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], 2),
-            Err(Chi2Error::NoDegreesOfFreedom)
-        );
-        assert_eq!(
-            Chi2Test::try_from_counts(&[f64::NAN, 2.0], &[1.0, 2.0], 0),
-            Err(Chi2Error::NonFiniteStatistic)
-        );
-        // A valid input round-trips identically through both paths.
-        let a = Chi2Test::try_from_counts(&[48.0, 35.0, 17.0], &[50.0, 30.0, 20.0], 0).unwrap();
-        let b = Chi2Test::from_counts(&[48.0, 35.0, 17.0], &[50.0, 30.0, 20.0], 0);
-        assert_eq!(a, b);
     }
 }

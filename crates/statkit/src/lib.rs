@@ -10,8 +10,8 @@
 //!   the Table 2/3 format (min/5%/25%/median/75%/95%/max/mean/σ);
 //! * special functions ([`special`]): `ln Γ`, regularized incomplete gamma,
 //!   `erf` — the numerical basis of the χ² distribution;
-//! * Pearson's χ² test with p-values ([`chi2`]), the test the paper applies
-//!   to its 1-in-50 systematic samples (§5.2, §6);
+//! * the χ² distribution ([`chi2`]): the p-values of the χ² test the
+//!   paper applies to its 1-in-50 systematic samples (§5.2, §6);
 //! * Kolmogorov–Smirnov and Anderson–Darling tests ([`ks`], [`ad`]) — the
 //!   alternatives the paper cites as "difficult to apply to wide-area
 //!   network traffic data";
@@ -38,7 +38,7 @@ pub mod summary;
 pub use acf::{acf, lag1, white_noise_band};
 pub use ad::AndersonDarling;
 pub use boxplot::Boxplot;
-pub use chi2::{chi2_cdf, chi2_sf, Chi2Error, Chi2Test};
+pub use chi2::{chi2_cdf, chi2_sf};
 pub use inversion::{
     detection_probability, em_invert, em_invert_with, naive_scaling, syn_flow_count, tail_rescale,
     EmConfig, FlowEstimate, InversionError,
