@@ -128,29 +128,20 @@ enum SendOutcome {
     Closed,
 }
 
-/// Apply the backpressure policy to one batch send. Factored out so
-/// the drop path is unit-testable without racing real threads.
-fn send_with_policy(
-    tx: &SyncSender<SourceMsg>,
-    batch: Vec<PacketRecord>,
-    policy: Backpressure,
-) -> SendOutcome {
-    match policy {
-        Backpressure::Block => match tx.send(SourceMsg::Batch(batch)) {
-            Ok(()) => SendOutcome::Sent,
-            Err(_) => SendOutcome::Closed,
-        },
-        Backpressure::DropNewest => match tx.try_send(SourceMsg::Batch(batch)) {
-            Ok(()) => SendOutcome::Sent,
-            Err(TrySendError::Full(SourceMsg::Batch(b))) => SendOutcome::Dropped(b.len() as u64),
-            Err(TrySendError::Full(_)) => unreachable!("only batches are try-sent"),
-            Err(TrySendError::Disconnected(_)) => SendOutcome::Closed,
-        },
+/// Send one batch under the drop-newest policy: a full queue drops it.
+/// Factored out so the drop path is unit-testable without racing real
+/// threads.
+fn send_drop_newest(tx: &SyncSender<SourceMsg>, batch: Vec<PacketRecord>) -> SendOutcome {
+    match tx.try_send(SourceMsg::Batch(batch)) {
+        Ok(()) => SendOutcome::Sent,
+        Err(TrySendError::Full(SourceMsg::Batch(b))) => SendOutcome::Dropped(b.len() as u64),
+        Err(TrySendError::Full(_)) => unreachable!("only batches are try-sent"),
+        Err(TrySendError::Disconnected(_)) => SendOutcome::Closed,
     }
 }
 
-/// Like [`send_with_policy`] for the `Block` policy, but visible: a
-/// full queue first counts a backpressure stall, then blocks.
+/// Send one batch under the block policy, visibly: a full queue first
+/// counts a backpressure stall, then blocks.
 fn send_blocking_counted(
     tx: &SyncSender<SourceMsg>,
     batch: Vec<PacketRecord>,
@@ -214,12 +205,12 @@ pub(crate) fn source_loop<R: Read>(
                     if stats.depth_ingest.get() > hiwater {
                         SendOutcome::Dropped(buf.len() as u64)
                     } else {
-                        send_with_policy(&tx, buf, Backpressure::DropNewest)
+                        send_drop_newest(&tx, buf)
                     }
                 } else {
                     match policy {
                         Backpressure::Block => send_blocking_counted(&tx, buf, stats),
-                        Backpressure::DropNewest => send_with_policy(&tx, buf, policy),
+                        Backpressure::DropNewest => send_drop_newest(&tx, buf),
                     }
                 };
                 match outcome {
@@ -266,14 +257,15 @@ mod tests {
 
     #[test]
     fn block_policy_never_drops_but_reports_closed_channels() {
+        let stats = LiveStats::new();
         let (tx, rx) = sync_channel(1);
         assert!(matches!(
-            send_with_policy(&tx, batch_of(3), Backpressure::Block),
+            send_blocking_counted(&tx, batch_of(3), &stats),
             SendOutcome::Sent
         ));
         drop(rx);
         assert!(matches!(
-            send_with_policy(&tx, batch_of(3), Backpressure::Block),
+            send_blocking_counted(&tx, batch_of(3), &stats),
             SendOutcome::Closed
         ));
     }
@@ -284,14 +276,14 @@ mod tests {
         // deterministically, and report the dropped packet count.
         let (tx, _rx) = sync_channel(2);
         assert!(matches!(
-            send_with_policy(&tx, batch_of(5), Backpressure::DropNewest),
+            send_drop_newest(&tx, batch_of(5)),
             SendOutcome::Sent
         ));
         assert!(matches!(
-            send_with_policy(&tx, batch_of(5), Backpressure::DropNewest),
+            send_drop_newest(&tx, batch_of(5)),
             SendOutcome::Sent
         ));
-        match send_with_policy(&tx, batch_of(7), Backpressure::DropNewest) {
+        match send_drop_newest(&tx, batch_of(7)) {
             SendOutcome::Dropped(n) => assert_eq!(n, 7),
             _ => panic!("expected a drop"),
         }
@@ -302,7 +294,7 @@ mod tests {
         let (tx, rx) = sync_channel(2);
         drop(rx);
         assert!(matches!(
-            send_with_policy(&tx, batch_of(1), Backpressure::DropNewest),
+            send_drop_newest(&tx, batch_of(1)),
             SendOutcome::Closed
         ));
     }
