@@ -17,9 +17,6 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline --workspace -q
 
-echo "== cargo test (obskit noop feature)"
-cargo test --offline -p obskit --features noop -q
-
 echo "== bench: netbench gate (fmt, clippy, self-tests, --quick smoke runs)"
 # netbench is a workspace of its own, so nothing above compiles it, yet
 # it links the public APIs of nettrace, streamkit, collectd, sampling

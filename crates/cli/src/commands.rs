@@ -667,25 +667,18 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
     };
     if let Some(rule) = args.opt("adaptive-shed") {
         cfg.adaptive_shed = Some(rule.to_string());
+        // Unless --rules loaded a rule of that name, the built-in
+        // channel high-water tripwire at 3/4 queue depth stands in.
+        let hiwater = (3 * streamkit::QUEUE_DEPTH).div_ceil(4);
+        install_rule_unless_loaded(
+            rule,
+            &format!("value(stream_channel_depth{{stage=\"transform\"}}) >= {hiwater} for 2"),
+            &format!("--adaptive-shed '{rule}'"),
+        )?;
         // The control loop reads alert_active{rule}, which only flips on
         // telemetry ticks over the series rings — make sure both run
         // even without --serve.
-        obskit::series::ensure_global_series(obskit::SeriesConfig::default());
-        obskit::telemetry::ensure_global(obskit::TelemetryConfig::standard());
-        let engine = obskit::rules::global_engine();
-        if !engine.has_rule(rule) {
-            // No rule of that name loaded (via --rules): install the
-            // built-in channel high-water tripwire at 3/4 queue depth.
-            let hiwater = (3 * streamkit::QUEUE_DEPTH).div_ceil(4);
-            let text = format!(
-                "rule {rule} value(stream_channel_depth{{stage=\"transform\"}}) >= {hiwater} for 2"
-            );
-            let parsed = obskit::parse_rules(&text)
-                .map_err(|e| CmdError::usage(format!("--adaptive-shed '{rule}': {e}")))?;
-            engine
-                .add_rules(parsed)
-                .map_err(|e| CmdError::data(format!("--adaptive-shed '{rule}': {e}")))?;
-        }
+        obskit::telemetry::ensure_global();
     }
     if let Some(ref_path) = args.opt("reference") {
         let reference = load(ref_path)?;
@@ -709,27 +702,8 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
             return Err(CmdError::usage("--soak and --window must be at least 1"));
         }
         let pace_pps: u64 = args.opt_num("pace-pps", 0u64)?;
-        let budget_kb: u64 = args.opt_num("rss-budget-kb", 32_768u64)?;
-        // Sample the baseline before the run so the budget measures what
-        // the replay *added*, not what the process already held.
-        let baseline_kb = obskit::telemetry::rss_kb();
-        // Mirror the exit-code gate as a live alert: a scraper (or
-        // `watch --fail-on rss_budget`) sees a budget breach while it
-        // happens, not only in the exit status afterwards.
-        obskit::series::ensure_global_series(obskit::SeriesConfig::default());
-        if let Some(baseline) = baseline_kb {
-            let engine = obskit::rules::global_engine();
-            if !engine.has_rule("rss_budget") {
-                let text = format!(
-                    "rule rss_budget value(proc_rss_kb) > {} for 2",
-                    baseline + budget_kb
-                );
-                if let Ok(parsed) = obskit::parse_rules(&text) {
-                    let _ = engine.add_rules(parsed);
-                }
-            }
-        }
-        let telemetry = obskit::telemetry::ensure_global(obskit::TelemetryConfig::standard());
+        let budget = RssBudget::arm(args.opt_num("rss-budget-kb", 32_768u64)?)?;
+        let telemetry = obskit::telemetry::ensure_global();
         let reader = netsynth::PacedReader::new(netsynth::ReplayConfig {
             seed: cfg.seed,
             windows,
@@ -737,27 +711,12 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
             pace_pps,
         });
         let summary = run_stream(BufReader::new(reader), &cfg)?;
-        telemetry.sample_now();
-        let max = telemetry.max_rss_kb();
-        match baseline_kb {
-            Some(baseline) if max > 0 => {
-                if max > baseline + budget_kb {
-                    return Err(CmdError::regression(format!(
-                        "soak RSS {max} kB exceeded baseline {baseline} kB + budget {budget_kb} kB"
-                    )));
-                }
-                let _ = writeln!(
-                    soak_report,
-                    "soak: windows={windows} max_rss_kb={max} baseline_rss_kb={baseline} budget_kb={budget_kb} ok"
-                );
-            }
-            // No /proc on this platform: report the run, skip the gate.
-            _ => {
-                let _ = writeln!(
-                    soak_report,
-                    "soak: windows={windows} rss unavailable, budget not asserted"
-                );
-            }
+        match budget.check(telemetry, "soak")? {
+            Some(ok) => writeln!(soak_report, "soak: windows={windows} {ok}")?,
+            None => writeln!(
+                soak_report,
+                "soak: windows={windows} rss unavailable, budget not asserted"
+            )?,
         }
         summary
     } else {
@@ -840,6 +799,88 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
     }
     out.push_str(&soak_report);
     Ok(out)
+}
+
+/// Install the alert rule `rule <name> <expr>` unless a rule named
+/// `name` is already loaded (by `--rules`, or by an earlier install).
+/// `flag` names the option that asked for it in error messages: a rule
+/// the grammar rejects is a usage error, one the engine refuses (the
+/// rule cap) a data error.
+pub(crate) fn install_rule_unless_loaded(
+    name: &str,
+    expr: &str,
+    flag: &str,
+) -> Result<(), CmdError> {
+    let engine = obskit::rules::global_engine();
+    if engine.has_rule(name) {
+        return Ok(());
+    }
+    let rules = obskit::parse_rules(&format!("rule {name} {expr}"))
+        .map_err(|e| CmdError::usage(format!("{flag}: {e}")))?;
+    match engine.add_rules(rules) {
+        Ok(_) => Ok(()),
+        // Another thread installed the same name since the check.
+        Err(_) if engine.has_rule(name) => Ok(()),
+        Err(e) => Err(CmdError::data(format!("{flag}: {e}"))),
+    }
+}
+
+/// The RSS-budget gate of `stream --soak` and `serve --rss-budget-kb`:
+/// a pre-run baseline, the `rss_budget` alert rule over it (so a
+/// scraper, or `watch --fail-on rss_budget`, sees a breach while it
+/// happens), and the exit-code check at the end of the run.
+pub(crate) struct RssBudget {
+    baseline_kb: Option<u64>,
+    budget_kb: u64,
+}
+
+impl RssBudget {
+    /// Read the baseline before the run, so the budget measures what the
+    /// run *added*, and install the `rss_budget` rule over it.
+    pub(crate) fn arm(budget_kb: u64) -> Result<RssBudget, CmdError> {
+        let baseline_kb = obskit::telemetry::rss_kb();
+        if let Some(baseline) = baseline_kb {
+            install_rule_unless_loaded(
+                "rss_budget",
+                &format!("value(proc_rss_kb) > {} for 2", baseline + budget_kb),
+                "--rss-budget-kb",
+            )?;
+        }
+        Ok(RssBudget {
+            baseline_kb,
+            budget_kb,
+        })
+    }
+
+    /// Tick the sampler so its maximum includes the final state, then
+    /// compare: `Some("max_rss_kb=… baseline_rss_kb=… budget_kb=… ok")`,
+    /// or `None` when this platform has no RSS reading (no /proc) and
+    /// the budget is not asserted.
+    ///
+    /// # Errors
+    /// A regression (exit 1) naming `what` when the peak RSS passed
+    /// baseline + budget.
+    pub(crate) fn check(
+        &self,
+        telemetry: &obskit::Telemetry,
+        what: &str,
+    ) -> Result<Option<String>, CmdError> {
+        telemetry.sample_now();
+        let max = telemetry.max_rss_kb();
+        let baseline = match self.baseline_kb {
+            Some(baseline) if max > 0 => baseline,
+            _ => return Ok(None),
+        };
+        let budget = self.budget_kb;
+        if max > baseline + budget {
+            return Err(CmdError::regression(format!(
+                "{what} RSS {max} kB exceeded baseline {baseline} kB + budget {budget} kB"
+            )));
+        }
+        Ok(Some(format!(
+            "max_rss_kb={max} baseline_rss_kb={baseline} budget_kb={budget} ok"
+        )))
+    }
 }
 
 /// `netsample fuzz [--seed S] [--mutations N] [--cases M] [--corpus-packets P]`

@@ -121,98 +121,70 @@ struct GlobalFlags {
     stale_after_ms: Option<u64>,
 }
 
-/// Pull `--metrics`, `--jobs <n>`/`--jobs=<n>`,
-/// `--trace <path>`/`--trace=<path>`,
-/// `--profile-out <path>`/`--profile-out=<path>`,
-/// `--serve <addr>`/`--serve=<addr>`, `--rules <path>`,
-/// `--telemetry-interval-ms <ms>`, and `--stale-after-ms <ms>` out of
-/// the argument list (each value flag accepts both spellings).
+/// Store a global flag's value, parsed, into the flags.
+type SetFlag = fn(&mut GlobalFlags, String) -> Result<(), String>;
+
+/// The value-taking global flags: the flag, what its value is (for the
+/// missing-value error) and where it goes.
+const VALUE_FLAGS: [(&str, &str, SetFlag); 7] = [
+    ("--trace", "a value", |f, v| set(&mut f.trace_path, Ok(v))),
+    ("--profile-out", "a value", |f, v| {
+        set(&mut f.profile_out, Ok(v))
+    }),
+    ("--jobs", "a value", |f, v| set(&mut f.jobs, parse_jobs(&v))),
+    ("--serve", "a listen address like 127.0.0.1:9184", |f, v| {
+        set(&mut f.serve, Ok(v))
+    }),
+    ("--rules", "a file path", |f, v| {
+        set(&mut f.rules_path, Ok(v))
+    }),
+    ("--telemetry-interval-ms", "a value", |f, v| {
+        set(
+            &mut f.telemetry_interval_ms,
+            parse_ms(&v, "telemetry-interval-ms"),
+        )
+    }),
+    ("--stale-after-ms", "a value", |f, v| {
+        set(&mut f.stale_after_ms, parse_ms(&v, "stale-after-ms"))
+    }),
+];
+
+fn set<T>(slot: &mut Option<T>, value: Result<T, String>) -> Result<(), String> {
+    *slot = Some(value?);
+    Ok(())
+}
+
+/// Pull `--metrics` and the [`VALUE_FLAGS`] out of the argument list;
+/// each value flag is accepted as `--flag value` and as `--flag=value`.
 fn extract_global_flags(argv: &mut Vec<String>) -> Result<GlobalFlags, String> {
     let mut flags = GlobalFlags::default();
     let mut i = 0;
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--metrics" => {
-                flags.metrics = true;
-                argv.remove(i);
-            }
-            "--trace" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--trace needs a value".to_string());
-                }
-                flags.trace_path = Some(argv.remove(i));
-            }
-            "--profile-out" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--profile-out needs a value".to_string());
-                }
-                flags.profile_out = Some(argv.remove(i));
-            }
-            "--jobs" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--jobs needs a value".to_string());
-                }
-                flags.jobs = Some(parse_jobs(&argv.remove(i))?);
-            }
-            "--serve" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--serve needs a listen address like 127.0.0.1:9184".to_string());
-                }
-                flags.serve = Some(argv.remove(i));
-            }
-            "--rules" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--rules needs a file path".to_string());
-                }
-                flags.rules_path = Some(argv.remove(i));
-            }
-            "--telemetry-interval-ms" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--telemetry-interval-ms needs a value".to_string());
-                }
-                flags.telemetry_interval_ms =
-                    Some(parse_ms(&argv.remove(i), "telemetry-interval-ms")?);
-            }
-            "--stale-after-ms" => {
-                argv.remove(i);
-                if i >= argv.len() {
-                    return Err("--stale-after-ms needs a value".to_string());
-                }
-                flags.stale_after_ms = Some(parse_ms(&argv.remove(i), "stale-after-ms")?);
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--serve=") {
-                    flags.serve = Some(v.to_string());
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--rules=") {
-                    flags.rules_path = Some(v.to_string());
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--telemetry-interval-ms=") {
-                    flags.telemetry_interval_ms = Some(parse_ms(v, "telemetry-interval-ms")?);
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--stale-after-ms=") {
-                    flags.stale_after_ms = Some(parse_ms(v, "stale-after-ms")?);
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--trace=") {
-                    flags.trace_path = Some(v.to_string());
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--profile-out=") {
-                    flags.profile_out = Some(v.to_string());
-                    argv.remove(i);
-                } else if let Some(v) = other.strip_prefix("--jobs=") {
-                    flags.jobs = Some(parse_jobs(v)?);
-                    argv.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+        if argv[i] == "--metrics" {
+            flags.metrics = true;
+            argv.remove(i);
+            continue;
         }
+        let arg = argv[i].as_str();
+        let Some((flag, what, store, inline)) =
+            VALUE_FLAGS.iter().find_map(|&(flag, what, store)| {
+                let inline = match arg.strip_prefix(flag)? {
+                    "" => None,
+                    rest => Some(rest.strip_prefix('=')?.to_string()),
+                };
+                Some((flag, what, store, inline))
+            })
+        else {
+            i += 1;
+            continue;
+        };
+        argv.remove(i);
+        let value = match inline {
+            Some(v) => v,
+            None if i < argv.len() => argv.remove(i),
+            None => return Err(format!("{flag} needs {what}")),
+        };
+        store(&mut flags, value)?;
     }
     Ok(flags)
 }
@@ -233,14 +205,11 @@ fn parse_ms(v: &str, flag: &str) -> Result<u64, String> {
     }
 }
 
-/// Load `--rules <path>` into the global engine. Installs the series
-/// store first so the rules have rings to evaluate against on the next
-/// telemetry tick.
+/// Load `--rules <path>` into the global engine.
 fn install_rules(path: &str) -> Result<usize, (u8, String)> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| (74, format!("cannot read rules file {path}: {e}")))?;
     let rules = obskit::parse_rules(&text).map_err(|e| (65, format!("{path}: {e}")))?;
-    obskit::series::ensure_global_series(obskit::SeriesConfig::default());
     obskit::rules::global_engine()
         .add_rules(rules)
         .map_err(|e| (65, format!("{path}: {e}")))
@@ -270,8 +239,8 @@ fn main() -> ExitCode {
     // partial trace up to the failure is the debugging artifact.
     let _flush = obskit::trace::flush_on_drop();
 
-    // Cadence must be set before any ensure_global: a sampler already
-    // running keeps its original interval.
+    // The cadence must be set before the telemetry plane starts: a
+    // sampler already running keeps its original interval.
     if let Some(ms) = flags.telemetry_interval_ms {
         obskit::telemetry::set_default_interval_ms(ms);
     }
@@ -279,9 +248,9 @@ fn main() -> ExitCode {
         match install_rules(path) {
             Ok(n) => {
                 eprintln!("netsample: loaded {n} alert rule(s) from {path}");
-                // Rules only evaluate on telemetry ticks; make sure the
-                // sampler runs even without --serve.
-                obskit::telemetry::ensure_global(obskit::TelemetryConfig::standard());
+                // Rules only evaluate on telemetry ticks over the series
+                // rings; make sure both run even without --serve.
+                obskit::telemetry::ensure_global();
             }
             Err((code, msg)) => {
                 eprintln!("netsample: {msg}");
@@ -292,12 +261,10 @@ fn main() -> ExitCode {
 
     let server = match &flags.serve {
         Some(addr) => {
-            // The series store must exist before the sampler's first
-            // tick for /series to carry history from t=0.
-            obskit::series::ensure_global_series(obskit::SeriesConfig::default());
             // The background sampler keeps proc_rss_kb/open-fd gauges
-            // fresh between scrapes even while a command is CPU-bound.
-            obskit::telemetry::ensure_global(obskit::TelemetryConfig::standard());
+            // fresh between scrapes even while a command is CPU-bound,
+            // and /series carries history from its first tick.
+            obskit::telemetry::ensure_global();
             let mut cfg = obskit::ServeConfig {
                 addr: addr.clone(),
                 ..obskit::ServeConfig::default()
@@ -477,12 +444,22 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_extracted_in_both_forms() {
-        let mut argv = vec!["score".into(), "--jobs".into(), "4".into(), "x.pcap".into()];
+        let mut argv = vec![
+            "score".into(),
+            "--jobs".into(),
+            "4".into(),
+            "--profile-out".into(),
+            "a.folded".into(),
+            "x.pcap".into(),
+        ];
         let f = extract_global_flags(&mut argv).unwrap();
         assert_eq!(f.jobs, Some(4));
+        assert_eq!(f.profile_out.as_deref(), Some("a.folded"));
         assert_eq!(argv, vec!["score".to_string(), "x.pcap".to_string()]);
-        let mut argv = vec!["--jobs=8".into()];
-        assert_eq!(extract_global_flags(&mut argv).unwrap().jobs, Some(8));
+        let mut argv = vec!["--jobs=8".into(), "--profile-out=b.folded".into()];
+        let f = extract_global_flags(&mut argv).unwrap();
+        assert_eq!(f.jobs, Some(8));
+        assert_eq!(f.profile_out.as_deref(), Some("b.folded"));
         assert!(argv.is_empty());
         for bad in ["0", "-2", "many"] {
             let mut argv = vec!["--jobs".into(), bad.into()];
@@ -498,16 +475,18 @@ mod tests {
             "stream".into(),
             "--serve".into(),
             "127.0.0.1:0".into(),
+            "--trace".into(),
+            "a.jsonl".into(),
             "x.pcap".into(),
         ];
         let f = extract_global_flags(&mut argv).unwrap();
         assert_eq!(f.serve.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(f.trace_path.as_deref(), Some("a.jsonl"));
         assert_eq!(argv, vec!["stream".to_string(), "x.pcap".to_string()]);
-        let mut argv = vec!["--serve=0.0.0.0:9184".into()];
-        assert_eq!(
-            extract_global_flags(&mut argv).unwrap().serve.as_deref(),
-            Some("0.0.0.0:9184")
-        );
+        let mut argv = vec!["--serve=0.0.0.0:9184".into(), "--trace=b.jsonl".into()];
+        let f = extract_global_flags(&mut argv).unwrap();
+        assert_eq!(f.serve.as_deref(), Some("0.0.0.0:9184"));
+        assert_eq!(f.trace_path.as_deref(), Some("b.jsonl"));
         assert!(argv.is_empty());
         let mut argv = vec!["--serve".into()];
         assert!(extract_global_flags(&mut argv).is_err());

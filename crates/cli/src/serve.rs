@@ -10,7 +10,10 @@
 //! aggregate live-flow count — the ROADMAP's soak contract.
 
 use crate::args::Args;
-use crate::commands::{expect_positionals, parse_stream_method, parse_target, CmdError};
+use crate::commands::{
+    expect_positionals, install_rule_unless_loaded, parse_stream_method, parse_target, CmdError,
+    RssBudget,
+};
 use collectd::{report_jsonl, run_collector, summary_jsonl, CollectorConfig, LaneSource};
 use netstat_sim::Fleet;
 use netsynth::FlowSizeDist;
@@ -106,39 +109,21 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
     // `netsample watch --fail-on`) sees a breach while it happens. The
     // per-shard rules watch the modeled per-shard flow-state gauge; the
     // process-wide rule watches real RSS against a pre-run baseline.
-    obskit::series::ensure_global_series(obskit::SeriesConfig::default());
-    let engine = obskit::rules::global_engine();
     if shard_budget_kb > 0 {
         for s in 0..shards {
-            let name = format!("collectd_shard_rss_{s}");
-            if engine.has_rule(&name) {
-                continue;
-            }
-            let text = format!(
-                "rule {name} value(collectd_shard_rss_kb{{shard=\"{s}\"}}) > {shard_budget_kb} for 2"
-            );
-            let parsed = obskit::parse_rules(&text)
-                .map_err(|e| CmdError::data(format!("--shard-rss-budget-kb: {e}")))?;
-            engine
-                .add_rules(parsed)
-                .map_err(|e| CmdError::data(format!("--shard-rss-budget-kb: {e}")))?;
+            install_rule_unless_loaded(
+                &format!("collectd_shard_rss_{s}"),
+                &format!("value(collectd_shard_rss_kb{{shard=\"{s}\"}}) > {shard_budget_kb} for 2"),
+                "--shard-rss-budget-kb",
+            )?;
         }
     }
-    let baseline_kb = obskit::telemetry::rss_kb();
-    if rss_budget_kb > 0 {
-        if let Some(baseline) = baseline_kb {
-            if !engine.has_rule("rss_budget") {
-                let text = format!(
-                    "rule rss_budget value(proc_rss_kb) > {} for 2",
-                    baseline + rss_budget_kb
-                );
-                if let Ok(parsed) = obskit::parse_rules(&text) {
-                    let _ = engine.add_rules(parsed);
-                }
-            }
-        }
-    }
-    let telemetry = obskit::telemetry::ensure_global(obskit::TelemetryConfig::standard());
+    let rss_budget = if rss_budget_kb > 0 {
+        Some(RssBudget::arm(rss_budget_kb)?)
+    } else {
+        None
+    };
+    let telemetry = obskit::telemetry::ensure_global();
 
     let pool = parkit::Pool::with_default_jobs();
     let mut progress = String::new();
@@ -244,21 +229,10 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
             s.max_live_flows
         )?;
     }
-    if rss_budget_kb > 0 {
-        let max = telemetry.max_rss_kb();
-        match baseline_kb {
-            Some(baseline) if max > 0 => {
-                if max > baseline + rss_budget_kb {
-                    return Err(CmdError::regression(format!(
-                        "serve RSS {max} kB exceeded baseline {baseline} kB + budget {rss_budget_kb} kB"
-                    )));
-                }
-                writeln!(
-                    text,
-                    "rss: max_rss_kb={max} baseline_rss_kb={baseline} budget_kb={rss_budget_kb} ok"
-                )?;
-            }
-            _ => writeln!(text, "rss: unavailable, budget not asserted")?,
+    if let Some(budget) = &rss_budget {
+        match budget.check(telemetry, "serve")? {
+            Some(ok) => writeln!(text, "rss: {ok}")?,
+            None => writeln!(text, "rss: unavailable, budget not asserted")?,
         }
     }
     Ok(text)

@@ -377,11 +377,9 @@ impl<'a> Experiment<'a> {
                 None => result.empty_samples += 1,
             }
         }
-        if obskit::recording_enabled() {
-            obskit::counter("experiment_cells_total").inc();
-            obskit::counter("experiment_replications_total").add(u64::from(replications));
-            obskit::counter("experiment_empty_samples_total").add(u64::from(result.empty_samples));
-        }
+        obskit::counter("experiment_cells_total").inc();
+        obskit::counter("experiment_replications_total").add(u64::from(replications));
+        obskit::counter("experiment_empty_samples_total").add(u64::from(result.empty_samples));
         result
     }
 
@@ -463,13 +461,11 @@ impl<'a> Experiment<'a> {
                 None => out[ci].empty_samples += 1,
             }
         }
-        if obskit::recording_enabled() {
-            obskit::counter("experiment_cells_total").add(specs.len() as u64);
-            obskit::counter("experiment_replications_total")
-                .add(specs.iter().map(|&(_, r)| u64::from(r)).sum());
-            obskit::counter("experiment_empty_samples_total")
-                .add(out.iter().map(|r| u64::from(r.empty_samples)).sum());
-        }
+        obskit::counter("experiment_cells_total").add(specs.len() as u64);
+        obskit::counter("experiment_replications_total")
+            .add(specs.iter().map(|&(_, r)| u64::from(r)).sum());
+        obskit::counter("experiment_empty_samples_total")
+            .add(out.iter().map(|r| u64::from(r.empty_samples)).sum());
         out
     }
 }
@@ -627,16 +623,14 @@ pub fn interval_sweep_with(
             None => cell.empty_samples += 1,
         }
     }
-    if obskit::recording_enabled() {
-        let cells = out.iter().filter(|(_, r)| r.is_some()).count() as u64;
-        obskit::counter("experiment_cells_total").add(cells);
-        obskit::counter("experiment_replications_total").add(cells * u64::from(reps));
-        obskit::counter("experiment_empty_samples_total").add(
-            out.iter()
-                .filter_map(|(_, r)| r.as_ref().map(|r| u64::from(r.empty_samples)))
-                .sum(),
-        );
-    }
+    let cells = out.iter().filter(|(_, r)| r.is_some()).count() as u64;
+    obskit::counter("experiment_cells_total").add(cells);
+    obskit::counter("experiment_replications_total").add(cells * u64::from(reps));
+    obskit::counter("experiment_empty_samples_total").add(
+        out.iter()
+            .filter_map(|(_, r)| r.as_ref().map(|r| u64::from(r.empty_samples)))
+            .sum(),
+    );
     out
 }
 

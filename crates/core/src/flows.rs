@@ -333,12 +333,10 @@ impl<'a> FlowExperiment<'a> {
                 None => out[ci].unscored += 1,
             }
         }
-        if obskit::recording_enabled() {
-            obskit::counter("flow_experiment_cells_total").add(cells.len() as u64);
-            obskit::counter("flow_experiment_replications_total").add(tasks.len() as u64);
-            obskit::counter("flow_experiment_unscored_total")
-                .add(out.iter().map(|r| u64::from(r.unscored)).sum());
-        }
+        obskit::counter("flow_experiment_cells_total").add(cells.len() as u64);
+        obskit::counter("flow_experiment_replications_total").add(tasks.len() as u64);
+        obskit::counter("flow_experiment_unscored_total")
+            .add(out.iter().map(|r| u64::from(r.unscored)).sum());
         out
     }
 }

@@ -123,10 +123,8 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
     // chi2 (which will be 0 if the sample matches the single bin).
     let df = used_bins.saturating_sub(1).max(1);
     let significance = chi2_sf(df, chi2);
-    if obskit::recording_enabled() {
-        obskit::counter("sampling_disparity_tests_total").inc();
-        obskit::counter("sampling_disparity_cells_evaluated_total").add(u64::from(used_bins));
-    }
+    obskit::counter("sampling_disparity_tests_total").inc();
+    obskit::counter("sampling_disparity_cells_evaluated_total").add(u64::from(used_bins));
     Some(DisparityReport {
         chi2,
         df,

@@ -134,12 +134,9 @@ pub fn select_indices_ts<S: Sampler + ?Sized>(sampler: &mut S, ts: &[u64]) -> Ve
     sampler.offer_ts_batch(0, ts, &mut selected);
     // Metrics are flushed once per batch, not per packet, so the batch
     // hot loop stays free of atomic traffic.
-    if obskit::recording_enabled() {
-        let labels = [("method", sampler.method_name())];
-        obskit::counter_labeled("sampling_packets_examined_total", &labels).add(ts.len() as u64);
-        obskit::counter_labeled("sampling_packets_selected_total", &labels)
-            .add(selected.len() as u64);
-    }
+    let labels = [("method", sampler.method_name())];
+    obskit::counter_labeled("sampling_packets_examined_total", &labels).add(ts.len() as u64);
+    obskit::counter_labeled("sampling_packets_selected_total", &labels).add(selected.len() as u64);
     drop(span);
     selected
 }

@@ -184,12 +184,10 @@ impl CollectorNode {
         };
         // One flush per poll cycle, not per packet: the offer() path stays
         // atomic-free.
-        if obskit::recording_enabled() {
-            obskit::counter("netstat_polls_total").inc();
-            obskit::counter("netstat_snmp_packets_total").add(report.snmp_packets);
-            obskit::counter("netstat_categorized_total").add(report.categorized);
-            obskit::counter("netstat_missed_total").add(report.missed);
-        }
+        obskit::counter("netstat_polls_total").inc();
+        obskit::counter("netstat_snmp_packets_total").add(report.snmp_packets);
+        obskit::counter("netstat_categorized_total").add(report.categorized);
+        obskit::counter("netstat_missed_total").add(report.missed);
         self.categorized = 0;
         self.missed = 0;
         self.objects.reset();

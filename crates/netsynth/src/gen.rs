@@ -86,9 +86,7 @@ pub fn generate(profile: &TraceProfile, seed: u64) -> Trace {
     }
 
     let trace = Trace::new(packets).expect("generator emits ordered timestamps");
-    if obskit::recording_enabled() {
-        obskit::counter("netsynth_packets_generated_total").add(trace.len() as u64);
-    }
+    obskit::counter("netsynth_packets_generated_total").add(trace.len() as u64);
     trace.quantized(profile.clock)
 }
 

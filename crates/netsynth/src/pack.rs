@@ -161,13 +161,11 @@ pub fn generate_flow_pack(cfg: &FlowPackConfig, seed: u64) -> Trace {
             );
         }
     }
-    if obskit::recording_enabled() {
-        // Feed the workspace-wide synthesis counter too, so `synth
-        // --metrics` reports packet production for every profile.
-        obskit::counter("netsynth_packets_generated_total").add(packets.len() as u64);
-        obskit::counter("netsynth_flowpack_packets_total").add(packets.len() as u64);
-        obskit::counter("netsynth_flowpack_flows_total").add(u64::from(cfg.flows));
-    }
+    // Feed the workspace-wide synthesis counter too, so `synth
+    // --metrics` reports packet production for every profile.
+    obskit::counter("netsynth_packets_generated_total").add(packets.len() as u64);
+    obskit::counter("netsynth_flowpack_packets_total").add(packets.len() as u64);
+    obskit::counter("netsynth_flowpack_flows_total").add(u64::from(cfg.flows));
     Trace::from_unordered(packets).quantized(cfg.clock)
 }
 

@@ -439,7 +439,7 @@ impl<R: Read> CaptureStream<R> {
             push(packet?);
             got += 1;
         }
-        if got > 0 && obskit::recording_enabled() {
+        if got > 0 {
             obskit::counter_labeled(
                 "nettrace_stream_packets_total",
                 &[("format", self.format())],

@@ -34,8 +34,9 @@
 //!   `GET /healthz` (liveness + ingest-watermark staleness), and
 //!   `GET /snapshot` (JSONL) while the process runs.
 //! * [`telemetry`] runs a background sampler keeping `proc_rss_kb`,
-//!   `proc_open_fds`, and windowed per-second rate gauges fresh, with a
-//!   bounded ring of samples for soak-test evidence.
+//!   `proc_rss_max_kb`, `proc_open_fds`, and windowed per-second rate
+//!   gauges fresh; [`telemetry::ensure_global`] starts it together with
+//!   the series store.
 //! * [`series`] is an on-board bounded ring-buffer time-series store
 //!   fed by each telemetry tick, served as `GET /series`, and scored
 //!   against its own systematic downsamples with the paper's φ
@@ -54,9 +55,6 @@
 //! loops and flush a single `add` at the boundary, which keeps measured
 //! overhead on the sampler hot path under 1% (see
 //! `crates/bench/benches/obskit_overhead.rs`).
-//!
-//! Building with the `noop` feature turns every record path into a
-//! compile-time no-op while keeping the API intact.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,22 +75,13 @@ pub use metrics::{Counter, CounterShard, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricKind, Registry, SnapshotValue};
 pub use rules::{parse_rules, Rule, RuleEngine, RuleParseError};
 pub use series::{
-    downsample_systematic, fidelity_phi, paired_phi, parse_series_query, SeriesConfig, SeriesPoint,
-    SeriesQuery, SeriesStore,
+    downsample_systematic, fidelity_phi, paired_phi, parse_series_query, SeriesPoint, SeriesQuery,
+    SeriesStore,
 };
 pub use serve::{parse_request_line, serve, RequestError, RequestLine, ServeConfig, ServeHandle};
 pub use span::{span, span_labeled, time, SpanGuard};
-pub use telemetry::{Telemetry, TelemetryConfig, TelemetrySample};
+pub use telemetry::Telemetry;
 pub use tree::SpanNode;
-
-/// True when recording is compiled in (the `noop` feature is off).
-///
-/// All record paths check this; with `noop` the optimizer erases them.
-#[inline(always)]
-#[must_use]
-pub const fn recording_enabled() -> bool {
-    cfg!(not(feature = "noop"))
-}
 
 /// The process-wide registry.
 #[must_use]
@@ -186,7 +175,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn global_handles_are_shared() {
         let a = counter("obskit_test_shared_total");
         let b = counter("obskit_test_shared_total");
@@ -194,18 +182,5 @@ mod tests {
         b.add(4);
         assert_eq!(a.get(), 7);
         assert_eq!(b.get(), 7);
-    }
-
-    #[test]
-    #[cfg(feature = "noop")]
-    fn noop_feature_drops_every_record() {
-        assert!(!recording_enabled());
-        let c = counter("obskit_noop_probe_total");
-        c.inc();
-        c.add(5);
-        assert_eq!(c.get(), 0);
-        let h = histogram("obskit_noop_probe_us");
-        h.record(123);
-        assert_eq!(h.snapshot().count, 0);
     }
 }

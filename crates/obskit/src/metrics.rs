@@ -33,9 +33,7 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::recording_enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -59,17 +57,18 @@ impl Gauge {
     /// Set to an absolute value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if crate::recording_enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Add a (possibly negative) delta.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if crate::recording_enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Raise to `v` if `v` is larger (a high-water mark).
+    pub(crate) fn set_max(&self, v: i64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -115,9 +114,7 @@ impl CounterShard {
     /// Increment the local shard by `n` (no atomics).
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::recording_enabled() {
-            self.local.set(self.local.get().wrapping_add(n));
-        }
+        self.local.set(self.local.get().wrapping_add(n));
     }
 
     /// Increments accumulated locally and not yet flushed.
@@ -197,13 +194,11 @@ impl Histogram {
     /// Record one value.
     #[inline]
     pub fn record(&self, value: u64) {
-        if crate::recording_enabled() {
-            let inner = &*self.0;
-            inner.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            inner.count.fetch_add(1, Ordering::Relaxed);
-            inner.sum.fetch_add(value, Ordering::Relaxed);
-            inner.max.fetch_max(value, Ordering::Relaxed);
-        }
+        let inner = &*self.0;
+        inner.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        inner.count.fetch_add(1, Ordering::Relaxed);
+        inner.sum.fetch_add(value, Ordering::Relaxed);
+        inner.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram state.
@@ -283,7 +278,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
         c.inc();
@@ -317,7 +311,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn histogram_records_and_estimates() {
         let h = Histogram::new();
         for v in [1u64, 2, 3, 100, 1000, 10_000] {
@@ -345,7 +338,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn single_bucket_quantiles_all_land_in_that_bucket() {
         let h = Histogram::new();
         for _ in 0..100 {
@@ -440,16 +432,11 @@ mod tests {
         let h = Histogram::new();
         h.record(5);
         let s = h.snapshot();
-        if crate::recording_enabled() {
-            assert_eq!(s.quantile(-0.03), s.quantile(0.0));
-            assert_eq!(s.quantile(2.5), s.quantile(1.0));
-        } else {
-            assert_eq!(s.quantile(-0.03), None);
-        }
+        assert_eq!(s.quantile(-0.03), s.quantile(0.0));
+        assert_eq!(s.quantile(2.5), s.quantile(1.0));
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn counter_shard_flushes_once_on_drop() {
         let c = Counter::new();
         {
@@ -464,7 +451,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn counter_shard_explicit_flush_resets_local() {
         let c = Counter::new();
         let shard = CounterShard::new(c.clone());
@@ -481,18 +467,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "noop")]
-    fn counter_shard_is_noop_under_noop() {
-        let c = Counter::new();
-        let shard = CounterShard::new(c.clone());
-        shard.add(5);
-        assert_eq!(shard.pending(), 0);
-        drop(shard);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    #[cfg(not(feature = "noop"))]
     fn concurrent_increments_are_not_lost() {
         let c = Counter::new();
         let h = Histogram::new();
@@ -515,7 +489,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn snapshot_while_writing_is_internally_plausible() {
         let h = Histogram::new();
         std::thread::scope(|scope| {

@@ -408,7 +408,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn registration_is_idempotent_and_shared() {
         let r = Registry::new();
         r.counter("a_total").add(2);
@@ -426,7 +425,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn concurrent_registration_yields_one_metric() {
         let r = Registry::new();
         std::thread::scope(|scope| {
@@ -443,7 +441,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn exposition_golden() {
         let r = Registry::new();
         r.counter("pkts_total").add(7);
@@ -470,7 +467,6 @@ pkts_total 7
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn exposition_keeps_name_groups_contiguous() {
         // Full-key string order is ab < ab_c < ab{x="1"} ('_' < '{'),
         // which used to split the `ab` group and emit a duplicate TYPE.
@@ -494,7 +490,6 @@ ab_c 2
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn help_lines_render_once_per_name_and_escape() {
         let r = Registry::new();
         r.counter("x_total{k=\"a\"}").inc();
@@ -510,7 +505,6 @@ ab_c 2
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn snapshot_jsonl_is_sorted_and_structured() {
         let r = Registry::new();
         r.counter("zz_total").add(9);

@@ -322,7 +322,7 @@ struct RuleState {
     since_us: u64,
     /// Value at the most recent evaluation (NaN before the first).
     last_value: f64,
-    /// Transition count (kept locally so JSONL works under `noop`).
+    /// Transition count.
     flaps: u64,
     evaluated: bool,
 }
@@ -505,15 +505,10 @@ pub fn global_engine() -> &'static RuleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{SeriesConfig, SeriesStore};
+    use crate::series::SeriesStore;
 
     fn store() -> SeriesStore {
-        SeriesStore::new(SeriesConfig {
-            capacity: 16,
-            max_series: 16,
-            fidelity_keys: vec![],
-            fidelity_ks: vec![],
-        })
+        SeriesStore::default()
     }
 
     fn one_rule(text: &str) -> Rule {
@@ -746,7 +741,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn added_rules_render_at_rest_before_any_evaluation() {
         let e = RuleEngine::new();
         e.add_rules(
@@ -765,7 +759,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn evaluation_exports_alert_metrics() {
         let s = store();
         let e = RuleEngine::new();

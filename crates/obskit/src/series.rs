@@ -15,14 +15,15 @@
 //!   sampled packet stream against its parent population with the
 //!   disparity metric φ = √(χ²ₚ/n) over log₂ histograms; the store
 //!   applies the same protocol to its *own* series — systematic
-//!   1-in-k downsamples of each configured series are scored against
-//!   the full ring and exported as
-//!   `series_fidelity_phi_x1000{series,k}` gauges, so the fidelity of
-//!   the monitoring path itself is characterized, not assumed.
+//!   1-in-k downsamples (k = 2, 5, 10) of `proc_rss_kb` and
+//!   `stream_channel_depth{stage="transform"}` are scored against the
+//!   full ring and exported as `series_fidelity_phi_x1000{series,k}`
+//!   gauges, so the fidelity of the monitoring path itself is
+//!   characterized, not assumed.
 //!
-//! Memory is strictly bounded: at most [`SeriesConfig::max_series`]
-//! rings of [`SeriesConfig::capacity`] points each; series beyond the
-//! cap are counted in `series_dropped_total` and skipped.
+//! Memory is strictly bounded: at most 1,024 rings of 600 points each;
+//! series beyond the cap are counted in `series_dropped_total` and
+//! skipped.
 
 use crate::metrics::Histogram;
 use crate::registry::SnapshotValue;
@@ -35,6 +36,15 @@ pub const MAX_QUERY_LEN: usize = 2048;
 pub const MAX_QUERY_VALUE_LEN: usize = 256;
 /// Largest accepted `step` (systematic downsample stride).
 pub const MAX_STEP: usize = 1_000_000;
+/// Points retained per series ring (two minutes at the default 200 ms
+/// telemetry cadence).
+const CAPACITY: usize = 600;
+/// Most distinct series the store keeps; later keys are dropped.
+const MAX_SERIES: usize = 1024;
+/// Series keys scored by the φ fidelity self-check each tick.
+const FIDELITY_KEYS: [&str; 2] = ["proc_rss_kb", "stream_channel_depth{stage=\"transform\"}"];
+/// Systematic downsample strides `k` scored per fidelity key.
+const FIDELITY_KS: [usize; 3] = [2, 5, 10];
 
 /// One recorded observation of one series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,33 +55,6 @@ pub struct SeriesPoint {
     pub value: f64,
 }
 
-/// Store configuration.
-#[derive(Debug, Clone)]
-pub struct SeriesConfig {
-    /// Points retained per series ring.
-    pub capacity: usize,
-    /// Maximum distinct series; later keys are dropped (counted).
-    pub max_series: usize,
-    /// Series keys scored by the φ fidelity self-check each tick.
-    pub fidelity_keys: Vec<String>,
-    /// Systematic downsample strides `k` scored per fidelity key.
-    pub fidelity_ks: Vec<usize>,
-}
-
-impl Default for SeriesConfig {
-    fn default() -> Self {
-        SeriesConfig {
-            capacity: 600,
-            max_series: 1024,
-            fidelity_keys: vec![
-                "proc_rss_kb".to_string(),
-                "stream_channel_depth{stage=\"transform\"}".to_string(),
-            ],
-            fidelity_ks: vec![2, 5, 10],
-        }
-    }
-}
-
 struct Ring {
     points: VecDeque<SeriesPoint>,
     /// Wall-clock µs of the last point whose value differed from its
@@ -80,43 +63,25 @@ struct Ring {
 }
 
 /// Bounded per-metric time-series rings over the global registry.
+#[derive(Default)]
 pub struct SeriesStore {
-    capacity: usize,
-    max_series: usize,
-    fidelity_keys: Vec<String>,
-    fidelity_ks: Vec<usize>,
     rings: Mutex<BTreeMap<String, Ring>>,
 }
 
 impl std::fmt::Debug for SeriesStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SeriesStore")
-            .field("capacity", &self.capacity)
-            .field("max_series", &self.max_series)
-            .finish_non_exhaustive()
+        f.debug_struct("SeriesStore").finish_non_exhaustive()
     }
 }
 
 impl SeriesStore {
-    /// Build an empty store.
-    #[must_use]
-    pub fn new(cfg: SeriesConfig) -> SeriesStore {
-        SeriesStore {
-            capacity: cfg.capacity.max(2),
-            max_series: cfg.max_series.max(1),
-            fidelity_keys: cfg.fidelity_keys,
-            fidelity_ks: cfg.fidelity_ks,
-            rings: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     /// Append one point to `key`'s ring (creating it if the series cap
     /// allows). This is the raw ingestion path `record_registry` uses;
     /// tests use it to inject synthetic series (NaN/Inf included).
     pub fn push(&self, key: &str, ts_us: u64, value: f64) {
         let mut rings = self.rings.lock().expect("series rings poisoned");
         if !rings.contains_key(key) {
-            if rings.len() >= self.max_series {
+            if rings.len() >= MAX_SERIES {
                 drop(rings);
                 crate::counter("series_dropped_total").inc();
                 return;
@@ -124,7 +89,7 @@ impl SeriesStore {
             rings.insert(
                 key.to_string(),
                 Ring {
-                    points: VecDeque::with_capacity(self.capacity),
+                    points: VecDeque::with_capacity(CAPACITY),
                     last_change_us: ts_us,
                 },
             );
@@ -137,7 +102,7 @@ impl SeriesStore {
         if changed {
             ring.last_change_us = ts_us;
         }
-        if ring.points.len() == self.capacity {
+        if ring.points.len() == CAPACITY {
             ring.points.pop_front();
         }
         ring.points.push_back(SeriesPoint { ts_us, value });
@@ -166,7 +131,7 @@ impl SeriesStore {
 
     /// One store tick: snapshot the global registry, record every
     /// metric, then refresh the φ fidelity gauges. Driven by the
-    /// telemetry sampler thread via [`ensure_global_series`].
+    /// telemetry sampler thread once [`ensure_global_series`] has run.
     pub fn tick(&self, now_us: u64) {
         let snapshot = crate::global().snapshot();
         self.record_registry(now_us, &snapshot);
@@ -175,9 +140,9 @@ impl SeriesStore {
     }
 
     /// Recompute `series_fidelity_phi_x1000{series,k}` for every
-    /// configured fidelity key × stride.
+    /// fidelity key × stride.
     pub fn refresh_fidelity(&self) {
-        for key in &self.fidelity_keys {
+        for key in FIDELITY_KEYS {
             let full: Vec<f64> = {
                 let rings = self.rings.lock().expect("series rings poisoned");
                 match rings.get(key) {
@@ -185,12 +150,12 @@ impl SeriesStore {
                     None => continue,
                 }
             };
-            for &k in &self.fidelity_ks {
+            for k in FIDELITY_KS {
                 if let Some(phi) = fidelity_phi(&full, k) {
                     let ks = k.to_string();
                     crate::gauge_labeled(
                         "series_fidelity_phi_x1000",
-                        &[("series", key.as_str()), ("k", ks.as_str())],
+                        &[("series", key), ("k", ks.as_str())],
                     )
                     .set((phi * 1000.0).round() as i64);
                 }
@@ -587,11 +552,13 @@ pub fn parse_series_query(query: &str) -> Result<SeriesQuery, QueryError> {
 
 static GLOBAL_SERIES: OnceLock<SeriesStore> = OnceLock::new();
 
-/// Install (or return) the process-wide series store. Once installed,
-/// every telemetry tick records a snapshot into it and evaluates the
-/// global rule engine against it.
-pub fn ensure_global_series(cfg: SeriesConfig) -> &'static SeriesStore {
-    GLOBAL_SERIES.get_or_init(|| SeriesStore::new(cfg))
+/// Install (or return) the process-wide series store without starting
+/// a sampler. Once installed, every telemetry tick records a snapshot
+/// into it and evaluates the global rule engine against it;
+/// [`crate::telemetry::ensure_global`] installs it and starts the
+/// sampler.
+pub fn ensure_global_series() -> &'static SeriesStore {
+    GLOBAL_SERIES.get_or_init(SeriesStore::default)
 }
 
 /// The process-wide series store, if [`ensure_global_series`] has run.
@@ -615,24 +582,19 @@ mod tests {
     use super::*;
 
     fn store() -> SeriesStore {
-        SeriesStore::new(SeriesConfig {
-            capacity: 8,
-            max_series: 4,
-            fidelity_keys: vec![],
-            fidelity_ks: vec![],
-        })
+        SeriesStore::default()
     }
 
     #[test]
     fn ring_stays_bounded_and_ordered() {
         let s = store();
-        for i in 0..20u64 {
+        for i in 0..CAPACITY as u64 + 12 {
             s.push("a_total", i * 10, i as f64);
         }
         let sel = s.select(&SeriesQuery::default());
         assert_eq!(sel.len(), 1);
         let pts = &sel[0].1;
-        assert_eq!(pts.len(), 8, "ring must stay bounded");
+        assert_eq!(pts.len(), CAPACITY, "ring must stay bounded");
         assert_eq!(pts[0].value, 12.0, "oldest points evicted first");
         assert!(pts.windows(2).all(|w| w[0].ts_us < w[1].ts_us));
     }
@@ -640,10 +602,14 @@ mod tests {
     #[test]
     fn series_cap_drops_excess_keys() {
         let s = store();
-        for i in 0..10 {
+        for i in 0..MAX_SERIES + 6 {
             s.push(&format!("k{i}"), 1, 1.0);
         }
-        assert_eq!(s.keys().len(), 4, "max_series bounds distinct keys");
+        assert_eq!(
+            s.keys().len(),
+            MAX_SERIES,
+            "MAX_SERIES bounds distinct keys"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl SpanGuard {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// This span's process-unique id (0 with the `noop` feature).
+    /// This span's process-unique id.
     #[must_use]
     pub fn span_id(&self) -> u64 {
         self.id
@@ -109,7 +109,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn span_records_into_named_histogram() {
         {
             let _g = span("obskit_test_span");
@@ -121,7 +120,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn labeled_spans_aggregate_separately() {
         {
             let _a = span_labeled("obskit_test_cell", &[("method", "systematic")]);
@@ -135,7 +133,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn time_returns_the_closure_result() {
         let v = time("obskit_test_time", || 21 * 2);
         assert_eq!(v, 42);
@@ -148,7 +145,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn span_ids_are_unique_and_ordered() {
         let a = span("obskit_test_ids");
         let b = span("obskit_test_ids");
@@ -156,13 +152,5 @@ mod tests {
         assert_eq!(b.parent_id(), a.span_id());
         drop(b);
         drop(a);
-    }
-
-    #[test]
-    #[cfg(feature = "noop")]
-    fn noop_spans_have_zero_ids() {
-        let g = span("obskit_test_noop_ids");
-        assert_eq!(g.span_id(), 0);
-        assert_eq!(g.parent_id(), 0);
     }
 }

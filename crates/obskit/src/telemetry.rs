@@ -1,9 +1,10 @@
 //! Runtime self-telemetry: a background sampler thread that keeps
 //! process gauges (`proc_rss_kb`, `proc_rss_max_kb`, `proc_open_fds`)
-//! fresh, derives windowed per-second rates from registered counters
-//! (`stream_packets_per_sec`, …), and retains a fixed-size ring of
-//! samples for post-run inspection — plus the *ingest watermark* the
-//! `/healthz` endpoint reports staleness against.
+//! fresh, derives windowed per-second rates from the streaming
+//! counters (`stream_packets_per_sec`, `stream_windows_per_sec`), and
+//! records each tick into the series store, which holds the history —
+//! plus the *ingest watermark* the `/healthz` endpoint reports
+//! staleness against.
 //!
 //! Everything here is std-only. RSS comes from `/proc/self/status`
 //! (`VmRSS:` is already in kB; `/proc/self/statm` reports pages and the
@@ -12,7 +13,6 @@
 //! return `None` and the gauges simply stay at zero.
 
 use crate::metrics::{Counter, Gauge};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -27,14 +27,14 @@ pub fn wall_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Process-wide default sampler cadence in ms (see
+/// Process-wide sampler cadence in ms (see
 /// [`set_default_interval_ms`]).
 static DEFAULT_INTERVAL_MS: AtomicU64 = AtomicU64::new(200);
 
-/// Override the default sampler cadence (ms, clamped to >= 1) used by
-/// [`TelemetryConfig::default`] / [`TelemetryConfig::standard`]. Set
-/// this **before** [`ensure_global`] — a sampler already running keeps
-/// its original interval.
+/// Override the sampler cadence (ms, clamped to >= 1) that
+/// [`ensure_global`] starts with and `/series` reports. Set this
+/// **before** [`ensure_global`] — a sampler already running keeps its
+/// original interval.
 pub fn set_default_interval_ms(ms: u64) {
     DEFAULT_INTERVAL_MS.store(ms.max(1), Ordering::Release);
 }
@@ -108,68 +108,13 @@ pub fn open_fds() -> Option<u64> {
         .map(|d| d.count() as u64)
 }
 
-/// Derive `gauge` = per-second rate of `counter` between sampler ticks.
-#[derive(Debug, Clone)]
-pub struct RateSpec {
-    /// Source counter key in the global registry (created if missing).
-    pub counter: String,
-    /// Destination gauge key for the rounded per-second rate.
-    pub gauge: String,
-}
-
-/// Sampler configuration.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Time between sampler ticks.
-    pub interval: Duration,
-    /// How many [`TelemetrySample`]s the ring retains.
-    pub ring_capacity: usize,
-    /// Counter→gauge rate derivations to maintain.
-    pub rates: Vec<RateSpec>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            interval: Duration::from_millis(default_interval_ms()),
-            ring_capacity: 600,
-            rates: Vec::new(),
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// The standard pipeline config: default cadence plus the streaming
-    /// rates the scrape endpoint documents (`stream_packets_per_sec`,
-    /// `stream_windows_per_sec`).
-    #[must_use]
-    pub fn standard() -> Self {
-        TelemetryConfig {
-            rates: vec![
-                RateSpec {
-                    counter: "stream_packets_ingested_total".to_string(),
-                    gauge: "stream_packets_per_sec".to_string(),
-                },
-                RateSpec {
-                    counter: "stream_windows_scored_total".to_string(),
-                    gauge: "stream_windows_per_sec".to_string(),
-                },
-            ],
-            ..TelemetryConfig::default()
-        }
-    }
-}
-
-/// One sampler tick's readings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetrySample {
-    /// Wall-clock µs of the tick.
-    pub ts_us: u64,
-    /// RSS in kB (0 when procfs is unavailable).
-    pub rss_kb: u64,
-    /// Open fd count (0 when procfs is unavailable).
-    pub open_fds: u64,
-}
+/// The counter → gauge rate derivations the sampler maintains: each
+/// tick sets the gauge to the counter's per-second rate since the
+/// previous tick.
+const RATES: [(&str, &str); 2] = [
+    ("stream_packets_ingested_total", "stream_packets_per_sec"),
+    ("stream_windows_scored_total", "stream_windows_per_sec"),
+];
 
 struct RateTrack {
     counter: Counter,
@@ -179,9 +124,6 @@ struct RateTrack {
 }
 
 struct Shared {
-    ring: Mutex<VecDeque<TelemetrySample>>,
-    ring_capacity: usize,
-    max_rss_kb: AtomicU64,
     rates: Mutex<Vec<RateTrack>>,
     rss_gauge: Gauge,
     rss_max_gauge: Gauge,
@@ -192,14 +134,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn tick(&self) -> TelemetrySample {
+    fn tick(&self) {
         let now = wall_us();
-        let rss = rss_kb().unwrap_or(0);
+        let rss = i64::try_from(rss_kb().unwrap_or(0)).unwrap_or(i64::MAX);
         let fds = open_fds().unwrap_or(0);
-        let prev_max = self.max_rss_kb.fetch_max(rss, Ordering::AcqRel);
-        self.rss_gauge.set(i64::try_from(rss).unwrap_or(i64::MAX));
-        self.rss_max_gauge
-            .set(i64::try_from(prev_max.max(rss)).unwrap_or(i64::MAX));
+        self.rss_gauge.set(rss);
+        self.rss_max_gauge.set_max(rss);
         self.fds_gauge.set(i64::try_from(fds).unwrap_or(i64::MAX));
         self.ticks.inc();
         {
@@ -214,22 +154,9 @@ impl Shared {
                 t.prev_us = now;
             }
         }
-        let sample = TelemetrySample {
-            ts_us: now,
-            rss_kb: rss,
-            open_fds: fds,
-        };
-        {
-            let mut ring = self.ring.lock().expect("telemetry ring poisoned");
-            if ring.len() == self.ring_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(sample);
-        }
         // With the tick's gauges fresh and no locks held, feed the
         // series store (and through it the alert engine), if installed.
         crate::series::on_tick(now);
-        sample
     }
 }
 
@@ -248,25 +175,23 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Start the sampler thread; the first tick happens immediately so
-    /// gauges are populated before the caller proceeds.
+    /// Start a sampler thread ticking every `interval` (at least 1 ms);
+    /// the first tick happens immediately so gauges are populated
+    /// before the caller proceeds. Outside tests, [`ensure_global`]
+    /// starts the one sampler.
     #[must_use]
-    pub fn start(cfg: TelemetryConfig) -> Telemetry {
+    pub(crate) fn start(interval: Duration) -> Telemetry {
         let now = wall_us();
-        let rates = cfg
-            .rates
+        let rates = RATES
             .iter()
-            .map(|spec| RateTrack {
-                counter: crate::counter(&spec.counter),
-                gauge: crate::gauge(&spec.gauge),
+            .map(|&(counter, gauge)| RateTrack {
+                counter: crate::counter(counter),
+                gauge: crate::gauge(gauge),
                 prev: 0,
                 prev_us: now,
             })
             .collect();
         let shared = Arc::new(Shared {
-            ring: Mutex::new(VecDeque::with_capacity(cfg.ring_capacity.max(1))),
-            ring_capacity: cfg.ring_capacity.max(1),
-            max_rss_kb: AtomicU64::new(0),
             rates: Mutex::new(rates),
             rss_gauge: crate::gauge("proc_rss_kb"),
             rss_max_gauge: crate::gauge("proc_rss_max_kb"),
@@ -276,7 +201,7 @@ impl Telemetry {
             wake: Condvar::new(),
         });
         shared.tick();
-        let interval = cfg.interval.max(Duration::from_millis(1));
+        let interval = interval.max(Duration::from_millis(1));
         let worker = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("obskit-telemetry".to_string())
@@ -300,28 +225,17 @@ impl Telemetry {
         }
     }
 
-    /// Force a tick from the calling thread (tests; end-of-run flush so
-    /// `max_rss_kb` includes the final state).
-    pub fn sample_now(&self) -> TelemetrySample {
-        self.shared.tick()
+    /// Force a tick from the calling thread (end-of-run flush so
+    /// `max_rss_kb` includes the final state; per-round pushes into the
+    /// series rings).
+    pub fn sample_now(&self) {
+        self.shared.tick();
     }
 
-    /// Highest RSS (kB) seen by any tick so far.
+    /// Highest RSS (kB) any tick has seen: the `proc_rss_max_kb` gauge.
     #[must_use]
     pub fn max_rss_kb(&self) -> u64 {
-        self.shared.max_rss_kb.load(Ordering::Acquire)
-    }
-
-    /// Copy of the retained sample ring, oldest first.
-    #[must_use]
-    pub fn samples(&self) -> Vec<TelemetrySample> {
-        self.shared
-            .ring
-            .lock()
-            .expect("telemetry ring poisoned")
-            .iter()
-            .copied()
-            .collect()
+        u64::try_from(self.shared.rss_max_gauge.get()).unwrap_or(0)
     }
 }
 
@@ -337,16 +251,14 @@ impl Drop for Telemetry {
 
 static GLOBAL_TELEMETRY: OnceLock<Telemetry> = OnceLock::new();
 
-/// Start the process-wide sampler if it is not already running; either
-/// way return it. The global sampler runs until process exit.
-pub fn ensure_global(cfg: TelemetryConfig) -> &'static Telemetry {
-    GLOBAL_TELEMETRY.get_or_init(|| Telemetry::start(cfg))
-}
-
-/// The process-wide sampler, if [`ensure_global`] has run.
-#[must_use]
-pub fn global_telemetry() -> Option<&'static Telemetry> {
-    GLOBAL_TELEMETRY.get()
+/// Start the telemetry plane: install the global series store, then
+/// start the process-wide sampler at [`default_interval_ms`] if it is
+/// not already running; either way return the sampler. The store comes
+/// first, so the sampler's first tick (taken before this returns) is
+/// already in its rings. The global sampler runs until process exit.
+pub fn ensure_global() -> &'static Telemetry {
+    crate::series::ensure_global_series();
+    GLOBAL_TELEMETRY.get_or_init(|| Telemetry::start(Duration::from_millis(default_interval_ms())))
 }
 
 #[cfg(test)]
@@ -369,10 +281,6 @@ mod tests {
         let original = default_interval_ms();
         set_default_interval_ms(50);
         assert_eq!(default_interval_ms(), 50);
-        assert_eq!(
-            TelemetryConfig::default().interval,
-            Duration::from_millis(50)
-        );
         set_default_interval_ms(0);
         assert_eq!(default_interval_ms(), 1, "0 clamps to 1ms");
         set_default_interval_ms(original);
@@ -400,23 +308,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
-    fn sampler_fills_ring_and_tracks_max() {
-        let t = Telemetry::start(TelemetryConfig {
-            interval: Duration::from_millis(5),
-            ring_capacity: 4,
-            rates: vec![RateSpec {
-                counter: "telemetry_test_src_total".to_string(),
-                gauge: "telemetry_test_rate_per_sec".to_string(),
-            }],
-        });
-        crate::counter("telemetry_test_src_total").add(1000);
-        for _ in 0..6 {
-            t.sample_now();
-        }
-        let samples = t.samples();
-        assert_eq!(samples.len(), 4, "ring must stay bounded");
-        assert!(samples.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
+    fn sampler_tracks_max_rss_and_derives_rates() {
+        // A cadence far beyond the test's length: every tick after the
+        // first is a `sample_now`, so the rate sees exactly our delta.
+        let t = Telemetry::start(Duration::from_secs(3600));
+        let ticks = crate::counter("telemetry_samples_total").get();
+        crate::counter("stream_packets_ingested_total").add(1000);
+        std::thread::sleep(Duration::from_millis(2));
+        t.sample_now();
+        assert!(crate::counter("telemetry_samples_total").get() > ticks);
+        assert!(crate::gauge("stream_packets_per_sec").get() > 0);
         #[cfg(target_os = "linux")]
         {
             assert!(t.max_rss_kb() > 0);

@@ -25,8 +25,7 @@
 //! integers for the path. Spans sit at *batch* boundaries (one per
 //! `select_indices` call, per experiment cell, per pcap file), not per
 //! packet, so this stays far below 1% of hot-path cost — see the
-//! `obskit_overhead` bench. With the `noop` feature every entry point
-//! returns immediately.
+//! `obskit_overhead` bench.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -88,12 +87,8 @@ static TREE: LazyLock<Mutex<BTreeMap<String, Agg>>> = LazyLock::new(|| Mutex::ne
 
 /// Push a frame for `name` onto this thread's span stack.
 ///
-/// Returns `(span_id, parent_id)`; `parent_id` is 0 at the root. With
-/// the `noop` feature this is a constant `(0, 0)` and nothing is pushed.
+/// Returns `(span_id, parent_id)`; `parent_id` is 0 at the root.
 pub(crate) fn enter(name: &'static str) -> (u64, u64) {
-    if !crate::recording_enabled() {
-        return (0, 0);
-    }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     STACK.with(|s| {
         let mut stack = s.borrow_mut();
@@ -119,9 +114,6 @@ pub(crate) fn enter(name: &'static str) -> (u64, u64) {
 /// reparented to the frame below — best effort for a misuse the RAII
 /// API makes hard to express).
 pub(crate) fn exit(id: u64, total_us: u64) {
-    if !crate::recording_enabled() || id == 0 {
-        return;
-    }
     let finished = STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let pos = stack.iter().rposition(|f| f.id == id)?;
@@ -223,7 +215,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn nesting_builds_paths_and_ids() {
         let outer = crate::span("tree_nest_outer");
         assert_eq!(outer.parent_id(), 0);
@@ -242,7 +233,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn self_time_excludes_children() {
         {
             let _outer = crate::span("tree_self_outer");
@@ -279,7 +269,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn repeated_spans_aggregate_counts() {
         for _ in 0..5 {
             let _g = crate::span("tree_repeat");
@@ -290,7 +279,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn threads_have_independent_stacks() {
         let _outer = crate::span("tree_thread_main");
         std::thread::scope(|s| {
@@ -306,7 +294,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn out_of_order_drop_does_not_corrupt_the_stack() {
         let before = current_depth();
         let a = crate::span("tree_ooo_a");
@@ -319,7 +306,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn folded_output_is_path_space_value() {
         {
             let _o = crate::span("tree_folded_outer");
@@ -333,15 +319,6 @@ mod tests {
         let mut parts = line.rsplitn(2, ' ');
         let value = parts.next().unwrap();
         assert!(value.parse::<u64>().is_ok(), "value not numeric: {line}");
-    }
-
-    /// With recording compiled out the tree stays empty, which is the
-    /// one state a test can rely on in a process-global aggregate.
-    #[test]
-    #[cfg(feature = "noop")]
-    fn render_tree_handles_empty() {
-        assert!(render_tree().contains("no spans"));
-        assert!(render_folded().is_empty());
     }
 
     #[test]
@@ -362,15 +339,5 @@ mod tests {
         };
         assert_eq!(root.name(), "root");
         assert_eq!(root.depth(), 0);
-    }
-
-    #[test]
-    #[cfg(feature = "noop")]
-    fn noop_records_nothing() {
-        {
-            let _g = crate::span("tree_noop_probe");
-        }
-        assert!(nodes_with_prefix("tree_noop_probe").is_empty());
-        assert_eq!(current_depth(), 0);
     }
 }

@@ -40,12 +40,10 @@ fn events_survive_a_panic_when_guarded() {
         lines.iter().any(|l| l.contains("before_panic")),
         "pre-panic event lost: {body:?}"
     );
-    if obskit::recording_enabled() {
-        assert!(
-            lines.iter().any(|l| l.contains("panicking_section")),
-            "span open at panic time lost: {body:?}"
-        );
-    }
+    assert!(
+        lines.iter().any(|l| l.contains("panicking_section")),
+        "span open at panic time lost: {body:?}"
+    );
     // Every line is complete, parseable JSON — no torn writes.
     for line in &lines {
         assert!(

@@ -47,12 +47,8 @@ fn live_exposition_round_trips_through_the_strict_parser() {
             })
             .unwrap_or_else(|| panic!("missing {name} {labels:?}"))
     };
-    // Under the `noop` feature the metrics register but never record,
-    // so only the structural assertions apply there.
-    if obskit::recording_enabled() {
-        assert!(find("conformance_events_total", &[]).value >= 3.0);
-        assert_eq!(find("conformance_depth", &[]).value, -7.0);
-    }
+    assert!(find("conformance_events_total", &[]).value >= 3.0);
+    assert_eq!(find("conformance_depth", &[]).value, -7.0);
     find(
         "conformance_events_total",
         &[("method", "systematic"), ("k", "50")],

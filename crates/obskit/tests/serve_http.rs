@@ -62,22 +62,13 @@ fn metrics_scrape_sees_live_counter_movement() {
     };
     assert!(!samples.is_empty());
     let v1 = value_of(&first);
-    // Under the `noop` feature adds never record; the scrape contract
-    // (registration visible, live re-read) still holds with delta 0.
-    let delta = if obskit::recording_enabled() {
-        2.0
-    } else {
-        0.0
-    };
-    if obskit::recording_enabled() {
-        assert!(v1 >= 5.0, "{v1}");
-    }
+    assert!(v1 >= 5.0, "{v1}");
 
     // The second scrape reads the *live* registry, not a snapshot taken
     // at server start.
     c.add(2);
     let (_, second) = get(addr, b"GET /metrics HTTP/1.0\r\n\r\n");
-    assert_eq!(value_of(&second), v1 + delta);
+    assert_eq!(value_of(&second), v1 + 2.0);
     handle.shutdown();
 }
 

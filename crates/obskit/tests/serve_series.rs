@@ -8,7 +8,7 @@
 //! the "store not yet installed" assertion is only meaningful before
 //! `ensure_global_series` has run anywhere in the process.
 
-use obskit::{serve, SeriesConfig, ServeConfig};
+use obskit::{serve, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -51,7 +51,7 @@ fn series_and_alerts_conform_over_real_sockets() {
 
     // Phase 2: install the store and hand-feed deterministic history
     // (no background sampler in this test binary — pushes are exact).
-    let store = obskit::series::ensure_global_series(SeriesConfig::default());
+    let store = obskit::series::ensure_global_series();
     for i in 0..10u64 {
         store.push("serve_e2e_series_kb", 1_000 + i * 100, (i * 2) as f64);
     }

@@ -178,10 +178,8 @@ impl Pool {
         if tasks == 0 {
             return Ok(Vec::new());
         }
-        if obskit::recording_enabled() {
-            obskit::counter("parkit_runs_total").inc();
-            obskit::counter("parkit_tasks_submitted_total").add(tasks as u64);
-        }
+        obskit::counter("parkit_runs_total").inc();
+        obskit::counter("parkit_tasks_submitted_total").add(tasks as u64);
         let workers = self.jobs.min(tasks);
         if workers == 1 {
             run_serial(tasks, &task)
@@ -211,9 +209,7 @@ fn run_serial<T, F: Fn(usize) -> T>(tasks: usize, task: &F) -> Result<Vec<T>, Po
             first_message,
         });
     }
-    if obskit::recording_enabled() {
-        obskit::counter("parkit_tasks_completed_total").add(done.len() as u64);
-    }
+    obskit::counter("parkit_tasks_completed_total").add(done.len() as u64);
     Ok(done)
 }
 
