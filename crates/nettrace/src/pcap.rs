@@ -335,6 +335,53 @@ mod tests {
     }
 
     #[test]
+    fn timestamp_fractions_convert_exactly() {
+        // Both magics in both byte orders, at the extremes of both
+        // fields: a fraction is microseconds, or nanoseconds rounded
+        // down to the microsecond.
+        let secs = [0u32, 1, 4_294, u32::MAX];
+        let fracs = [
+            0u32,
+            1,
+            999,
+            1_000,
+            999_999,
+            1_000_000,
+            999_999_999,
+            u32::MAX,
+        ];
+        for (magic, nanos) in [(MAGIC_US, false), (MAGIC_NS, true)] {
+            for big in [false, true] {
+                let word = |v: u32| {
+                    if big {
+                        v.to_be_bytes()
+                    } else {
+                        v.to_le_bytes()
+                    }
+                };
+                let mut buf = word(magic).to_vec();
+                buf.extend_from_slice(&[0u8; 16]); // version, zone, sigfigs, snaplen
+                buf.extend_from_slice(&word(LINKTYPE_RAW));
+                let mut expected = Vec::new();
+                for &sec in &secs {
+                    for &frac in &fracs {
+                        for v in [sec, frac, 0, 40] {
+                            buf.extend_from_slice(&word(v));
+                        }
+                        let usec = if nanos { frac / 1_000 } else { frac };
+                        expected.push(u64::from(sec) * 1_000_000 + u64::from(usec));
+                    }
+                }
+                let got: Vec<u64> = crate::CaptureStream::new(buf.as_slice())
+                    .unwrap()
+                    .map(|p| p.unwrap().timestamp.as_u64())
+                    .collect();
+                assert_eq!(got, expected, "nanos {nanos}, big-endian {big}");
+            }
+        }
+    }
+
+    #[test]
     fn non_ipv4_payload_falls_back_to_orig_len() {
         // A record whose payload is not IPv4 (version nibble 6): parse
         // falls back to orig_len and zeroed fields.

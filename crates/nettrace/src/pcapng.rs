@@ -234,6 +234,41 @@ mod tests {
     }
 
     #[test]
+    fn every_tsresol_converts_ticks_exactly() {
+        // One interface per `if_tsresol` byte: 10^0..10^19, the decimal
+        // bytes past 19 (clamped to 10^19), 2^0..2^63 and the binary
+        // bytes past 63 (clamped to 2^63); then one with no option and
+        // an interface id no IDB describes (both microseconds).
+        let resolutions: Vec<Option<u8>> = (0..=u8::MAX).map(Some).chain([None]).collect();
+        let ticks = [
+            0,
+            1,
+            999_999,
+            (1 << 32) - 1,
+            1 << 32,
+            u64::MAX / 1_000_000 + 1, // ticks * 10^6 passes 2^64
+            u64::MAX,
+        ];
+        let mut b = Builder::new();
+        for &v in &resolutions {
+            b.idb(v);
+        }
+        let mut expected = Vec::new();
+        for (iface, v) in resolutions.iter().chain([&None]).enumerate() {
+            let tps = v.map_or(1_000_000, ticks_per_sec_from_tsresol);
+            for &t in &ticks {
+                b.epb(iface as u32, t, &[], 40);
+                expected.push((u128::from(t) * 1_000_000 / u128::from(tps)) as u64);
+            }
+        }
+        let got: Vec<u64> = crate::CaptureStream::new(b.buf.as_slice())
+            .unwrap()
+            .map(|p| p.unwrap().timestamp.as_u64())
+            .collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn multi_interface_resolutions() {
         let mut b = Builder::new();
         b.idb(None); // iface 0: us

@@ -280,6 +280,92 @@ mod tests {
         assert_eq!(ts, vec![0, 400, 800]);
     }
 
+    /// Packets at the given timestamps, each told apart by its size and
+    /// flow id, so a reordering of equal timestamps shows.
+    fn numbered(ts: impl IntoIterator<Item = u64>) -> Vec<PacketRecord> {
+        ts.into_iter()
+            .enumerate()
+            .map(|(i, t)| pkt(t, 40 + (i % 1_461) as u16).with_flow(i as u32, false))
+            .collect()
+    }
+
+    /// `from_unordered` gives exactly the order of a stable sort by
+    /// timestamp, ties included.
+    fn assert_sorts_like_sort_by_key(packets: Vec<PacketRecord>) {
+        let mut expected = packets.clone();
+        expected.sort_by_key(|p| p.timestamp);
+        let got = Trace::from_unordered(packets);
+        assert_eq!(got.packets(), expected.as_slice());
+    }
+
+    #[test]
+    fn from_unordered_matches_sort_by_key() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1993);
+
+        // Lengths 0-3, every arrangement of tied and distinct stamps.
+        for len in 0..=3u32 {
+            for code in 0..3u64.pow(len) {
+                assert_sorts_like_sort_by_key(numbered(
+                    (0..len).map(|i| code / 3u64.pow(i) % 3 * 400),
+                ));
+            }
+        }
+
+        // Sorted and reversed input, with runs of equal stamps.
+        let sorted: Vec<u64> = (0..5_000u64).map(|i| i / 3 * 400).collect();
+        assert_sorts_like_sort_by_key(numbered(sorted.iter().copied()));
+        assert_sorts_like_sort_by_key(numbered(sorted.iter().rev().copied()));
+
+        // Shuffled runs of equal stamps over spans on both sides of each
+        // 11-bit digit boundary, offset from zero.
+        for bits in [1u32, 10, 11, 12, 21, 22, 23, 33, 34, 44, 55, 63, 64] {
+            let span = u64::MAX >> (64 - bits);
+            let base = rng.random_range(0..=u64::MAX - span);
+            let distinct = rng.random_range(1..=64u64);
+            let n = rng.random_range(2..4_000usize);
+            let levels: Vec<u64> = (0..distinct)
+                .map(|_| base + rng.random_range(0..=span))
+                .collect();
+            let ts: Vec<u64> = (0..n)
+                .map(|_| levels[rng.random_range(0..levels.len())])
+                .collect();
+            assert_sorts_like_sort_by_key(numbered(ts));
+        }
+
+        // 0 and u64::MAX in one column: the span needs every digit.
+        let ts: Vec<u64> = (0..3_000)
+            .map(|_| match rng.random_range(0..4u8) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.random::<u64>(),
+            })
+            .collect();
+        assert_sorts_like_sort_by_key(numbered(ts));
+
+        // Eight overlapping, nearly sorted sections like a multi-section
+        // pcapng capture: each starts at zero and climbs by 1-5,000 µs;
+        // one packet in eight sits on a millisecond interface (its stamp
+        // truncated to the millisecond) and one in eight carries no
+        // stamp of its own (it repeats the previous packet's).
+        let mut ts = Vec::new();
+        for _ in 0..8 {
+            let (mut clock, mut last) = (0u64, 0u64);
+            for _ in 0..2_500 {
+                clock += rng.random_range(1..=5_000u64);
+                last = match rng.random_range(0..8u8) {
+                    0 => clock / 1_000 * 1_000,
+                    1 => last,
+                    _ => clock,
+                };
+                ts.push(last);
+            }
+        }
+        assert!(ts.windows(2).filter(|w| w[1] < w[0]).count() > 8);
+        assert_sorts_like_sort_by_key(numbered(ts));
+    }
+
     #[test]
     fn basic_accessors() {
         let t = sample_trace();
