@@ -42,6 +42,7 @@ pub(crate) enum Endian {
 }
 
 /// The `u16` at the start of `b`.
+#[inline]
 pub(crate) fn u16_at(e: Endian, b: &[u8]) -> u16 {
     let arr = [b[0], b[1]];
     match e {
@@ -51,6 +52,7 @@ pub(crate) fn u16_at(e: Endian, b: &[u8]) -> u16 {
 }
 
 /// The `u32` at the start of `b`.
+#[inline]
 pub(crate) fn u32_at(e: Endian, b: &[u8]) -> u32 {
     let arr = [b[0], b[1], b[2], b[3]];
     match e {
@@ -151,6 +153,7 @@ fn synth_header(p: &PacketRecord) -> [u8; WRITE_CAPLEN] {
 }
 
 /// Parse a record's synthetic (or real) IPv4 header back into packet fields.
+#[inline]
 pub(crate) fn parse_ipv4(data: &[u8], orig_len: u32, ts: Micros) -> PacketRecord {
     let mut rec = PacketRecord::new(ts, orig_len.min(u32::from(u16::MAX)) as u16);
     if data.len() >= 20 && data[0] >> 4 == 4 {

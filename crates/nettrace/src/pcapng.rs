@@ -27,18 +27,52 @@ pub(crate) const SPB_TYPE: u32 = 0x0000_0003;
 /// Sanity cap on a single block's length.
 pub(crate) const MAX_BLOCK: u32 = 16 * 1024 * 1024;
 
-/// Per-interface decoding state.
+/// Per-interface decoding state: how the interface's timestamp ticks
+/// become microseconds, chosen once, when its Interface Description
+/// Block is read.
+///
+/// Every variant gives exactly `(ticks * 10^6 / ticks_per_sec) as u64`
+/// computed in 128 bits. Decimal resolutions and 2^-k for k ≤ 6 are a
+/// multiply or a 64-bit divide; only 2^-k for k ≥ 7 divides in 128 bits.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Interface {
-    /// Ticks per second of this interface's timestamps.
-    ticks_per_sec: u64,
+pub(crate) enum Interface {
+    /// A tick is this many microseconds: 1 at the default resolution.
+    /// The product wraps past `u64::MAX`, as the cast quotient does.
+    TickMicros(u64),
+    /// A microsecond is this many ticks.
+    MicroTicks(u64),
+    /// Ticks per second, for any other resolution.
+    TicksPerSec(u64),
 }
 
 impl Default for Interface {
     fn default() -> Self {
         // pcapng default resolution: microseconds.
-        Interface {
-            ticks_per_sec: 1_000_000,
+        Interface::TickMicros(1)
+    }
+}
+
+impl Interface {
+    /// The conversion for an interface whose `if_tsresol` is `v`.
+    fn from_tsresol(v: u8) -> Self {
+        const MICROS: u64 = 1_000_000;
+        let ticks_per_sec = ticks_per_sec_from_tsresol(v);
+        if MICROS.is_multiple_of(ticks_per_sec) {
+            Interface::TickMicros(MICROS / ticks_per_sec)
+        } else if ticks_per_sec.is_multiple_of(MICROS) {
+            Interface::MicroTicks(ticks_per_sec / MICROS)
+        } else {
+            Interface::TicksPerSec(ticks_per_sec)
+        }
+    }
+
+    /// `ticks` of this interface's clock, in microseconds.
+    #[inline]
+    fn micros(self, ticks: u64) -> u64 {
+        match self {
+            Interface::TickMicros(m) => ticks.wrapping_mul(m),
+            Interface::MicroTicks(d) => ticks / d,
+            Interface::TicksPerSec(tps) => (u128::from(ticks) * 1_000_000 / u128::from(tps)) as u64,
         }
     }
 }
@@ -73,7 +107,7 @@ pub(crate) fn parse_idb(endian: Endian, body: &[u8]) -> Option<Interface> {
             break;
         }
         if code == 9 && len >= 1 {
-            iface.ticks_per_sec = ticks_per_sec_from_tsresol(body[o]);
+            iface = Interface::from_tsresol(body[o]);
         }
         o += len.div_ceil(4) * 4; // options pad to 32 bits
     }
@@ -82,6 +116,7 @@ pub(crate) fn parse_idb(endian: Endian, body: &[u8]) -> Option<Interface> {
 
 /// Decode an Enhanced Packet Block body into a record (`None` if too
 /// short for the fixed header).
+#[inline]
 pub(crate) fn parse_epb(
     endian: Endian,
     body: &[u8],
@@ -96,14 +131,8 @@ pub(crate) fn parse_epb(
     let caplen = u32_at(endian, &body[12..]) as usize;
     let orig_len = u32_at(endian, &body[16..]);
     let ticks = (ts_high << 32) | ts_low;
-    let tps = interfaces
-        .get(iface_id)
-        .copied()
-        .unwrap_or_default()
-        .ticks_per_sec;
-    // Convert ticks to microseconds exactly (128-bit to avoid both
-    // overflow and the truncation of non-decimal resolutions like 2^-10).
-    let micros = (u128::from(ticks) * 1_000_000 / u128::from(tps.max(1))) as u64;
+    let iface = interfaces.get(iface_id).copied().unwrap_or_default();
+    let micros = iface.micros(ticks);
     let data_end = (20 + caplen).min(body.len());
     let data = &body[20..data_end];
     Some(parse_ipv4(data, orig_len, Micros(micros)))
@@ -111,6 +140,7 @@ pub(crate) fn parse_epb(
 
 /// Decode a Simple Packet Block body into a record at timestamp `ts`
 /// (`None` if too short for the original-length field).
+#[inline]
 pub(crate) fn parse_spb(endian: Endian, body: &[u8], ts: Micros) -> Option<PacketRecord> {
     if body.len() < 4 {
         return None;

@@ -87,7 +87,18 @@ struct Input<R> {
 impl<R: Read> Input<R> {
     /// Make `n` bytes past `pos` available; `Ok(false)` if the stream
     /// ends first, in which case every remaining byte is in the buffer.
+    #[inline]
     fn fill(&mut self, n: usize) -> io::Result<bool> {
+        if self.end - self.pos >= n {
+            return Ok(true);
+        }
+        self.refill(n)
+    }
+
+    /// [`fill`](Input::fill) when the buffer holds too few bytes: read
+    /// more, making room first if the buffer is full.
+    #[cold]
+    fn refill(&mut self, n: usize) -> io::Result<bool> {
         while self.end - self.pos < n {
             if self.end == self.buf.len() {
                 // Full: drop what earlier structures left behind, then
@@ -114,8 +125,9 @@ impl<R: Read> Input<R> {
 
     /// Take the next `n` bytes into the structure being decoded; a stream
     /// that ends first truncates it.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<(), TraceError> {
-        if self.end - self.pos < n && !self.fill(n)? {
+        if !self.fill(n)? {
             return Err(TraceError::TruncatedRecord {
                 packets_read: self.packets,
             });
@@ -126,6 +138,7 @@ impl<R: Read> Input<R> {
     }
 
     /// The structure taken so far.
+    #[inline]
     fn taken(&self) -> &[u8] {
         &self.buf[self.mark..self.pos]
     }
@@ -177,6 +190,7 @@ impl<R: Read> Input<R> {
 }
 
 /// The byte order a section header's byte-order mark declares.
+#[inline]
 fn section_endian(bom: u32) -> Option<Endian> {
     match (bom, bom.swap_bytes()) {
         (BOM, _) => Some(Endian::Little),
@@ -187,6 +201,7 @@ fn section_endian(bom: u32) -> Option<Endian> {
 
 /// A pcapng block length: `min` to [`MAX_BLOCK`] bytes, and a multiple
 /// of 4.
+#[inline]
 fn block_len(len: u32, min: u32) -> Result<usize, TraceError> {
     if (min..=MAX_BLOCK).contains(&len) && len.is_multiple_of(4) {
         Ok(len as usize)
@@ -196,6 +211,7 @@ fn block_len(len: u32, min: u32) -> Result<usize, TraceError> {
 }
 
 /// Decode one classic pcap record.
+#[inline]
 fn pcap_record<R: Read>(input: &mut Input<R>, endian: Endian, nanos: bool) -> Decoded {
     input.take(16)?;
     let header = input.taken();
@@ -205,28 +221,19 @@ fn pcap_record<R: Read>(input: &mut Input<R>, endian: Endian, nanos: bool) -> De
         return Err(TraceError::OversizedRecord { caplen });
     }
     input.take(caplen as usize)?;
-    let usec = u64::from(frac) / if nanos { 1000 } else { 1 };
-    let ts = Micros(u64::from(sec) * 1_000_000 + usec);
+    let usec = if nanos { frac / 1_000 } else { frac };
+    let ts = Micros(u64::from(sec) * 1_000_000 + u64::from(usec));
     Ok(Some(parse_ipv4(&input.taken()[16..], orig_len, ts)))
 }
 
 impl Section {
     /// Decode one pcapng block; the packet, if it carried one.
+    #[inline]
     fn block<R: Read>(&mut self, input: &mut Input<R>) -> Decoded {
         input.take(8)?;
         let raw_type = u32_at(Endian::Little, input.taken());
         if raw_type == SHB_TYPE {
-            // A palindrome, so readable in either byte order: a new
-            // section, whose byte-order mark fixes the order until the next.
-            input.take(4)?;
-            let bom = u32_at(Endian::Little, &input.taken()[8..]);
-            let endian = section_endian(bom).ok_or(TraceError::BadMagic(bom))?;
-            let total_len = block_len(u32_at(endian, &input.taken()[4..]), 28)?;
-            // Version, section length and options are not needed.
-            input.take(total_len - 12)?;
-            self.endian = Some(endian);
-            self.interfaces.clear();
-            return Ok(None);
+            return self.section_header(input);
         }
         // A pcapng stream must open with a section header.
         let endian = self.endian.ok_or(TraceError::BadMagic(raw_type))?;
@@ -247,6 +254,22 @@ impl Section {
             _ => None, // unknown block: skipped by length
         };
         Ok(packet.inspect(|p| self.last_ts = p.timestamp))
+    }
+
+    /// Decode the rest of a Section Header Block, whose type is a
+    /// palindrome and so readable in either byte order: a new section,
+    /// whose byte-order mark fixes the order until the next.
+    #[cold]
+    fn section_header<R: Read>(&mut self, input: &mut Input<R>) -> Decoded {
+        input.take(4)?;
+        let bom = u32_at(Endian::Little, &input.taken()[8..]);
+        let endian = section_endian(bom).ok_or(TraceError::BadMagic(bom))?;
+        let total_len = block_len(u32_at(endian, &input.taken()[4..]), 28)?;
+        // Version, section length and options are not needed.
+        input.take(total_len - 12)?;
+        self.endian = Some(endian);
+        self.interfaces.clear();
+        Ok(None)
     }
 }
 
@@ -387,6 +410,7 @@ impl<R: Read> CaptureStream<R> {
     /// pcap stream. Every such call advances at least one byte or returns
     /// `Ok(None)`. [`TraceError::Io`] when the reader fails, which ends
     /// the stream.
+    #[inline]
     pub fn next_packet(&mut self) -> Result<Option<PacketRecord>, TraceError> {
         let step = self.step();
         if let Err(error) = &step {
@@ -397,14 +421,10 @@ impl<R: Read> CaptureStream<R> {
         step
     }
 
+    #[inline]
     fn step(&mut self) -> Decoded {
-        if std::mem::take(&mut self.resume) {
-            let input = &mut self.input;
-            input.consumed -= (input.pos - input.mark) as u64;
-            if !(matches!(self.format, Format::Pcapng(_)) && input.resync()?) {
-                input.drain()?;
-                self.done = true;
-            }
+        if self.resume {
+            self.resume_past_fault()?;
         }
         while !self.done {
             let input = &mut self.input;
@@ -427,16 +447,35 @@ impl<R: Read> CaptureStream<R> {
         Ok(None)
     }
 
+    /// Drop the pieces of the structure the last fault broke, then
+    /// resume at the next plausible pcapng section header, or end the
+    /// stream.
+    #[cold]
+    fn resume_past_fault(&mut self) -> io::Result<()> {
+        self.resume = false;
+        let input = &mut self.input;
+        input.consumed -= (input.pos - input.mark) as u64;
+        if !(matches!(self.format, Format::Pcapng(_)) && input.resync()?) {
+            input.drain()?;
+            self.done = true;
+        }
+        Ok(())
+    }
+
     /// Pull up to `max` packets into `push`, counting them on
     /// `nettrace_stream_packets_total`.
+    #[inline]
     fn pull(
         &mut self,
         max: usize,
         mut push: impl FnMut(PacketRecord),
     ) -> Result<usize, TraceError> {
         let mut got = 0;
-        for packet in self.by_ref().take(max) {
-            push(packet?);
+        while got < max {
+            let Some(packet) = self.next_packet()? else {
+                break;
+            };
+            push(packet);
             got += 1;
         }
         if got > 0 {
@@ -455,6 +494,7 @@ impl<R: Read> CaptureStream<R> {
     /// # Errors
     /// As [`next_packet`](CaptureStream::next_packet); packets decoded
     /// before the fault are kept in `out`.
+    #[inline]
     pub fn next_batch(
         &mut self,
         max: usize,
@@ -473,6 +513,7 @@ impl<R: Read> CaptureStream<R> {
     /// # Errors
     /// As [`next_packet`](CaptureStream::next_packet); packets decoded
     /// before the fault are kept in `out`.
+    #[inline]
     pub fn next_chunk(&mut self, max: usize, out: &mut PacketBatch) -> Result<usize, TraceError> {
         self.pull(max, |p| out.push(&p))
     }
@@ -481,6 +522,7 @@ impl<R: Read> CaptureStream<R> {
 impl<R: Read> Iterator for CaptureStream<R> {
     type Item = Result<PacketRecord, TraceError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         self.next_packet().transpose()
     }

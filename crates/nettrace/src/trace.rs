@@ -50,11 +50,16 @@ impl Trace {
         Ok(Trace { packets })
     }
 
-    /// Build a trace from packets that are known to be sorted, sorting
-    /// defensively if they are not (stable by timestamp).
+    /// Build a trace from packets in any order. Packets already in
+    /// timestamp order are kept as they are; any others are put in
+    /// order by a stable radix sort on timestamps, so packets with
+    /// equal timestamps keep their relative order, exactly as
+    /// `sort_by_key(|p| p.timestamp)` would leave them.
     #[must_use]
     pub fn from_unordered(mut packets: Vec<PacketRecord>) -> Self {
-        packets.sort_by_key(|p| p.timestamp);
+        if packets.windows(2).any(|w| w[1].timestamp < w[0].timestamp) {
+            radix_sort_by_timestamp(&mut packets);
+        }
         Trace { packets }
     }
 
@@ -185,6 +190,54 @@ impl Trace {
             bytes: self.total_bytes(),
             duration: self.duration(),
         }
+    }
+}
+
+/// Timestamp bits sorted per radix pass.
+const DIGIT_BITS: u32 = 11;
+/// Buckets per radix pass.
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// Stable least-significant-digit radix sort by timestamp.
+///
+/// Sorts each timestamp's offset from the smallest, [`DIGIT_BITS`] bits
+/// a pass, in only as many passes as the largest offset needs (three
+/// for a few hours of microseconds, six for the whole `u64` range).
+/// Each pass is a counting sort that scatters the packets, in input
+/// order, between `packets` and one scratch vector of the same length,
+/// so packets with equal timestamps keep their order.
+fn radix_sort_by_timestamp(packets: &mut Vec<PacketRecord>) {
+    packets.shrink_to_fit();
+    let (min, max) = packets.iter().fold((u64::MAX, 0), |(lo, hi), p| {
+        let t = p.timestamp.as_u64();
+        (lo.min(t), hi.max(t))
+    });
+    let passes = (u64::BITS - (max - min).leading_zeros()).div_ceil(DIGIT_BITS);
+    let digit = |p: &PacketRecord, pass: u32| {
+        ((p.timestamp.as_u64() - min) >> (pass * DIGIT_BITS)) as usize & (BUCKETS - 1)
+    };
+    // Every pass's bucket sizes, from one read of the timestamps.
+    let mut counts = vec![[0usize; BUCKETS]; passes as usize];
+    for p in packets.iter() {
+        for (pass, sizes) in (0..).zip(&mut counts) {
+            sizes[digit(p, pass)] += 1;
+        }
+    }
+    let mut scratch = vec![packets[0]; packets.len()];
+    for (pass, next) in (0..).zip(&mut counts) {
+        // Bucket sizes become each bucket's next free slot.
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            let size = *slot;
+            *slot = start;
+            start += size;
+        }
+        for p in packets.iter() {
+            let slot = &mut next[digit(p, pass)];
+            scratch[*slot] = *p;
+            *slot += 1;
+        }
+        std::mem::swap(packets, &mut scratch);
     }
 }
 
