@@ -17,11 +17,28 @@ cargo build --offline --release --workspace
 echo "== cargo test"
 cargo test --offline --workspace -q
 
-echo "== bench: netbench gate (fmt, clippy, self-tests, --quick smoke runs)"
+echo "== bench: netbench gate (fmt, clippy, self-tests, --quick smoke runs) and digests"
+# Every workload's output digest at seed 1993. netbench checks each pass
+# only against its own warm-up, so this table is what catches a change
+# to what a workload computes. A change that means to alter a workload's
+# output updates its row here, and says why.
+netbench_digests="stream-sdsc 0d0f0022f4d34b87
+ingest-pcapng 827260d07c5e8766
+collect-zipf 752949928d0e9bfb
+grid-paper bcda7db26082c78b"
 # netbench is a workspace of its own, so nothing above compiles it, yet
 # it links the public APIs of nettrace, streamkit, collectd, sampling
 # and faultkit: a change that breaks one of them must fail here.
 benchmark/check.sh
+while read -r workload want; do
+    got="$(cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- \
+        run --seed 1993 --workload "$workload" --seconds 1 |
+        sed -n 's/.* digest \([0-9a-f]*\)$/\1/p')"
+    if [ "$got" != "$want" ]; then
+        echo "netbench $workload seed-1993 digest '$got', want $want" >&2
+        exit 1
+    fi
+done <<< "$netbench_digests"
 
 echo "== smoke: synthesize + score with --metrics"
 tmpdir="$(mktemp -d)"
