@@ -281,9 +281,9 @@ impl Section {
 /// the largest single record regardless of capture size.
 ///
 /// Unlike [`read_capture`], packets arrive in **file order** — the
-/// defensive timestamp sort of [`Trace::from_unordered`] is a
-/// whole-trace operation a one-pass reader cannot perform. Callers
-/// needing sorted output must window-and-sort downstream.
+/// timestamp sort of [`Trace::from_unordered`] is a whole-trace
+/// operation a one-pass reader cannot perform. Callers needing sorted
+/// output must window-and-sort downstream.
 ///
 /// After a fault the next call resumes past it (see
 /// [`next_packet`](CaptureStream::next_packet)); after the end of the
@@ -532,8 +532,12 @@ impl<R: Read> Iterator for CaptureStream<R> {
 /// bytes), into a [`Trace`]: the packets up to the first fault, or that
 /// fault.
 ///
-/// Timestamps are converted to absolute microseconds; packets are
-/// defensively sorted (multi-interface captures interleave). Protocol,
+/// Timestamps are converted to absolute microseconds, with each pcapng
+/// interface's tick conversion fixed when its description is read.
+/// Packets already in timestamp order are returned as they are; any
+/// others (multi-interface and multi-section captures interleave) get
+/// a stable radix sort on timestamps, which keeps packets with equal
+/// timestamps in file order ([`Trace::from_unordered`]). Protocol,
 /// ports, and network numbers are recovered from the packet bytes when
 /// they look like IPv4.
 ///

@@ -57,7 +57,7 @@ impl Trace {
     /// `sort_by_key(|p| p.timestamp)` would leave them.
     #[must_use]
     pub fn from_unordered(mut packets: Vec<PacketRecord>) -> Self {
-        if packets.windows(2).any(|w| w[1].timestamp < w[0].timestamp) {
+        if !packets.is_sorted_by_key(|p| p.timestamp) {
             radix_sort_by_timestamp(&mut packets);
         }
         Trace { packets }
@@ -201,11 +201,11 @@ const BUCKETS: usize = 1 << DIGIT_BITS;
 /// Stable least-significant-digit radix sort by timestamp.
 ///
 /// Sorts each timestamp's offset from the smallest, [`DIGIT_BITS`] bits
-/// a pass, in only as many passes as the largest offset needs (three
-/// for a few hours of microseconds, six for the whole `u64` range).
-/// Each pass is a counting sort that scatters the packets, in input
-/// order, between `packets` and one scratch vector of the same length,
-/// so packets with equal timestamps keep their order.
+/// a pass, in only as many passes as the largest offset needs: three
+/// for spans under 2^33 µs (about 2.4 hours), six for the whole `u64`
+/// range. Each pass is a counting sort that scatters the packets, in
+/// input order, between `packets` and one scratch vector of the same
+/// length, so packets with equal timestamps keep their order.
 fn radix_sort_by_timestamp(packets: &mut Vec<PacketRecord>) {
     packets.shrink_to_fit();
     let (min, max) = packets.iter().fold((u64::MAX, 0), |(lo, hi), p| {
