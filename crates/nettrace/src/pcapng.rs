@@ -31,16 +31,16 @@ pub(crate) const MAX_BLOCK: u32 = 16 * 1024 * 1024;
 /// become microseconds, chosen once, when its Interface Description
 /// Block is read.
 ///
-/// Every variant gives exactly `(ticks * 10^6 / ticks_per_sec) as u64`
-/// computed in 128 bits. Decimal resolutions and 2^-k for k ≤ 6 are a
-/// multiply or a 64-bit divide; only 2^-k for k ≥ 7 divides in 128 bits.
+/// Both variants give exactly `(ticks * 10^6 / ticks_per_sec) as u64`
+/// computed in 128 bits. A resolution whose tick is a whole number of
+/// microseconds (10^-k s for k ≤ 6, 2^-k s for k ≤ 6) is a multiply;
+/// every other one, all those finer than a microsecond included,
+/// divides in 128 bits.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Interface {
     /// A tick is this many microseconds: 1 at the default resolution.
     /// The product wraps past `u64::MAX`, as the cast quotient does.
     TickMicros(u64),
-    /// A microsecond is this many ticks.
-    MicroTicks(u64),
     /// Ticks per second, for any other resolution.
     TicksPerSec(u64),
 }
@@ -59,8 +59,6 @@ impl Interface {
         let ticks_per_sec = ticks_per_sec_from_tsresol(v);
         if MICROS.is_multiple_of(ticks_per_sec) {
             Interface::TickMicros(MICROS / ticks_per_sec)
-        } else if ticks_per_sec.is_multiple_of(MICROS) {
-            Interface::MicroTicks(ticks_per_sec / MICROS)
         } else {
             Interface::TicksPerSec(ticks_per_sec)
         }
@@ -71,7 +69,6 @@ impl Interface {
     fn micros(self, ticks: u64) -> u64 {
         match self {
             Interface::TickMicros(m) => ticks.wrapping_mul(m),
-            Interface::MicroTicks(d) => ticks / d,
             Interface::TicksPerSec(tps) => (u128::from(ticks) * 1_000_000 / u128::from(tps)) as u64,
         }
     }
