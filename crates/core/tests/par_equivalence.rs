@@ -6,12 +6,13 @@
 //! scheduling leak (results placed by completion order, seeds derived
 //! from worker identity, shared-state races) fails these tests.
 
+use netsynth::{generate_flow_pack, FlowPackConfig, FlowSizeDist};
 use nettrace::{Micros, PacketRecord, Trace};
 use parkit::Pool;
 use sampling::experiment::{
-    granularity_sweep_with, interval_sweep_with, ExperimentResult, MethodFamily,
+    granularity_sweep_with, interval_sweep_with, Experiment, ExperimentResult, MethodFamily,
 };
-use sampling::Target;
+use sampling::{FlowEstimator, FlowExperiment, Target};
 
 const PACKETS: usize = 10_000;
 const REPLICATIONS: u32 = 5;
@@ -187,6 +188,86 @@ fn parallel_sweep_matches_legacy_serial_entrypoint() {
         );
         for ((_, a), (_, b)) in explicit.iter().zip(&wide) {
             assert_cells_bit_identical(a, b, family.name());
+        }
+    }
+}
+
+/// Cross-path oracle: the three ways to score one `(family, k)` cell on
+/// one window (a single `run_with` at the capped replication count, a
+/// one-cell `run_grid_with`, and the `interval_sweep_with` cell of one
+/// window covering the whole trace) agree bit for bit, for every family,
+/// both paper targets and a fine and a coarse granularity.
+#[test]
+fn every_cell_path_scores_the_same_bits() {
+    let trace = synthetic_trace();
+    let pool = Pool::new(2);
+    let whole = trace.packets().last().unwrap().timestamp + Micros(1);
+    let mut families = MethodFamily::paper_five().to_vec();
+    families.push(MethodFamily::GeometricSkip);
+    for target in [Target::PacketSize, Target::Interarrival] {
+        let exp = Experiment::new(trace.packets(), target);
+        for &family in &families {
+            for k in [4usize, 64] {
+                let ctx = format!("{} {target:?} k={k}", family.name());
+                let single = exp.run_with(
+                    &pool,
+                    family.at_granularity(k, exp.mean_pps()),
+                    family.replication_cap(k, REPLICATIONS),
+                    SEED,
+                );
+                let grid = exp
+                    .run_grid_with(&pool, &[(family, k)], REPLICATIONS, SEED)
+                    .remove(0);
+                let swept = interval_sweep_with(
+                    &pool,
+                    &trace,
+                    target,
+                    family,
+                    k,
+                    Micros(0),
+                    &[whole],
+                    REPLICATIONS,
+                    SEED,
+                )
+                .remove(0)
+                .1
+                .expect("the window covers the whole trace");
+                assert_cells_bit_identical(&single, &grid, &format!("{ctx} grid"));
+                assert_cells_bit_identical(&single, &swept, &format!("{ctx} interval sweep"));
+                assert!(
+                    !single.replications.is_empty(),
+                    "{ctx}: no scored replications"
+                );
+            }
+        }
+    }
+}
+
+/// `FlowExperiment::run_with` is its one-cell `run_grid_with`.
+#[test]
+fn flow_run_with_matches_its_grid_cell() {
+    let pack = generate_flow_pack(
+        &FlowPackConfig {
+            flows: 300,
+            size_dist: FlowSizeDist::Geometric { p: 0.02 },
+            duration_secs: 10,
+            ..FlowPackConfig::default()
+        },
+        SEED,
+    );
+    let exp = FlowExperiment::new(pack.packets());
+    let pool = Pool::new(2);
+    for estimator in FlowEstimator::all() {
+        for k in [4u64, 64] {
+            let single = exp.run_with(&pool, estimator, k, REPLICATIONS);
+            let grid = exp
+                .run_grid_with(&pool, &[(estimator, k)], REPLICATIONS)
+                .remove(0);
+            assert_eq!(single, grid, "{estimator} k={k}");
+            assert!(
+                !single.replications.is_empty(),
+                "{estimator} k={k}: nothing scored"
+            );
         }
     }
 }
