@@ -376,6 +376,42 @@ for pass in 1 2; do
     cargo test --offline -q --test flow_inversion_calibration
 done
 
+echo "== pinned: CLI experiment outputs against recorded checksums"
+# The stages above check only that two runs agree. This table pins what
+# `score` (Experiment::run_with), `sweep` (run_grid_with), `flows`
+# (FlowExperiment::run_grid_with) and `stream` print for the smoke
+# captures (pop.pcap: 10 s, seed 7; zipf.pcap: 20 s, seed 1993), as
+# `cksum` of stdout or of the JSONL file (stream's with rss_kb masked).
+# A change that means to alter one of these outputs updates its row
+# here, and says why.
+pinned_cksums="score 260734417 283
+sweep 4087357925 518
+flows 1150908164 2447
+stream 2358929523 703"
+pinned_output() {
+    case "$1" in
+        score) "$bin" score "$tmpdir/pop.pcap" --interval 20 --replications 3 ;;
+        sweep) "$bin" sweep "$tmpdir/pop.pcap" --replications 3 ;;
+        flows)
+            "$bin" flows "$tmpdir/zipf.pcap" --interval 50 \
+                --jsonl "$tmpdir/pinned.flows.jsonl" > /dev/null
+            cat "$tmpdir/pinned.flows.jsonl"
+            ;;
+        stream)
+            "$bin" stream "$tmpdir/pop.pcap" --window 2000 --interval 50 \
+                --jsonl "$tmpdir/pinned.stream.jsonl" > /dev/null
+            sed -E 's/"rss_kb":[0-9]+/"rss_kb":0/' "$tmpdir/pinned.stream.jsonl"
+            ;;
+    esac
+}
+while read -r output want; do
+    got="$(pinned_output "$output" < /dev/null | cksum)"
+    if [ "$got" != "$want" ]; then
+        echo "pinned $output output checksum '$got', want '$want'" >&2
+        exit 1
+    fi
+done <<< "$pinned_cksums"
+
 echo "== collect: sharded collector (determinism + live shard gauges + soak)"
 # The collector's contract: reports are a pure function of (seed, fleet,
 # method). The same config run twice must be byte-identical, and an

@@ -10,56 +10,10 @@
 //! (method ties, monotone degradation) survive every choice, even though
 //! absolute φ values shift with bin count.
 
-use nettrace::{BinSpec, Micros, PacketRecord, Trace};
-use sampling::experiment::MethodFamily;
-use sampling::{disparity, select_indices};
+use nettrace::{BinSpec, Micros, Trace};
+use sampling::experiment::{Experiment, MethodFamily};
+use sampling::Target;
 use std::fmt::Write;
-
-/// Score one method/binning/granularity combination (mean φ over
-/// replications).
-fn phi_for(
-    packets: &[PacketRecord],
-    spec: &BinSpec,
-    family: MethodFamily,
-    k: usize,
-    reps: u64,
-    seed: u64,
-) -> f64 {
-    // Build histograms directly (bin choice is the variable here).
-    let mut pop = nettrace::Histogram::new(spec.clone());
-    for p in packets {
-        pop.observe(u64::from(p.size));
-    }
-    let mean_pps = {
-        let dur = packets
-            .last()
-            .unwrap()
-            .timestamp
-            .saturating_sub(packets[0].timestamp)
-            .as_secs_f64();
-        packets.len() as f64 / dur.max(1e-9)
-    };
-    let method = family.at_granularity(k, mean_pps);
-    let mut sum = 0.0;
-    let mut scored = 0u64;
-    for rep in 0..reps {
-        let mut sampler = method.build(packets.len(), packets[0].timestamp, rep, seed);
-        let selected = select_indices(sampler.as_mut(), packets);
-        let mut sam = nettrace::Histogram::new(spec.clone());
-        for &i in &selected {
-            sam.observe(u64::from(packets[i].size));
-        }
-        if let Some(r) = disparity(&pop, &sam) {
-            sum += r.phi;
-            scored += 1;
-        }
-    }
-    if scored > 0 {
-        sum / scored as f64
-    } else {
-        f64::NAN
-    }
-}
 
 /// Render the bin-sensitivity table.
 #[must_use]
@@ -91,12 +45,24 @@ pub fn run(trace: &Trace, seed: u64) -> String {
             "1/k", "systematic", "stratified", "random"
         )
         .unwrap();
+        // Every granularity × method cell runs as one flattened grid on
+        // the session pool, row-major in print order.
+        let exp = Experiment::with_bins(window, Target::PacketSize, spec.clone());
+        let ks = [16usize, 256, 4096];
+        let cells: Vec<(MethodFamily, usize)> = ks
+            .iter()
+            .flat_map(|&k| families.iter().map(move |&f| (f, k)))
+            .collect();
+        let mut results = exp
+            .run_grid_with(&parkit::Pool::with_default_jobs(), &cells, 5, seed)
+            .into_iter();
         let mut last_sys = 0.0;
         let mut monotone = true;
-        for k in [16usize, 256, 4096] {
+        for k in ks {
             write!(out, "{k:>9}").unwrap();
-            for (fi, f) in families.iter().enumerate() {
-                let phi = phi_for(window, spec, *f, k, 5, seed);
+            for fi in 0..families.len() {
+                let result = results.next().expect("grid covers the full table");
+                let phi = result.mean_phi().unwrap_or(f64::NAN);
                 write!(out, " {phi:>12.5}").unwrap();
                 if fi == 0 {
                     if phi < last_sys {

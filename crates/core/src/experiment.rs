@@ -7,27 +7,28 @@
 //! misleading outlying samples" (§7); systematic replications vary the
 //! starting offset, randomized replications vary the seed.
 //!
-//! The free functions [`granularity_sweep`] and [`interval_sweep`]
-//! produce the two figure families of the paper: φ versus sampling
-//! fraction (Figures 6–9) and φ versus interval length (Figures 10–11).
+//! [`Experiment::run_grid_with`] produces φ versus sampling fraction
+//! over one window (Figures 6–9), and [`interval_sweep`] produces φ
+//! versus interval length (Figures 10–11).
 //!
 //! ## Parallel execution
 //!
 //! Every replication is a pure function of `(method, replication index,
 //! base seed)` against the precomputed population histogram, so cells
-//! are embarrassingly parallel. The `_with` variants ([`Experiment::run_with`],
-//! [`Experiment::run_grid_with`], [`granularity_sweep_with`],
-//! [`interval_sweep_with`]) take a [`parkit::Pool`] and fan the
-//! flattened (cell × replication) task list across its workers; results
-//! land in slot vectors by task index, so **parallel output is
-//! bit-identical to serial** regardless of worker count or scheduling.
-//! The plain entry points delegate to [`parkit::Pool::with_default_jobs`]
-//! (the `--jobs` flag / `NETSAMPLE_JOBS`).
+//! are embarrassingly parallel. One engine runs every grid
+//! ([`Experiment::run_with`], [`Experiment::run_grid_with`],
+//! [`interval_sweep_with`] and the flow-inversion grids of
+//! [`crate::flows`]): it fans the flattened (cell × replication) task
+//! list across a [`parkit::Pool`] and reassembles results by task index,
+//! so **parallel output is bit-identical to serial** regardless of worker
+//! count or scheduling. The entry points without a pool argument use
+//! [`parkit::Pool::with_default_jobs`] (the `--jobs` flag /
+//! `NETSAMPLE_JOBS`).
 
 use crate::metrics::{disparity, DisparityReport};
 use crate::sampler::{select_indices_ts, MethodSpec};
 use crate::targets::Target;
-use nettrace::{Histogram, Micros, PacketRecord, Trace};
+use nettrace::{BinSpec, Histogram, Micros, PacketRecord, Trace};
 use parkit::Pool;
 use statkit::Boxplot;
 
@@ -109,13 +110,13 @@ impl MethodFamily {
 
     /// The effective replication count at granularity `k`: a systematic
     /// sample has only `k` distinct starting offsets, so requesting more
-    /// replications than that would just repeat samples.
+    /// replications than that would just repeat samples. A `k` past
+    /// `u32::MAX` leaves every requested replication.
     #[must_use]
     pub fn replication_cap(&self, k: usize, replications: u32) -> u32 {
-        if *self == MethodFamily::Systematic {
-            replications.min(k as u32)
-        } else {
-            replications
+        match u32::try_from(k) {
+            Ok(k) if *self == MethodFamily::Systematic => replications.min(k),
+            _ => replications,
         }
     }
 }
@@ -226,16 +227,25 @@ pub struct Experiment<'a> {
 }
 
 impl<'a> Experiment<'a> {
-    /// Set up over a packet window.
+    /// Set up over a packet window with the target's own bins.
     ///
     /// # Panics
     /// Panics if the window is empty: an experiment needs a parent
     /// population.
     #[must_use]
     pub fn new(packets: &'a [PacketRecord], target: Target) -> Self {
+        Self::with_bins(packets, target, target.bins())
+    }
+
+    /// Set up with explicit bins for the target's attribute (the §7.1
+    /// ablation rescores packet sizes under other binnings).
+    ///
+    /// # Panics
+    /// Panics if the window is empty.
+    #[must_use]
+    pub fn with_bins(packets: &'a [PacketRecord], target: Target, spec: BinSpec) -> Self {
         assert!(!packets.is_empty(), "experiment needs a nonempty window");
-        let population = target.population_histogram(packets);
-        let spec = target.bins();
+        let mut counts = vec![0u64; spec.bin_count()];
         let mut ts = Vec::with_capacity(packets.len());
         let mut bin = Vec::with_capacity(packets.len());
         let mut weight = Vec::with_capacity(packets.len());
@@ -247,8 +257,10 @@ impl<'a> Experiment<'a> {
             ts.push(t);
             match target.value(p, gap) {
                 Some(v) => {
-                    bin.push(spec.bin_index(v) as u32);
-                    weight.push(target.weight(p));
+                    let (b, w) = (spec.bin_index(v), target.weight(p));
+                    counts[b] += w;
+                    bin.push(b as u32);
+                    weight.push(w);
                 }
                 None => {
                     bin.push(NO_BIN);
@@ -259,7 +271,7 @@ impl<'a> Experiment<'a> {
         Experiment {
             packets,
             target,
-            population,
+            population: Histogram::from_bin_counts(spec, counts),
             window_start: packets[0].timestamp,
             ts,
             bin,
@@ -286,18 +298,7 @@ impl<'a> Experiment<'a> {
     /// packet granularities into rate-equivalent timer periods).
     #[must_use]
     pub fn mean_pps(&self) -> f64 {
-        let dur = self
-            .packets
-            .last()
-            .expect("nonempty")
-            .timestamp
-            .saturating_sub(self.window_start)
-            .as_secs_f64();
-        if dur > 0.0 {
-            self.packets.len() as f64 / dur
-        } else {
-            self.packets.len() as f64
-        }
+        mean_pps(self.packets)
     }
 
     /// The precomputed population histogram.
@@ -360,27 +361,9 @@ impl<'a> Experiment<'a> {
             "experiment_cell",
             &[("method", &method_label), ("target", &target_label)],
         );
-        let scored = pool
-            .run(replications as usize, |rep| {
-                self.replicate(method, rep as u64, seed)
-            })
-            .unwrap_or_else(|e| panic!("experiment pool failed: {e}"));
-        let mut result = ExperimentResult {
-            method,
-            target: self.target,
-            replications: Vec::with_capacity(replications as usize),
-            empty_samples: 0,
-        };
-        for r in scored {
-            match r {
-                Some(rep) => result.replications.push(rep),
-                None => result.empty_samples += 1,
-            }
-        }
-        obskit::counter("experiment_cells_total").inc();
-        obskit::counter("experiment_replications_total").add(u64::from(replications));
-        obskit::counter("experiment_empty_samples_total").add(u64::from(result.empty_samples));
-        result
+        score_cells(pool, &[((self, method), replications)], seed)
+            .pop()
+            .expect("one cell in, one result out")
     }
 
     /// Score a method family at packet granularity `k` (timer periods
@@ -392,20 +375,12 @@ impl<'a> Experiment<'a> {
         replications: u32,
         seed: u64,
     ) -> ExperimentResult {
-        self.run_family_with(&Pool::with_default_jobs(), family, k, replications, seed)
-    }
-
-    /// Score a method family at packet granularity `k` on `pool`.
-    pub fn run_family_with(
-        &self,
-        pool: &Pool,
-        family: MethodFamily,
-        k: usize,
-        replications: u32,
-        seed: u64,
-    ) -> ExperimentResult {
-        let reps = family.replication_cap(k, replications);
-        self.run_with(pool, family.at_granularity(k, self.mean_pps()), reps, seed)
+        self.run_with(
+            &Pool::with_default_jobs(),
+            family.at_granularity(k, self.mean_pps()),
+            family.replication_cap(k, replications),
+            seed,
+        )
     }
 
     /// Score a whole grid of `(family, granularity)` cells on `pool`,
@@ -426,90 +401,110 @@ impl<'a> Experiment<'a> {
     ) -> Vec<ExperimentResult> {
         let _grid = obskit::span("experiment_grid");
         let mean_pps = self.mean_pps();
-        let specs: Vec<(MethodSpec, u32)> = cells
+        let cells: Vec<_> = cells
             .iter()
             .map(|&(family, k)| {
                 (
-                    family.at_granularity(k, mean_pps),
+                    (self, family.at_granularity(k, mean_pps)),
                     family.replication_cap(k, replications),
                 )
             })
             .collect();
-        let tasks: Vec<(usize, u64)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, &(_, reps))| (0..u64::from(reps)).map(move |rep| (ci, rep)))
-            .collect();
-        let scored = pool
-            .run(tasks.len(), |i| {
-                let (ci, rep) = tasks[i];
-                self.replicate(specs[ci].0, rep, seed)
-            })
-            .unwrap_or_else(|e| panic!("experiment pool failed: {e}"));
-        let mut out: Vec<ExperimentResult> = specs
-            .iter()
-            .map(|&(method, reps)| ExperimentResult {
-                method,
-                target: self.target,
-                replications: Vec::with_capacity(reps as usize),
-                empty_samples: 0,
-            })
-            .collect();
-        for (&(ci, _), r) in tasks.iter().zip(scored) {
-            match r {
-                Some(rep) => out[ci].replications.push(rep),
-                None => out[ci].empty_samples += 1,
-            }
-        }
-        obskit::counter("experiment_cells_total").add(specs.len() as u64);
-        obskit::counter("experiment_replications_total")
-            .add(specs.iter().map(|&(_, r)| u64::from(r)).sum());
-        obskit::counter("experiment_empty_samples_total")
-            .add(out.iter().map(|r| u64::from(r.empty_samples)).sum());
-        out
+        score_cells(pool, &cells, seed)
     }
 }
 
-/// φ versus sampling granularity: run `family` at each granularity in
-/// `ks` over the window, `replications` runs each (Figures 6–9), on the
-/// session-default pool.
-pub fn granularity_sweep(
-    packets: &[PacketRecord],
-    target: Target,
-    family: MethodFamily,
-    ks: &[usize],
-    replications: u32,
-    seed: u64,
-) -> Vec<(usize, ExperimentResult)> {
-    granularity_sweep_with(
-        &Pool::with_default_jobs(),
-        packets,
-        target,
-        family,
-        ks,
-        replications,
-        seed,
-    )
+/// Mean packet rate of a nonempty window, packets/second: its packet
+/// count over the span of its timestamps (the count itself when that
+/// span is zero).
+pub(crate) fn mean_pps(packets: &[PacketRecord]) -> f64 {
+    let dur = packets
+        .last()
+        .expect("nonempty")
+        .timestamp
+        .saturating_sub(packets[0].timestamp)
+        .as_secs_f64();
+    if dur > 0.0 {
+        packets.len() as f64 / dur
+    } else {
+        packets.len() as f64
+    }
 }
 
-/// [`granularity_sweep`] on an explicit pool: the whole `ks × replications`
-/// grid is one flattened task list, reassembled in `ks` order.
-#[allow(clippy::too_many_arguments)] // a sweep is inherently a full parameter tuple
-pub fn granularity_sweep_with(
+/// The counters a grid flushes once per call: cells, replications, and
+/// replications that produced no score.
+pub(crate) type GridCounters = [&'static str; 3];
+
+const EXPERIMENT_COUNTERS: GridCounters = [
+    "experiment_cells_total",
+    "experiment_replications_total",
+    "experiment_empty_samples_total",
+];
+
+/// The replication engine behind every φ grid. Flattens each
+/// `(cell, replications)` entry into `(cell, replication)` tasks on
+/// `pool`, runs `replicate` on each, and returns every cell's scored
+/// results in replication order with its count of unscored ones, in
+/// `cells` order. Results land by task index, so the output is
+/// bit-identical to a serial run at any pool width.
+///
+/// # Panics
+/// Propagates a panic if any replication panicked on a worker.
+pub(crate) fn scatter_gather<C: Sync, R: Send>(
     pool: &Pool,
-    packets: &[PacketRecord],
-    target: Target,
-    family: MethodFamily,
-    ks: &[usize],
-    replications: u32,
+    cells: &[(C, u32)],
+    counters: GridCounters,
+    replicate: impl Fn(&C, u64) -> Option<R> + Sync,
+) -> Vec<(Vec<R>, u32)> {
+    let tasks: Vec<(usize, u64)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, &(_, reps))| (0..u64::from(reps)).map(move |rep| (ci, rep)))
+        .collect();
+    let scored = pool
+        .run(tasks.len(), |i| {
+            let (ci, rep) = tasks[i];
+            replicate(&cells[ci].0, rep)
+        })
+        .unwrap_or_else(|e| panic!("experiment pool failed: {e}"));
+    let mut out: Vec<(Vec<R>, u32)> = cells
+        .iter()
+        .map(|&(_, reps)| (Vec::with_capacity(reps as usize), 0))
+        .collect();
+    for (&(ci, _), r) in tasks.iter().zip(scored) {
+        match r {
+            Some(r) => out[ci].0.push(r),
+            None => out[ci].1 += 1,
+        }
+    }
+    let [cells_total, replications_total, unscored_total] = counters;
+    obskit::counter(cells_total).add(cells.len() as u64);
+    obskit::counter(replications_total).add(tasks.len() as u64);
+    obskit::counter(unscored_total).add(out.iter().map(|&(_, n)| u64::from(n)).sum());
+    out
+}
+
+/// Score `((experiment, method), replications)` cells through
+/// [`scatter_gather`].
+fn score_cells(
+    pool: &Pool,
+    cells: &[((&Experiment, MethodSpec), u32)],
     seed: u64,
-) -> Vec<(usize, ExperimentResult)> {
-    let exp = Experiment::new(packets, target);
-    let cells: Vec<(MethodFamily, usize)> = ks.iter().map(|&k| (family, k)).collect();
-    ks.iter()
-        .copied()
-        .zip(exp.run_grid_with(pool, &cells, replications, seed))
-        .collect()
+) -> Vec<ExperimentResult> {
+    scatter_gather(pool, cells, EXPERIMENT_COUNTERS, |&(exp, method), rep| {
+        exp.replicate(method, rep, seed)
+    })
+    .into_iter()
+    .zip(cells)
+    .map(
+        |((replications, empty_samples), &((exp, method), _))| ExperimentResult {
+            method,
+            target: exp.target,
+            replications,
+            empty_samples,
+        },
+    )
+    .collect()
 }
 
 /// φ versus interval length: run `family` at fixed granularity `k` over
@@ -574,64 +569,20 @@ pub fn interval_sweep_with(
     let reps = family.replication_cap(k, replications);
     // Timer periods are rate-equivalent *per window*, so specs differ
     // across windows of the same sweep.
-    let specs: Vec<Option<MethodSpec>> = exps
+    let cells: Vec<_> = exps
         .iter()
-        .map(|(_, e)| e.as_ref().map(|e| family.at_granularity(k, e.mean_pps())))
+        .filter_map(|(_, e)| e.as_ref())
+        .map(|e| ((e, family.at_granularity(k, e.mean_pps())), reps))
         .collect();
-    let tasks: Vec<(usize, u64)> = exps
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, e))| e.is_some())
-        .flat_map(|(wi, _)| (0..u64::from(reps)).map(move |rep| (wi, rep)))
-        .collect();
-    let scored = pool
-        .run(tasks.len(), |i| {
-            let (wi, rep) = tasks[i];
-            let exp = exps[wi]
-                .1
+    let mut scored = score_cells(pool, &cells, seed).into_iter();
+    exps.iter()
+        .map(|(len, e)| {
+            let result = e
                 .as_ref()
-                .expect("tasks only cover nonempty windows");
-            exp.replicate(
-                specs[wi].expect("spec exists for nonempty window"),
-                rep,
-                seed,
-            )
+                .map(|_| scored.next().expect("one per nonempty window"));
+            (*len, result)
         })
-        .unwrap_or_else(|e| panic!("experiment pool failed: {e}"));
-    let mut out: Vec<(Micros, Option<ExperimentResult>)> = exps
-        .iter()
-        .zip(&specs)
-        .map(|((len, e), spec)| {
-            (
-                *len,
-                e.as_ref().map(|_| ExperimentResult {
-                    method: spec.expect("spec exists for nonempty window"),
-                    target,
-                    replications: Vec::with_capacity(reps as usize),
-                    empty_samples: 0,
-                }),
-            )
-        })
-        .collect();
-    for (&(wi, _), r) in tasks.iter().zip(scored) {
-        let cell = out[wi]
-            .1
-            .as_mut()
-            .expect("tasks only cover nonempty windows");
-        match r {
-            Some(rep) => cell.replications.push(rep),
-            None => cell.empty_samples += 1,
-        }
-    }
-    let cells = out.iter().filter(|(_, r)| r.is_some()).count() as u64;
-    obskit::counter("experiment_cells_total").add(cells);
-    obskit::counter("experiment_replications_total").add(cells * u64::from(reps));
-    obskit::counter("experiment_empty_samples_total").add(
-        out.iter()
-            .filter_map(|(_, r)| r.as_ref().map(|r| u64::from(r.empty_samples)))
-            .sum(),
-    );
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -664,17 +615,12 @@ mod tests {
     #[test]
     fn phi_grows_with_granularity() {
         let w = window(20_000);
-        let sweep = granularity_sweep(
-            &w,
-            Target::PacketSize,
-            MethodFamily::StratifiedRandom,
-            &[4, 64, 1024],
-            10,
-            42,
-        );
-        let phis: Vec<f64> = sweep
+        let exp = Experiment::new(&w, Target::PacketSize);
+        let cells = [4, 64, 1024].map(|k| (MethodFamily::StratifiedRandom, k));
+        let phis: Vec<f64> = exp
+            .run_grid_with(&Pool::with_default_jobs(), &cells, 10, 42)
             .iter()
-            .map(|(_, r)| r.mean_phi().expect("scorable"))
+            .map(|r| r.mean_phi().expect("scorable"))
             .collect();
         assert!(
             phis[0] < phis[1] && phis[1] < phis[2],
@@ -688,6 +634,16 @@ mod tests {
         let exp = Experiment::new(&w, Target::PacketSize);
         let r = exp.run_family(MethodFamily::Systematic, 3, 50, 0);
         assert_eq!(r.replications.len(), 3);
+    }
+
+    /// A granularity past `u32::MAX` has more offsets than any replication
+    /// count, so the cap saturates instead of truncating `k` to 32 bits.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn replication_cap_saturates_past_u32() {
+        for k in [1usize << 32, (1 << 33) + 5] {
+            assert_eq!(MethodFamily::Systematic.replication_cap(k, 3), 3, "k={k}");
+        }
     }
 
     #[test]

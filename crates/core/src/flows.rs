@@ -19,6 +19,7 @@
 //! no proportion, and φ (like every [`DisparityReport`] shape metric) is
 //! invariant to it.
 
+use crate::experiment::{scatter_gather, GridCounters};
 use crate::metrics::{disparity, DisparityReport};
 use nettrace::{BinSpec, FlowTable, Histogram, PacketRecord};
 use parkit::Pool;
@@ -29,6 +30,12 @@ use statkit::{FlowEstimate, InversionError};
 /// Uniform across all bins, so binned *proportions* — and therefore φ —
 /// are unaffected; 1024 keeps three decimal digits of weight resolution.
 const WEIGHT_SCALE: f64 = 1024.0;
+
+const FLOW_COUNTERS: GridCounters = [
+    "flow_experiment_cells_total",
+    "flow_experiment_replications_total",
+    "flow_experiment_unscored_total",
+];
 
 /// Power-of-two flow-size bins: `[0,2) [2,4) … [4096,∞)` packets — the
 /// standard presentation for heavy-tailed flow-size distributions, and
@@ -306,38 +313,28 @@ impl<'a> FlowExperiment<'a> {
             cells.iter().all(|&(_, k)| k > 0),
             "sampling interval must be positive"
         );
-        let tasks: Vec<(usize, u64)> = cells
+        // Offsets repeat past `k`, so a cell runs at most `k` replications.
+        let capped: Vec<_> = cells
             .iter()
-            .enumerate()
-            .flat_map(|(ci, &(_, k))| (0..u64::from(replications).min(k)).map(move |rep| (ci, rep)))
-            .collect();
-        let scored = pool
-            .run(tasks.len(), |i| {
-                let (ci, rep) = tasks[i];
-                let (estimator, k) = cells[ci];
-                self.replicate(estimator, k, rep)
+            .map(|&(estimator, k)| {
+                let reps = u32::try_from(k).map_or(replications, |k| replications.min(k));
+                ((estimator, k), reps)
             })
-            .unwrap_or_else(|e| panic!("flow experiment pool failed: {e}"));
-        let mut out: Vec<FlowExperimentResult> = cells
-            .iter()
-            .map(|&(estimator, k)| FlowExperimentResult {
+            .collect();
+        scatter_gather(pool, &capped, FLOW_COUNTERS, |&(estimator, k), rep| {
+            self.replicate(estimator, k, rep)
+        })
+        .into_iter()
+        .zip(cells)
+        .map(
+            |((replications, unscored), &(estimator, k))| FlowExperimentResult {
                 estimator,
                 k,
-                replications: Vec::new(),
-                unscored: 0,
-            })
-            .collect();
-        for (&(ci, _), r) in tasks.iter().zip(scored) {
-            match r {
-                Some(rep) => out[ci].replications.push(rep),
-                None => out[ci].unscored += 1,
-            }
-        }
-        obskit::counter("flow_experiment_cells_total").add(cells.len() as u64);
-        obskit::counter("flow_experiment_replications_total").add(tasks.len() as u64);
-        obskit::counter("flow_experiment_unscored_total")
-            .add(out.iter().map(|r| u64::from(r.unscored)).sum());
-        out
+                replications,
+                unscored,
+            },
+        )
+        .collect()
     }
 }
 

@@ -195,6 +195,15 @@ pub enum MethodSpec {
     },
 }
 
+/// The seed a randomized sampler draws from in replication
+/// `replication` of a run with base seed `seed`: the batch experiments'
+/// and the stream engine's one seed protocol.
+#[must_use]
+pub fn replication_seed(seed: u64, replication: u64) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(replication)
+}
+
 impl MethodSpec {
     /// Whether this method is triggered by a timer rather than by packet
     /// arrival counts.
@@ -267,9 +276,7 @@ impl MethodSpec {
         replication: u64,
         seed: u64,
     ) -> Result<Box<dyn Sampler>, BuildError> {
-        let seed = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(replication);
+        let seed = replication_seed(seed, replication);
         match *self {
             MethodSpec::Systematic { interval } => {
                 if interval == 0 {

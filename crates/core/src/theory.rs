@@ -13,7 +13,7 @@
 //! three structures); the `theory` bench binary and the integration
 //! tests confirm the orderings.
 
-use crate::experiment::MethodFamily;
+use crate::experiment::{mean_pps, MethodFamily};
 use crate::sampler::select_indices;
 use nettrace::PacketRecord;
 use statkit::Moments;
@@ -60,25 +60,8 @@ pub fn estimator_variance(
     assert!(k > 0, "granularity must be positive");
     let true_mean = packets.iter().map(|p| f64::from(p.size)).sum::<f64>() / packets.len() as f64;
 
-    // Rate for timer-equivalent periods.
-    let duration = packets
-        .last()
-        .unwrap()
-        .timestamp
-        .saturating_sub(packets[0].timestamp)
-        .as_secs_f64();
-    let mean_pps = if duration > 0.0 {
-        packets.len() as f64 / duration
-    } else {
-        packets.len() as f64
-    };
-
-    let reps = if family == MethodFamily::Systematic {
-        replications.min(k as u32)
-    } else {
-        replications
-    };
-    let spec = family.at_granularity(k, mean_pps);
+    let reps = family.replication_cap(k, replications);
+    let spec = family.at_granularity(k, mean_pps(packets));
     let mut estimates = Moments::new();
     for rep in 0..u64::from(reps) {
         let mut sampler = spec.build(packets.len(), packets[0].timestamp, rep, seed);

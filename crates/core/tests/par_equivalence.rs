@@ -1,17 +1,17 @@
 //! Serial ≡ parallel equivalence (the determinism hard requirement):
-//! for each of the five paper methods, `granularity_sweep` and
-//! `interval_sweep` at `--jobs 1` versus `--jobs 4` must produce
-//! **byte-identical φ tables** — exact `f64` bit equality, not
+//! for each of the five paper methods, `Experiment::run_grid_with` and
+//! `interval_sweep_with` at `--jobs 1` versus `--jobs 4` (and 8) must
+//! produce **byte-identical φ tables** — exact `f64` bit equality, not
 //! approximate closeness — on a 10k-packet synthetic trace. Any
 //! scheduling leak (results placed by completion order, seeds derived
-//! from worker identity, shared-state races) fails these tests.
+//! from worker identity, shared-state races) fails these tests. A
+//! cross-path oracle checks that every entry point scores a cell the
+//! same way.
 
 use netsynth::{generate_flow_pack, FlowPackConfig, FlowSizeDist};
 use nettrace::{Micros, PacketRecord, Trace};
 use parkit::Pool;
-use sampling::experiment::{
-    granularity_sweep_with, interval_sweep_with, Experiment, ExperimentResult, MethodFamily,
-};
+use sampling::experiment::{interval_sweep_with, Experiment, ExperimentResult, MethodFamily};
 use sampling::{FlowEstimator, FlowExperiment, Target};
 
 const PACKETS: usize = 10_000;
@@ -68,36 +68,23 @@ fn assert_cells_bit_identical(a: &ExperimentResult, b: &ExperimentResult, ctx: &
 }
 
 #[test]
-fn granularity_sweep_is_bit_identical_across_jobs() {
+fn grid_is_bit_identical_across_jobs() {
     let trace = synthetic_trace();
     let ks = [2usize, 8, 32, 128];
     for family in MethodFamily::paper_five() {
+        let cells = ks.map(|k| (family, k));
         for target in [Target::PacketSize, Target::Interarrival] {
-            let serial = granularity_sweep_with(
-                &Pool::serial(),
-                trace.packets(),
-                target,
-                family,
-                &ks,
-                REPLICATIONS,
-                SEED,
-            );
-            let parallel = granularity_sweep_with(
-                &Pool::new(4),
-                trace.packets(),
-                target,
-                family,
-                &ks,
-                REPLICATIONS,
-                SEED,
-            );
-            assert_eq!(serial.len(), parallel.len());
-            for ((ka, a), (kb, b)) in serial.iter().zip(&parallel) {
-                assert_eq!(ka, kb);
-                let ctx = format!("{} {target:?} k={ka}", family.name());
-                assert_cells_bit_identical(a, b, &ctx);
-                // The φ table is real, not trivially empty.
-                assert!(!a.replications.is_empty(), "{ctx}: no scored replications");
+            let exp = Experiment::new(trace.packets(), target);
+            let serial = exp.run_grid_with(&Pool::serial(), &cells, REPLICATIONS, SEED);
+            for jobs in [4, 8] {
+                let parallel = exp.run_grid_with(&Pool::new(jobs), &cells, REPLICATIONS, SEED);
+                assert_eq!(serial.len(), parallel.len());
+                for ((a, b), k) in serial.iter().zip(&parallel).zip(ks) {
+                    let ctx = format!("{} {target:?} k={k} @ {jobs} jobs", family.name());
+                    assert_cells_bit_identical(a, b, &ctx);
+                    // The φ table is real, not trivially empty.
+                    assert!(!a.replications.is_empty(), "{ctx}: no scored replications");
+                }
             }
         }
     }
@@ -157,38 +144,6 @@ fn interval_sweep_is_bit_identical_across_jobs() {
             "{}: sweep scored nothing",
             family.name()
         );
-    }
-}
-
-#[test]
-fn parallel_sweep_matches_legacy_serial_entrypoint() {
-    // The `_with(Pool::serial())` path must also agree with the plain
-    // entry point forced serial via the default-jobs override — i.e.
-    // the refactor preserved the historical serial semantics.
-    let trace = synthetic_trace();
-    let ks = [4usize, 64];
-    for family in MethodFamily::paper_five() {
-        let explicit = granularity_sweep_with(
-            &Pool::serial(),
-            trace.packets(),
-            Target::PacketSize,
-            family,
-            &ks,
-            REPLICATIONS,
-            SEED,
-        );
-        let wide = granularity_sweep_with(
-            &Pool::new(8),
-            trace.packets(),
-            Target::PacketSize,
-            family,
-            &ks,
-            REPLICATIONS,
-            SEED,
-        );
-        for ((_, a), (_, b)) in explicit.iter().zip(&wide) {
-            assert_cells_bit_identical(a, b, family.name());
-        }
     }
 }
 

@@ -72,6 +72,13 @@ impl LaneConfig {
     }
 }
 
+/// The seed a lane's source draws from: `(seed, lane)` folded once, for
+/// both source families.
+fn lane_seed(seed: u64, lane: u32) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(u64::from(lane) << 1 | 1)
+}
+
 /// Incremental windowed flow-mix generator for one lane. See the
 /// module docs; construction is O(flows), each pull is O(chunk).
 pub struct LaneGen {
@@ -103,13 +110,9 @@ impl LaneGen {
     #[must_use]
     pub fn new(cfg: LaneConfig) -> LaneGen {
         cfg.validate();
-        let folded = cfg
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(cfg.lane) << 1 | 1);
         let mut gen = LaneGen {
             cfg,
-            rng: StdRng::seed_from_u64(folded),
+            rng: StdRng::seed_from_u64(lane_seed(cfg.seed, cfg.lane)),
             sampler: SizeSampler::build(cfg.size_dist),
             window: 0,
             pos: 0,
@@ -242,11 +245,8 @@ pub fn replay_lane(
     window_packets: u64,
     pace_pps: u64,
 ) -> Result<ReplayLane, nettrace::TraceError> {
-    let folded = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(u64::from(lane) << 1 | 1);
     let reader = PacedReader::new(ReplayConfig {
-        seed: folded,
+        seed: lane_seed(seed, lane),
         windows,
         window_packets,
         pace_pps,

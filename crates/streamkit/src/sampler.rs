@@ -6,7 +6,7 @@ use nettrace::{Micros, PacketRecord};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sampling::geometric::draw_skip;
-use sampling::{BuildError, MethodSpec, Sampler};
+use sampling::{replication_seed, BuildError, MethodSpec, Sampler};
 
 /// A packet retained by the reservoir, carrying the window-local
 /// interarrival gap it had when offered (the attribute the
@@ -195,11 +195,10 @@ impl StreamMethod {
                 if capacity == 0 {
                     return Err(BuildError::ZeroInterval);
                 }
-                // The batch experiment's seed protocol, verbatim.
-                let seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(replication);
-                Ok(Selector::Reservoir(ReservoirStream::new(capacity, seed)))
+                Ok(Selector::Reservoir(ReservoirStream::new(
+                    capacity,
+                    replication_seed(seed, replication),
+                )))
             }
         }
     }
