@@ -411,6 +411,22 @@ while read -r output want; do
         exit 1
     fi
 done <<< "$pinned_cksums"
+# sweep's x4 granularity ladder must stop before it overflows (at 2^63),
+# not wrap to 0 and grow without end: the widest --max-interval must exit
+# 0 well inside an address-space cap and a time limit (both set in a
+# subshell, so they bind only this run), and its first seven lines must
+# be the default sweep's table.
+if ! ( ulimit -v 600000; exec timeout 120 "$bin" --jobs 1 sweep "$tmpdir/pop.pcap" \
+    --replications 3 --max-interval 18446744073709551615 ) \
+    < /dev/null > "$tmpdir/sweep.max.out" 2> "$tmpdir/sweep.max.err"; then
+    echo "sweep --max-interval u64::MAX did not exit 0:" >&2
+    cat "$tmpdir/sweep.max.err" >&2
+    exit 1
+fi
+if [ "$(head -n 7 "$tmpdir/sweep.max.out")" != "$(pinned_output sweep < /dev/null)" ]; then
+    echo "sweep --max-interval u64::MAX does not open with the default sweep" >&2
+    exit 1
+fi
 
 echo "== collect: sharded collector (determinism + live shard gauges + soak)"
 # The collector's contract: reports are a pure function of (seed, fleet,

@@ -9,9 +9,10 @@
 //!   names the timing table prints (`figure8_9/ia`); a name before the
 //!   `/` selects every target (`figure8_9`). An unknown name exits 64
 //!   and lists the valid ones.
-//! * `--jobs <n>` — worker-pool width for every experiment grid
-//!   (default: available parallelism / `NETSAMPLE_JOBS`; `1` forces the
-//!   serial path). Results are bit-identical at any width.
+//! * `--jobs <n>` — worker-pool width for every experiment grid, 1 to
+//!   `parkit::MAX_JOBS` (default: available parallelism /
+//!   `NETSAMPLE_JOBS`; `1` forces the serial path). Results are
+//!   bit-identical at any width.
 //! * `--profile-out <file>` — write the aggregated span tree in
 //!   collapsed-stack format (one `path;path;leaf self_us` line each),
 //!   consumable by `inferno-flamegraph` or speedscope.
@@ -119,9 +120,10 @@ fn parse_flags() -> Flags {
                 Some(file) => flags.profile_out = Some(PathBuf::from(file)),
                 None => usage_exit("--profile-out needs a file argument"),
             },
-            "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => flags.jobs = n,
-                _ => usage_exit("--jobs needs a positive integer argument"),
+            "--jobs" => match args.next().map(|n| parkit::parse_jobs(&n)) {
+                Some(Ok(n)) => flags.jobs = n,
+                Some(Err(msg)) => usage_exit(&msg),
+                None => usage_exit("--jobs needs a positive integer argument"),
             },
             "--only" => match args.next().map(|list| select(&list)) {
                 Some(Ok(only)) => flags.only = only,

@@ -432,12 +432,7 @@ pub fn sweep(args: &Args) -> Result<String, CmdError> {
     writeln!(out)?;
     // The whole methods × granularities table runs as one flattened
     // grid on the session pool (`--jobs`), row-major in print order.
-    let mut ks = Vec::new();
-    let mut k = 2usize;
-    while k <= max_k {
-        ks.push(k);
-        k *= 4;
-    }
+    let ks = granularity_ladder(max_k);
     let cells: Vec<(MethodFamily, usize)> = ks
         .iter()
         .flat_map(|&k| MethodFamily::paper_five().into_iter().map(move |f| (f, k)))
@@ -457,6 +452,14 @@ pub fn sweep(args: &Args) -> Result<String, CmdError> {
         writeln!(out)?;
     }
     Ok(out)
+}
+
+/// `sweep`'s granularities: 2, 8, 32, … while `k ≤ max_k`, ending
+/// where the next ×4 step would overflow (at 2^63 on 64-bit targets).
+fn granularity_ladder(max_k: usize) -> Vec<usize> {
+    std::iter::successors(Some(2usize), |&k| k.checked_mul(4))
+        .take_while(|&k| k <= max_k)
+        .collect()
 }
 
 /// One flow-inversion replication as a JSONL record (hand-rendered like
@@ -1011,6 +1014,19 @@ mod tests {
         assert!(table.contains("strat-timer"));
         assert!(table.lines().count() >= 4);
         std::fs::remove_file(&pop).ok();
+    }
+
+    #[test]
+    fn granularity_ladder_ends_before_overflow() {
+        assert_eq!(granularity_ladder(4096), [2, 8, 32, 128, 512, 2048]);
+        for (max_k, rungs, last) in [
+            (1 << 62, 31, 1 << 61),
+            (1 << 63, 32, 1 << 63),
+            (usize::MAX, 32, 1 << 63),
+        ] {
+            let ks = granularity_ladder(max_k);
+            assert_eq!((ks.len(), ks.last()), (rungs, Some(&last)), "{max_k}");
+        }
     }
 
     #[test]

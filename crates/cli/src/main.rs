@@ -91,10 +91,10 @@ global options (any position):
   --telemetry-interval-ms <ms>  background sampler cadence (default 200)
   --stale-after-ms <ms>         /healthz ingest-staleness threshold
                                 (default 5000)
-  --jobs <n>           worker-pool width for experiment grids (default:
-                       available parallelism; NETSAMPLE_JOBS=<n> does
-                       the same; 1 forces the serial path — results are
-                       bit-identical at any width)
+  --jobs <n>           worker-pool width for experiment grids, 1 to 1024
+                       (default: available parallelism; NETSAMPLE_JOBS=<n>
+                       does the same; 1 forces the serial path — results
+                       are bit-identical at any width)
   --metrics            dump the metrics registry to stderr at exit
   --trace <path>       write structured JSONL trace events to <path>
                        (NETSAMPLE_TRACE=<path> does the same)
@@ -131,7 +131,9 @@ const VALUE_FLAGS: [(&str, &str, SetFlag); 7] = [
     ("--profile-out", "a value", |f, v| {
         set(&mut f.profile_out, Ok(v))
     }),
-    ("--jobs", "a value", |f, v| set(&mut f.jobs, parse_jobs(&v))),
+    ("--jobs", "a value", |f, v| {
+        set(&mut f.jobs, parkit::parse_jobs(&v))
+    }),
     ("--serve", "a listen address like 127.0.0.1:9184", |f, v| {
         set(&mut f.serve, Ok(v))
     }),
@@ -187,13 +189,6 @@ fn extract_global_flags(argv: &mut Vec<String>) -> Result<GlobalFlags, String> {
         store(&mut flags, value)?;
     }
     Ok(flags)
-}
-
-fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--jobs needs a positive integer, got '{v}'")),
-    }
 }
 
 fn parse_ms(v: &str, flag: &str) -> Result<u64, String> {
@@ -461,7 +456,7 @@ mod tests {
         assert_eq!(f.jobs, Some(8));
         assert_eq!(f.profile_out.as_deref(), Some("b.folded"));
         assert!(argv.is_empty());
-        for bad in ["0", "-2", "many"] {
+        for bad in ["0", "-2", "many", "1025"] {
             let mut argv = vec!["--jobs".into(), bad.into()];
             assert!(extract_global_flags(&mut argv).is_err(), "{bad}");
         }

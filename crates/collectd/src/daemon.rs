@@ -389,12 +389,6 @@ impl Collector {
         &self.plan
     }
 
-    /// Rounds completed so far.
-    #[must_use]
-    pub fn rounds_done(&self) -> u64 {
-        self.round
-    }
-
     /// Change the shard count. Legal only before the first round: state
     /// already sharded one way cannot be re-keyed without replay.
     ///

@@ -10,11 +10,11 @@
 //!
 //! [`estimator_variance`] measures those variances by replication over a
 //! concrete population (the `netsynth::canonical` generators build the
-//! three structures); the `theory` bench binary and the integration
+//! three structures); `repro_all --only theory` and the integration
 //! tests confirm the orderings.
 
 use crate::experiment::{mean_pps, MethodFamily};
-use crate::sampler::select_indices;
+use crate::sampler::select_indices_ts;
 use nettrace::PacketRecord;
 use statkit::Moments;
 
@@ -62,10 +62,11 @@ pub fn estimator_variance(
 
     let reps = family.replication_cap(k, replications);
     let spec = family.at_granularity(k, mean_pps(packets));
+    let ts: Vec<u64> = packets.iter().map(|p| p.timestamp.as_u64()).collect();
     let mut estimates = Moments::new();
     for rep in 0..u64::from(reps) {
         let mut sampler = spec.build(packets.len(), packets[0].timestamp, rep, seed);
-        let selected = select_indices(sampler.as_mut(), packets);
+        let selected = select_indices_ts(sampler.as_mut(), &ts);
         if selected.is_empty() {
             continue;
         }

@@ -58,12 +58,6 @@ impl Backbone {
         }
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Access a node (e.g. to inspect its objects mid-run).
     #[must_use]
     pub fn node(&self, idx: usize) -> &CollectorNode {

@@ -53,8 +53,8 @@
 //! Recording (`c.add(n)`, `h.record(v)`) is a relaxed atomic RMW.
 //! Instrumented call sites in this workspace count locally inside their
 //! loops and flush a single `add` at the boundary, which keeps measured
-//! overhead on the sampler hot path under 1% (see
-//! `crates/bench/benches/obskit_overhead.rs`).
+//! overhead on the sampler hot path under 1% (see the paired per-call
+//! costs that `cargo bench -p bench --bench obskit_overhead` prints).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -55,13 +55,6 @@ impl TraceEvent {
         self
     }
 
-    /// Attach one label.
-    #[must_use]
-    pub fn with_label(mut self, key: &str, value: &str) -> Self {
-        self.labels.push((key.to_string(), value.to_string()));
-        self
-    }
-
     /// Serialize to a single JSON line (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {

@@ -23,9 +23,10 @@
 //! Cost model: entering a span is a thread-local push plus one relaxed
 //! atomic id fetch; leaving takes one global mutex to bump three
 //! integers for the path. Spans sit at *batch* boundaries (one per
-//! `select_indices` call, per experiment cell, per pcap file), not per
+//! `select_indices_ts` call, per experiment cell, per pcap file), not per
 //! packet, so this stays far below 1% of hot-path cost — see the
-//! `obskit_overhead` bench.
+//! `instrumentation_per_call` line of the `obskit_overhead` bench
+//! (`crates/bench/benches`).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -67,21 +67,40 @@ pub fn set_default_jobs(jobs: usize) {
     DEFAULT_JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
 }
 
+/// The widest pool a `--jobs` flag or `NETSAMPLE_JOBS` may ask for.
+/// [`Pool::run`] spawns `min(jobs, tasks)` threads, so without a ceiling
+/// a large width and a large grid would ask the OS for that many threads.
+pub const MAX_JOBS: usize = 1024;
+
+/// Parse a pool width given as text (a `--jobs` value or
+/// `NETSAMPLE_JOBS`): an integer from 1 to [`MAX_JOBS`].
+///
+/// # Errors
+/// Anything else, with a message for the `--jobs` flag.
+pub fn parse_jobs(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "--jobs needs a positive integer up to {MAX_JOBS}, got '{v}'"
+        )),
+    }
+}
+
 /// The session default worker count, resolved in precedence order:
 /// [`set_default_jobs`] (the `--jobs` flag) > the `NETSAMPLE_JOBS`
-/// environment variable > [`std::thread::available_parallelism`].
+/// environment variable, when [`parse_jobs`] accepts it >
+/// [`std::thread::available_parallelism`].
 #[must_use]
 pub fn default_jobs() -> usize {
     let explicit = DEFAULT_JOBS_OVERRIDE.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
     }
-    if let Ok(v) = std::env::var("NETSAMPLE_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("NETSAMPLE_JOBS")
+        .ok()
+        .and_then(|v| parse_jobs(v.trim()).ok())
+    {
+        return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -398,6 +417,20 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn parse_jobs_accepts_one_to_the_ceiling() {
+        assert_eq!(parse_jobs("1"), Ok(1));
+        assert_eq!(parse_jobs(&MAX_JOBS.to_string()), Ok(MAX_JOBS));
+        let too_wide = (MAX_JOBS + 1).to_string();
+        for bad in ["0", &too_wide, &u64::MAX.to_string(), "-1", "2.5", ""] {
+            let msg = parse_jobs(bad).unwrap_err();
+            assert_eq!(
+                msg,
+                format!("--jobs needs a positive integer up to 1024, got '{bad}'")
+            );
+        }
     }
 
     #[test]

@@ -177,12 +177,6 @@ impl Moments {
         self.variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Skewness `g1 = sqrt(n)·m3 / m2^(3/2)`; NaN when undefined
     /// (fewer than 2 points or zero variance).
     #[must_use]
