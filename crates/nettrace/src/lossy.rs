@@ -28,14 +28,15 @@
 
 use crate::error::TraceError;
 use crate::stream::CaptureStream;
-use crate::trace::Trace;
+use crate::trace::{Collector, Trace};
 use std::io::Read;
 
 /// Outcome of a lossy capture read: the salvaged prefix plus a precise
 /// account of where (and why) parsing stopped.
 #[derive(Debug)]
 pub struct IngestReport {
-    /// Packets recovered from the valid prefix, sorted by timestamp.
+    /// Every packet salvaged, in timestamp order with equal timestamps
+    /// in file order, as [`crate::read_capture`] orders a clean read.
     pub trace: Trace,
     /// Capture format the stream sniffed as: `"pcap"`, `"pcapng"`, or
     /// `"unknown"` when even the magic could not be classified.
@@ -81,9 +82,9 @@ pub struct IngestFault {
 }
 
 /// Read a capture stream leniently, salvaging every packet the damage
-/// did not reach. Sniffs classic pcap vs pcapng exactly like
-/// [`crate::read_capture`], and reads the stream once, without holding
-/// it in memory.
+/// did not reach. Sniffs classic pcap vs pcapng and puts the packets in
+/// timestamp order exactly like [`crate::read_capture`], and reads the
+/// stream once, without holding it in memory.
 ///
 /// # Errors
 /// Only [`TraceError::Io`], when the reader fails. Malformed bytes are
@@ -91,7 +92,7 @@ pub struct IngestFault {
 pub fn read_capture_lossy<R: Read>(reader: R) -> Result<IngestReport, TraceError> {
     let _span = obskit::span("nettrace_lossy_read");
     let mut stream = CaptureStream::open(reader);
-    let mut packets = Vec::new();
+    let mut packets = Collector::default();
     let mut faults = Vec::new();
     loop {
         match stream.next_packet() {
@@ -104,13 +105,17 @@ pub fn read_capture_lossy<R: Read>(reader: R) -> Result<IngestReport, TraceError
             }),
         }
     }
-    let trace = Trace::from_unordered(packets);
+    let (format, bytes_consumed, bytes_total) =
+        (stream.format(), stream.byte_offset(), stream.bytes_read());
+    // The read buffer goes before the packets are put in order.
+    drop(stream);
+    let trace = packets.finish();
     let report = IngestReport {
         packets_salvaged: trace.len(),
         trace,
-        format: stream.format(),
-        bytes_consumed: stream.byte_offset(),
-        bytes_total: stream.bytes_read(),
+        format,
+        bytes_consumed,
+        bytes_total,
         faults,
     };
     let labels = [("format", report.format)];

@@ -32,7 +32,7 @@ use crate::pcapng::{
     SPB_TYPE,
 };
 use crate::time::Micros;
-use crate::trace::Trace;
+use crate::trace::{Collector, Trace};
 use std::io::{self, Read};
 
 /// Size of the read-ahead buffer at construction.
@@ -280,10 +280,10 @@ impl Section {
 /// record (skipping non-packet pcapng blocks), so memory is bounded by
 /// the largest single record regardless of capture size.
 ///
-/// Unlike [`read_capture`], packets arrive in **file order** — the
-/// timestamp sort of [`Trace::from_unordered`] is a whole-trace
-/// operation a one-pass reader cannot perform. Callers needing sorted
-/// output must window-and-sort downstream.
+/// Unlike [`read_capture`], packets arrive in **file order** — putting
+/// a capture in timestamp order needs all of it, which a one-pass
+/// reader does not hold. Callers needing sorted output must
+/// window-and-sort downstream.
 ///
 /// After a fault the next call resumes past it (see
 /// [`next_packet`](CaptureStream::next_packet)); after the end of the
@@ -534,12 +534,15 @@ impl<R: Read> Iterator for CaptureStream<R> {
 ///
 /// Timestamps are converted to absolute microseconds, with each pcapng
 /// interface's tick conversion fixed when its description is read.
-/// Packets already in timestamp order are returned as they are; any
-/// others (multi-interface and multi-section captures interleave) get
-/// a stable radix sort on timestamps, which keeps packets with equal
-/// timestamps in file order ([`Trace::from_unordered`]). Protocol,
-/// ports, and network numbers are recovered from the packet bytes when
-/// they look like IPv4.
+/// The trace is in timestamp order, packets with equal timestamps in
+/// file order: what [`Trace::from_unordered`] makes of the file-order
+/// [`CaptureStream`] pull. Packets are put in order as they arrive. One
+/// a few positions late (a millisecond interface interleaved with a
+/// microsecond one) moves back into place; pcapng sections that restart
+/// their clocks are merged once the read ends. An in-order capture is
+/// copied once, into a `Vec` that keeps no spare room. Protocol, ports,
+/// and network numbers are recovered from the packet bytes when they
+/// look like IPv4.
 ///
 /// # Errors
 /// The first fault, as [`CaptureStream::next_packet`] reports it, or
@@ -547,14 +550,23 @@ impl<R: Read> Iterator for CaptureStream<R> {
 /// truncated, declares an implausible length, is neither format, or
 /// fails to read.
 pub fn read_capture<R: Read>(reader: R) -> Result<Trace, TraceError> {
-    let stream = CaptureStream::open(reader);
+    let mut stream = CaptureStream::open(reader);
     let (format, span) = match stream.format {
         Format::Pcapng(_) => ("pcapng", "nettrace_pcapng_read"),
         _ => ("pcap", "nettrace_pcap_read"),
     };
     let _span = obskit::span(span);
-    let packets: Result<Vec<_>, _> = stream.collect();
-    let result = packets.map(Trace::from_unordered);
+    let mut packets = Collector::default();
+    let end = loop {
+        match stream.next_packet() {
+            Ok(Some(p)) => packets.push(p),
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    // The read buffer goes before the packets are put in order.
+    drop(stream);
+    let result = end.map(|()| packets.finish());
     crate::observe_read(format, &result);
     result
 }

@@ -241,6 +241,241 @@ fn radix_sort_by_timestamp(packets: &mut Vec<PacketRecord>) {
     }
 }
 
+/// Packets a block holds once the first run has ended.
+const BLOCK: usize = 8 * 1024;
+/// Most positions a late packet moves back within its run.
+const MAX_LATE: usize = 16;
+/// Most runs that go through one merge; more go through the radix sort.
+const MAX_MERGE: usize = 32;
+
+/// Collects packets arriving in file order into a [`Trace`] in
+/// timestamp order, for the whole-capture readers. A capture's disorder
+/// is mostly sections that restart their clocks and packets a few
+/// positions late, and the collector puts both right with one move of
+/// each packet after it arrives.
+///
+/// The packets form runs in timestamp order, each a stretch of
+/// consecutive arrivals. A packet stamped before the latest packet of
+/// its run moves back into place when at most [`MAX_LATE`] of the run's
+/// packets stamp later; it never passes an equal stamp or the run's
+/// start. Otherwise it starts a new run. The first run grows one `Vec`,
+/// so an in-order capture ends in it; the runs after it fill blocks of
+/// [`BLOCK`] packets, so growing never copies. [`finish`] merges up to
+/// [`MAX_MERGE`] runs, giving ties to the earlier run, which is the
+/// order a stable sort of the arrivals by timestamp gives; more runs
+/// go through the radix sort.
+///
+/// [`finish`]: Collector::finish
+#[derive(Default)]
+pub(crate) struct Collector {
+    /// The first run, once a later one has started.
+    first: Vec<PacketRecord>,
+    /// The full blocks.
+    blocks: Vec<Vec<PacketRecord>>,
+    /// The packets after `blocks`: the whole first run until it ends,
+    /// then a block that is not full yet.
+    tail: Vec<PacketRecord>,
+    /// Where each run after the first starts, as a position in `blocks`
+    /// followed by `tail`.
+    starts: Vec<usize>,
+    /// The current run's latest stamp.
+    last: Micros,
+}
+
+impl Collector {
+    /// Take the next packet in file order.
+    #[inline]
+    pub(crate) fn push(&mut self, p: PacketRecord) {
+        if p.timestamp < self.last {
+            self.push_late(p);
+        } else {
+            self.last = p.timestamp;
+            self.append(p);
+        }
+    }
+
+    /// Put `p` at the end of the current run, starting a new block when
+    /// the runs are in blocks and the last one is full.
+    #[inline]
+    fn append(&mut self, p: PacketRecord) {
+        if self.tail.len() == BLOCK && !self.starts.is_empty() {
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(BLOCK));
+            self.blocks.push(full);
+        }
+        self.tail.push(p);
+    }
+
+    /// Position just past the last packet in `blocks` and `tail`.
+    fn end(&self) -> usize {
+        self.blocks.len() * BLOCK + self.tail.len()
+    }
+
+    /// The packet at `pos` in `blocks` followed by `tail`.
+    fn at(&mut self, pos: usize) -> &mut PacketRecord {
+        let full = self.blocks.len() * BLOCK;
+        match pos.checked_sub(full) {
+            Some(i) => &mut self.tail[i],
+            None => &mut self.blocks[pos / BLOCK][pos % BLOCK],
+        }
+    }
+
+    /// Move `p` back into its run, or start a new run with it.
+    #[cold]
+    #[inline(never)]
+    fn push_late(&mut self, p: PacketRecord) {
+        let end = self.end();
+        let start = self.starts.last().copied().unwrap_or(0);
+        let reach = (end - start).min(MAX_LATE + 1);
+        let later = (1..=reach)
+            .take_while(|&back| self.at(end - back).timestamp > p.timestamp)
+            .count();
+        if later > MAX_LATE {
+            if self.starts.is_empty() {
+                self.first = std::mem::replace(&mut self.tail, Vec::with_capacity(BLOCK));
+            }
+            self.starts.push(self.end());
+            self.last = p.timestamp;
+            self.append(p);
+            return;
+        }
+        self.append(p);
+        for pos in (end - later..end).rev() {
+            let moved = *self.at(pos);
+            *self.at(pos + 1) = moved;
+        }
+        *self.at(end - later) = p;
+    }
+
+    /// The packets in timestamp order, ties in arrival order.
+    pub(crate) fn finish(self) -> Trace {
+        let end = self.end();
+        let Collector {
+            mut first,
+            mut blocks,
+            mut tail,
+            starts,
+            ..
+        } = self;
+        // An in-order capture keeps no spare room, and a merge holds no
+        // more than the packets and their sorted copy.
+        tail.shrink_to_fit();
+        if starts.is_empty() {
+            return Trace { packets: tail };
+        }
+        blocks.push(tail);
+        if starts.len() >= MAX_MERGE {
+            let mut packets = first;
+            packets.reserve_exact(end);
+            for block in blocks {
+                packets.extend_from_slice(&block);
+            }
+            radix_sort_by_timestamp(&mut packets);
+            return Trace { packets };
+        }
+        first.shrink_to_fit();
+        let n = first.len() + end;
+        let mut runs = vec![Run {
+            head: &first,
+            next: 0,
+            end: 0,
+        }];
+        for (r, &start) in starts.iter().enumerate() {
+            let mut run = Run {
+                head: &[],
+                next: start,
+                end: starts.get(r + 1).copied().unwrap_or(end),
+            };
+            run.refill(&blocks);
+            runs.push(run);
+        }
+        Trace {
+            packets: merge(runs, &blocks, n),
+        }
+    }
+}
+
+/// A run's packets not yet merged: `head`, then the packets at
+/// positions `next..end` of the blocks.
+struct Run<'a> {
+    head: &'a [PacketRecord],
+    next: usize,
+    end: usize,
+}
+
+impl<'a> Run<'a> {
+    /// Make `head` the rest of the run's packets in the next block, if
+    /// any are left.
+    fn refill(&mut self, blocks: &'a [Vec<PacketRecord>]) {
+        if self.next < self.end {
+            let block = self.next / BLOCK;
+            let stop = self.end.min((block + 1) * BLOCK);
+            self.head = &blocks[block][self.next % BLOCK..stop - block * BLOCK];
+            self.next = stop;
+        }
+    }
+
+    /// Where run `r` stands in the merge order: its next stamp, then
+    /// `r` itself in the low 8 bits (`r` is below [`MAX_MERGE`]); a run
+    /// that is used up comes after every other.
+    fn key(&self, r: usize) -> u128 {
+        self.head.first().map_or(u128::MAX, |p| {
+            u128::from(p.timestamp.as_u64()) << 8 | r as u128
+        })
+    }
+}
+
+/// Stable merge of `runs` (each in timestamp order) into one `Vec` of
+/// their `n` packets, taking the earliest stamp next and, on ties, the
+/// earlier run.
+///
+/// A tree of losers makes each pick: the leaves are the runs' keys,
+/// each inner node holds the key that lost the match played there, and
+/// `top` the key that won them all. Only the winner's key changes, so
+/// one walk up from its leaf, a comparison a level, restores the tree.
+/// The walk swaps keys by `min` and `max`, not by a branch, which the
+/// interleaved runs of a multi-section capture would mispredict.
+fn merge<'a>(
+    mut runs: Vec<Run<'a>>,
+    blocks: &'a [Vec<PacketRecord>],
+    n: usize,
+) -> Vec<PacketRecord> {
+    let k = runs.len();
+    // Play every match once, from the last inner node up: run `r` is
+    // leaf `k + r`, and node `i`'s children are `2i` and `2i + 1`.
+    let mut winners = vec![0; k];
+    winners.extend(runs.iter().enumerate().map(|(r, run)| run.key(r)));
+    let mut tree = vec![0; k];
+    for node in (1..k).rev() {
+        let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+        (winners[node], tree[node]) = (a.min(b), a.max(b));
+    }
+    let mut top = winners[1];
+    let mut packets = Vec::with_capacity(n);
+    for _ in 0..n {
+        let won = (top & 0xff) as usize;
+        let run = &mut runs[won];
+        let (&p, rest) = run
+            .head
+            .split_first()
+            .expect("n counts every run's packets");
+        packets.push(p);
+        run.head = rest;
+        if rest.is_empty() {
+            run.refill(blocks);
+        }
+        let mut up = run.key(won);
+        let mut node = (k + won) / 2;
+        while node > 0 {
+            let other = tree[node];
+            tree[node] = other.max(up);
+            up = up.min(other);
+            node /= 2;
+        }
+        top = up;
+    }
+    packets
+}
+
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a PacketRecord;
     type IntoIter = std::slice::Iter<'a, PacketRecord>;
@@ -287,6 +522,8 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn pkt(t: u64, size: u16) -> PacketRecord {
         PacketRecord::new(Micros(t), size)
@@ -353,8 +590,6 @@ mod tests {
 
     #[test]
     fn from_unordered_matches_sort_by_key() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1993);
 
         // Lengths 0-3, every arrangement of tied and distinct stamps.
@@ -417,6 +652,106 @@ mod tests {
         }
         assert!(ts.windows(2).filter(|w| w[1] < w[0]).count() > 8);
         assert_sorts_like_sort_by_key(numbered(ts));
+    }
+
+    /// The collector leaves packets exactly where a stable sort by
+    /// timestamp does.
+    fn assert_collects_like_sort_by_key(ts: &[u64]) {
+        let packets = numbered(ts.iter().copied());
+        let mut expected = packets.clone();
+        expected.sort_by_key(|p| p.timestamp);
+        let mut collector = Collector::default();
+        packets.into_iter().for_each(|p| collector.push(p));
+        assert_eq!(collector.finish().packets(), expected.as_slice());
+    }
+
+    /// `len` stamps climbing from `start` by gaps of 0 to `gap`, in which
+    /// `lates` packets arrive late: by one position up to a few past
+    /// `MAX_LATE`, or by 40.
+    fn late_section(rng: &mut StdRng, len: usize, start: u64, gap: u64, lates: usize) -> Vec<u64> {
+        let mut t = start;
+        let mut ts: Vec<u64> = (0..len)
+            .map(|_| {
+                t = t.saturating_add(rng.random_range(0..=gap));
+                t
+            })
+            .collect();
+        for _ in 0..lates {
+            let d = match rng.random_range(0..4u8) {
+                0 => 40,
+                _ => rng.random_range(1..=MAX_LATE + 2),
+            };
+            if d < len {
+                let at = rng.random_range(d..len);
+                ts[at - d..=at].rotate_left(1);
+            }
+        }
+        ts
+    }
+
+    #[test]
+    fn collector_matches_sort_by_key() {
+        let mut rng = StdRng::seed_from_u64(1993);
+
+        // Sections that restart their clocks near zero, overlapping, with
+        // late packets in each: one run, a few, and up to and past the
+        // most one merge takes; short sections let a late packet reach
+        // its run's start.
+        for case in 0..400 {
+            let sections = match case % 4 {
+                0 => 1,
+                1 => rng.random_range(2..=6),
+                2 => rng.random_range(MAX_MERGE - 2..=MAX_MERGE + 2),
+                _ => rng.random_range(2..=12),
+            };
+            let gap = [0, 3, 400, 5_000][rng.random_range(0..4)];
+            let ts: Vec<u64> = (0..sections)
+                .flat_map(|_| {
+                    let most = [4, 40, 400][rng.random_range(0..3)];
+                    let len = rng.random_range(0..most);
+                    let start = rng.random_range(0..=gap * 8);
+                    late_section(&mut rng, len, start, gap, len / 8)
+                })
+                .collect();
+            assert_collects_like_sort_by_key(&ts);
+        }
+
+        // 0 and u64::MAX among random stamps, and sections that climb to
+        // u64::MAX.
+        for _ in 0..8 {
+            let ts: Vec<u64> = (0..2_000)
+                .map(|_| match rng.random_range(0..4u8) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.random::<u64>(),
+                })
+                .collect();
+            assert_collects_like_sort_by_key(&ts);
+            let top = u64::MAX - 1_000;
+            let ts = [
+                late_section(&mut rng, 300, top, 10, 30),
+                late_section(&mut rng, 300, top, 10, 30),
+            ]
+            .concat();
+            assert_collects_like_sort_by_key(&ts);
+        }
+
+        // Runs in blocks: a first run that the next section cannot join,
+        // then a long section whose first block starts with it and whose
+        // late packets arrive on and just past the next block boundaries,
+        // moving back across them, then a section that overlaps it.
+        for _ in 0..3 {
+            let mut ts = late_section(&mut rng, 50, 1_000, 10, 6);
+            let mut blocked = late_section(&mut rng, 3 * BLOCK + 7, 0, 3, 0);
+            for block in 1..=3 {
+                let d = rng.random_range(1..=MAX_LATE);
+                let at = block * BLOCK + rng.random_range(0..3);
+                blocked[at - d..=at].rotate_left(1);
+            }
+            ts.extend(blocked);
+            ts.extend(late_section(&mut rng, 100, 0, 3, 12));
+            assert_collects_like_sort_by_key(&ts);
+        }
     }
 
     #[test]
