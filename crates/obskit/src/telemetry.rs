@@ -207,10 +207,12 @@ impl Telemetry {
             .name("obskit-telemetry".to_string())
             .spawn(move || loop {
                 {
+                    // The predicate is checked before the first wait, so
+                    // a stop set before this thread locked is not lost.
                     let stopped = worker.stop.lock().expect("telemetry stop poisoned");
                     let (stopped, _) = worker
                         .wake
-                        .wait_timeout(stopped, interval)
+                        .wait_timeout_while(stopped, interval, |stopped| !*stopped)
                         .expect("telemetry stop poisoned");
                     if *stopped {
                         return;
@@ -325,5 +327,23 @@ mod tests {
             assert!(crate::gauge("proc_rss_max_kb").get() >= crate::gauge("proc_rss_kb").get());
         }
         drop(t); // joins the thread
+    }
+
+    #[test]
+    fn dropping_a_sampler_never_waits_out_its_interval() {
+        // Each drop follows its start at once, so its stop usually lands
+        // before the thread first waits; the thread must still see it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            for _ in 0..20 {
+                drop(Telemetry::start(Duration::from_secs(3600)));
+            }
+            done.send(()).expect("the test is waiting");
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "20 sampler drops took over 10 s"
+        );
+        helper.join().expect("helper thread");
     }
 }
