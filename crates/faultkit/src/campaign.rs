@@ -20,7 +20,7 @@
 //! The campaign is a pure function of the seed; its [`Digest`] folds
 //! every case's classification so cross-run identity is one comparison.
 
-use crate::corpus::{pcap_corpus, pcapng_corpus, Corpus};
+use crate::corpus::{pcap_corpus, pcapng_corpus, pcapng_sections_corpus, Corpus};
 use crate::mutate::Mutation;
 use crate::{Digest, Finding};
 use nettrace::error::TraceError;
@@ -268,14 +268,18 @@ impl Campaign {
 }
 
 /// Run the full campaign: a truncation sweep at (and adjacent to) every
-/// structure boundary of both corpora, then `iterations` random
-/// mutation cases split across them.
+/// structure boundary of every corpus, then `iterations` random
+/// mutation cases split across them. The corpora are classic pcap, one
+/// pcapng section, and three pcapng sections whose clocks restart, so
+/// the strict read merges them while the policy check sorts the stream
+/// pull with [`Trace::from_unordered`].
 #[must_use]
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let _span = obskit::span("faultkit_campaign");
-    let corpora: [Corpus; 2] = [
+    let corpora: [Corpus; 3] = [
         pcap_corpus(cfg.seed, cfg.corpus_packets),
         pcapng_corpus(cfg.seed, cfg.corpus_packets),
+        pcapng_sections_corpus(cfg.seed, cfg.corpus_packets, 3),
     ];
     let mut campaign = Campaign {
         outcomes: BTreeMap::new(),
@@ -303,7 +307,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     // Random mutation phase: 1–3 stacked mutations per case.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for i in 0..cfg.iterations {
-        let corpus = &corpora[(i % 2) as usize];
+        let corpus = &corpora[i as usize % corpora.len()];
         let mut image = corpus.bytes.clone();
         let count = rng.random_range(1u32..=3);
         let described: Vec<String> = (0..count)
@@ -379,8 +383,9 @@ mod tests {
         for want in ["ok", "bad_magic", "truncated"] {
             assert!(classes.contains(&want), "missing class {want}: {classes:?}");
         }
-        // Both corpora ran.
-        assert!(report.outcomes.keys().any(|k| k.starts_with("pcap/")));
-        assert!(report.outcomes.keys().any(|k| k.starts_with("pcapng/")));
+        // Every corpus ran.
+        for source in ["pcap/", "pcapng/", "pcapng-sections/"] {
+            assert!(report.outcomes.keys().any(|k| k.starts_with(source)));
+        }
     }
 }

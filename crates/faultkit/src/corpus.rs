@@ -17,7 +17,8 @@ use rand::{RngExt, SeedableRng};
 /// needs.
 #[derive(Debug, Clone)]
 pub struct Corpus {
-    /// Which format the bytes are (`"pcap"` or `"pcapng"`).
+    /// Which corpus the bytes are (`"pcap"`, `"pcapng"`, or
+    /// `"pcapng-sections"` for several pcapng sections).
     pub name: &'static str,
     /// The valid capture image.
     pub bytes: Vec<u8>,
@@ -180,13 +181,39 @@ pub fn pcapng_corpus(seed: u64, count: usize) -> Corpus {
     }
 }
 
+/// `sections` pcapng corpora of `count` entries each, seeded `seed`,
+/// `seed + 1`, and so on, back to back. Every section restarts its
+/// clock near zero, so a whole-capture read has to merge them.
+#[must_use]
+pub fn pcapng_sections_corpus(seed: u64, count: usize, sections: u64) -> Corpus {
+    let mut bytes = Vec::new();
+    let mut boundaries = Vec::new();
+    let mut packets = 0;
+    for s in 0..sections {
+        let section = pcapng_corpus(seed.wrapping_add(s), count);
+        let (&end, starts) = section.boundaries.split_last().expect("end sentinel");
+        assert_eq!(end, section.bytes.len());
+        boundaries.extend(starts.iter().map(|b| bytes.len() + b));
+        bytes.extend_from_slice(&section.bytes);
+        packets += section.packets;
+    }
+    boundaries.push(bytes.len());
+    Corpus {
+        name: "pcapng-sections",
+        bytes,
+        boundaries,
+        packets,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn corpora_are_valid_and_deterministic() {
-        for build in [pcap_corpus, pcapng_corpus] {
+        let sections = |seed, count| pcapng_sections_corpus(seed, count, 3);
+        for build in [pcap_corpus, pcapng_corpus, sections] {
             let a = build(1993, 40);
             let b = build(1993, 40);
             assert_eq!(a.bytes, b.bytes, "{} corpus must be seed-stable", a.name);

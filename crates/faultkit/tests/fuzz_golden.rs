@@ -4,13 +4,14 @@
 //!
 //! Both runs are pure functions of their seed, so their digests pin
 //! every case's classification. The mutation digest moves only when a
-//! capture decoder classifies damaged bytes differently; the state-fuzz
-//! digest moves when an arm or a fuzzed state machine changes what it
-//! reports. A change that moves either says why.
+//! capture decoder classifies damaged bytes differently or the
+//! campaign's corpora change; the state-fuzz digest moves when an arm
+//! or a fuzzed state machine changes what it reports. A change that
+//! moves either says why.
 
 use faultkit::{run_campaign, run_state_fuzz, CampaignConfig, StateFuzzConfig};
 
-const MUTATION_GOLDEN: u64 = 0x7f0b_0ee5_2303_6238;
+const MUTATION_GOLDEN: u64 = 0x22dd_df3e_aa72_c5e5;
 const STATE_FUZZ_GOLDEN: u64 = 0xf43c_a2f6_7964_34a4;
 
 #[test]
