@@ -191,8 +191,7 @@ pub fn pcapng_sections_corpus(seed: u64, count: usize, sections: u64) -> Corpus 
     let mut packets = 0;
     for s in 0..sections {
         let section = pcapng_corpus(seed.wrapping_add(s), count);
-        let (&end, starts) = section.boundaries.split_last().expect("end sentinel");
-        assert_eq!(end, section.bytes.len());
+        let (_end, starts) = section.boundaries.split_last().expect("end sentinel");
         boundaries.extend(starts.iter().map(|b| bytes.len() + b));
         bytes.extend_from_slice(&section.bytes);
         packets += section.packets;

@@ -87,11 +87,7 @@ fn measured_read(image: &[u8]) -> (Trace, u64, u64) {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
     let trace = nettrace::read_capture(image).expect("valid corpus");
-    (
-        trace,
-        PEAK.load(Relaxed) - base,
-        LIVE.load(Relaxed) - base,
-    )
+    (trace, PEAK.load(Relaxed) - base, LIVE.load(Relaxed) - base)
 }
 
 #[test]

@@ -557,13 +557,7 @@ pub fn read_capture<R: Read>(reader: R) -> Result<Trace, TraceError> {
     };
     let _span = obskit::span(span);
     let mut packets = Collector::default();
-    let end = loop {
-        match stream.next_packet() {
-            Ok(Some(p)) => packets.push(p),
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
+    let end = stream.by_ref().try_for_each(|p| p.map(|p| packets.push(p)));
     // The read buffer goes before the packets are put in order.
     drop(stream);
     let result = end.map(|()| packets.finish());
