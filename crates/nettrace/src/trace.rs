@@ -247,6 +247,8 @@ const BLOCK: usize = 8 * 1024;
 const MAX_LATE: usize = 16;
 /// Most runs that go through one merge; more go through the radix sort.
 const MAX_MERGE: usize = 32;
+// A merge key holds its run's index in 8 bits.
+const _: () = assert!(MAX_MERGE <= 256);
 
 /// Collects packets arriving in file order into a [`Trace`] in
 /// timestamp order, for the whole-capture readers. A capture's disorder
