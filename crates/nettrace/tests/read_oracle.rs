@@ -8,9 +8,10 @@
 //! restart their clocks, a millisecond interface interleaved with a
 //! microsecond one, packets arriving a few or many positions late
 //! (also where a reader that collects packets in power-of-two blocks
-//! would start a new block), more sections than a small merge takes,
-//! equal stamps within and across sections, the extreme stamps, and
-//! captures with no packet or one.
+//! would start a new block), dozens of sections whose clocks restart
+//! and thousands (more runs than the reader merges at once), equal
+//! stamps within and across sections, the extreme stamps, and captures
+//! with no packet or one.
 
 use nettrace::{read_capture, read_capture_lossy, CaptureStream, PacketRecord, Trace};
 use rand::rngs::StdRng;
@@ -235,13 +236,15 @@ fn whole_capture_reads_match_the_sorted_pull() {
         &[climbing(&mut rng, 100, 50), displaced(20_000, &boundary)],
     );
 
-    let many: Vec<Vec<Pkt>> = (0..40)
-        .map(|_| {
-            let start = rng.random_range(0..100u64);
-            interleaved(&mut rng, 60, start)
-        })
-        .collect();
-    check("more sections than a merge takes", &many);
+    for (sections, each) in [(40, 60), (3_000, 20)] {
+        let many: Vec<Vec<Pkt>> = (0..sections)
+            .map(|_| {
+                let start = rng.random_range(0..100u64);
+                interleaved(&mut rng, each, start)
+            })
+            .collect();
+        check(&format!("{sections} restarting sections"), &many);
+    }
 
     // Equal stamps within and across sections, on both interfaces: a
     // millisecond tick k ties a microsecond stamp of k * 1000.
