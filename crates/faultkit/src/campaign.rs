@@ -36,8 +36,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub struct CampaignConfig {
     /// Master seed; everything below derives from it.
     pub seed: u64,
-    /// Random mutation cases to run (the structured truncation sweep
-    /// over every corpus boundary runs in addition to these).
+    /// Random mutation cases for every two corpora: each corpus gets
+    /// half of them (the structured truncation sweep over every corpus
+    /// boundary runs in addition to these).
     pub iterations: u32,
     /// Packets per generated corpus.
     pub corpus_packets: usize,
@@ -268,11 +269,11 @@ impl Campaign {
 }
 
 /// Run the full campaign: a truncation sweep at (and adjacent to) every
-/// structure boundary of every corpus, then `iterations` random
-/// mutation cases split across them. The corpora are classic pcap, one
-/// pcapng section, and three pcapng sections whose clocks restart, so
-/// the strict read merges them while the policy check sorts the stream
-/// pull with [`Trace::from_unordered`].
+/// structure boundary of every corpus, then random mutation cases taking
+/// the corpora in turn, `iterations / 2` for each. The corpora are
+/// classic pcap, one pcapng section, and three pcapng sections whose
+/// clocks restart, so the strict read merges them while the policy
+/// check sorts the stream pull with [`Trace::from_unordered`].
 #[must_use]
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let _span = obskit::span("faultkit_campaign");
@@ -306,8 +307,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     // Random mutation phase: 1–3 stacked mutations per case.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for i in 0..cfg.iterations {
-        let corpus = &corpora[i as usize % corpora.len()];
+    for i in 0..cfg.iterations as usize * corpora.len() / 2 {
+        let corpus = &corpora[i % corpora.len()];
         let mut image = corpus.bytes.clone();
         let count = rng.random_range(1u32..=3);
         let described: Vec<String> = (0..count)

@@ -11,7 +11,7 @@
 
 use faultkit::{run_campaign, run_state_fuzz, CampaignConfig, StateFuzzConfig};
 
-const MUTATION_GOLDEN: u64 = 0x22dd_df3e_aa72_c5e5;
+const MUTATION_GOLDEN: u64 = 0xd39a_ceda_917b_e57a;
 const STATE_FUZZ_GOLDEN: u64 = 0xf43c_a2f6_7964_34a4;
 
 #[test]
