@@ -382,12 +382,16 @@ echo "== pinned: CLI experiment outputs against recorded checksums"
 # (FlowExperiment::run_grid_with) and `stream` print for the smoke
 # captures (pop.pcap: 10 s, seed 7; zipf.pcap: 20 s, seed 1993), as
 # `cksum` of stdout or of the JSONL file (stream's with rss_kb masked).
+# The `serve` row is the collector's JSONL for 3 tenants × 2 interfaces
+# on 4 shards, whose queue sheds a quarter of every window and whose
+# flow budget evicts, so every report and summary field is exercised.
 # A change that means to alter one of these outputs updates its row
 # here, and says why.
 pinned_cksums="score 260734417 283
 sweep 4087357925 518
 flows 1150908164 2447
-stream 2358929523 703"
+stream 2358929523 703
+serve 3318558044 3657"
 pinned_output() {
     case "$1" in
         score) "$bin" score "$tmpdir/pop.pcap" --interval 20 --replications 3 ;;
@@ -401,6 +405,13 @@ pinned_output() {
             "$bin" stream "$tmpdir/pop.pcap" --window 2000 --interval 50 \
                 --jsonl "$tmpdir/pinned.stream.jsonl" > /dev/null
             sed -E 's/"rss_kb":[0-9]+/"rss_kb":0/' "$tmpdir/pinned.stream.jsonl"
+            ;;
+        serve)
+            "$bin" serve --shards 4 --tenants 3 --interfaces 2 --windows 4 \
+                --window-packets 4000 --lane-queue 3000 --lane-flow-budget 200 \
+                --flows-per-window 400 --interval 10 --seed 1993 \
+                --jsonl "$tmpdir/pinned.serve.jsonl" > /dev/null
+            cat "$tmpdir/pinned.serve.jsonl"
             ;;
     esac
 }

@@ -113,6 +113,48 @@ mod tests {
     }
 
     #[test]
+    fn merge_matches_a_stable_sort_of_the_concatenation() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1993);
+        let mut id = 0u32;
+        for k in [0usize, 1, 2, 7, 40] {
+            for _ in 0..25 {
+                // One trace in four is empty. The rest climb from a few
+                // shared starts (one in eight next to u64::MAX) by gaps
+                // of 0-3, so stamps tie within and across traces.
+                let traces: Vec<Trace> = (0..k)
+                    .map(|_| {
+                        let len = match rng.random_range(0..4u8) {
+                            0 => 0,
+                            _ => rng.random_range(1..=60usize),
+                        };
+                        let mut t = match rng.random_range(0..8u8) {
+                            0 => u64::MAX - 40,
+                            _ => rng.random_range(0..20u64),
+                        };
+                        let packets = (0..len)
+                            .map(|_| {
+                                t = t.saturating_add(rng.random_range(0..=3u64));
+                                id += 1;
+                                pkt(t, 40).with_flow(id, false)
+                            })
+                            .collect();
+                        Trace::new(packets).unwrap()
+                    })
+                    .collect();
+                let refs: Vec<&Trace> = traces.iter().collect();
+                let mut expected: Vec<PacketRecord> = traces
+                    .iter()
+                    .flat_map(|t| t.packets().iter().copied())
+                    .collect();
+                expected.sort_by_key(|p| p.timestamp);
+                assert_eq!(merge(&refs).packets(), expected.as_slice(), "{k} traces");
+            }
+        }
+    }
+
+    #[test]
     fn merge_three_sources_conserves_packets() {
         let a = trace(&[0, 300, 600, 900]);
         let b = trace(&[100, 400, 700]);
