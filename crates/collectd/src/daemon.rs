@@ -9,8 +9,8 @@
 //! *threading* unit: it hosts the lanes the [`RoutingPlan`] assigns to
 //! it and processes them in ascending lane order. Because no per-packet
 //! state lives at shard granularity, and the coordinator merges shard
-//! results **by shard index** (parkit's contract) and then sorts lane
-//! windows by `(window, lane)`, the merged output is bit-identical at
+//! results **by shard index** (parkit's contract) and then sorts each
+//! round's lane windows by lane, the merged output is bit-identical at
 //! any shard count — S=4 reproduces S=1 exactly.
 //!
 //! ## Round = window
@@ -20,8 +20,13 @@
 //! `min(window_packets, lane_queue)` of them to its sampler+windower —
 //! the rest are **shed**, modeling a bounded ingest queue — and the
 //! count-window closes exactly at the offer bound, emitting one
-//! [`WindowPayload`] per lane per round. Conservation holds by
-//! construction and is asserted in the drain test:
+//! [`WindowPayload`] per lane per round. A lane that cannot produce a
+//! full window (a drain deadline, or a replay that ran dry) closes its
+//! partial window in that round, and the run ends with it. At the
+//! round's barrier the coordinator reduces the round's windows to
+//! per-tenant reports, as the paper's statistics processor reports each
+//! interval's objects and starts the next one clean. Conservation holds
+//! by construction and is asserted in the drain test:
 //! `ingested == considered + shed`.
 //!
 //! ## Bounded memory
@@ -32,7 +37,9 @@
 //! the cap the `collectd_shard_rss_kb` gauge and its RSS-budget alert
 //! rule watch. Eviction is the flow table's deterministic
 //! least-recently-updated-first policy, so the cap never costs
-//! determinism.
+//! determinism. Between rounds the coordinator keeps only the finished
+//! reports and running totals: no lane window or sampled flow size
+//! outlives its round.
 
 use crate::error::CollectError;
 use crate::report::{CollectorSummary, TenantWindowReport};
@@ -45,7 +52,6 @@ use obskit::CounterShard;
 use parkit::Pool;
 use sampling::{MethodSpec, Target};
 use statkit::inversion::{naive_scaling, syn_flow_count, tail_rescale};
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 use streamkit::{StreamMethod, WindowPayload, WindowSpec, Windower};
@@ -175,13 +181,12 @@ impl CollectorConfig {
     }
 }
 
-/// One lane's closed window, tagged for the merge.
-#[derive(Debug, Clone)]
-pub struct LaneWindow {
-    /// The lane that produced it.
-    pub lane: Lane,
-    /// The windower's payload.
-    pub payload: WindowPayload,
+/// One lane's closed window, tagged for the round's reduction.
+struct LaneWindow {
+    lane: Lane,
+    /// Arrivals the lane's queue shed in the window's round.
+    shed: u64,
+    payload: WindowPayload,
 }
 
 /// Per-round statistics handed to the observer (and the telemetry
@@ -225,8 +230,6 @@ struct LaneState {
     lane: Lane,
     feed: Feed,
     windower: Windower,
-    /// Cumulative evicted flows reported by closed windows.
-    evicted: u64,
 }
 
 /// Everything one shard owns. Wrapped in a `Mutex` so the coordinator
@@ -241,10 +244,14 @@ struct ShardState {
 }
 
 /// A shard's output for one round.
+#[derive(Default)]
 struct ShardRound {
     windows: Vec<LaneWindow>,
-    /// Per-lane `(lane, ingested, considered, shed)` for this round.
-    lane_rounds: Vec<(u32, u64, u64, u64)>,
+    ingested: u64,
+    considered: u64,
+    shed: u64,
+    /// Some lane could not produce a full window.
+    drained: bool,
     live_flows: u64,
     evictions: u64,
     selected_delta: u64,
@@ -266,9 +273,8 @@ pub struct Collector {
     plan: RoutingPlan,
     shards: Vec<Mutex<ShardState>>,
     round: u64,
-    windows: Vec<LaneWindow>,
-    /// (round, lane) → (ingested, considered, shed).
-    lane_rounds: BTreeMap<(u64, u32), (u64, u64, u64)>,
+    /// Every finished round's reports, in `(window, tenant)` order.
+    reports: Vec<TenantWindowReport>,
     ingested: u64,
     considered: u64,
     shed: u64,
@@ -337,7 +343,6 @@ impl Collector {
                     lane,
                     feed,
                     windower,
-                    evicted: 0,
                 });
             }
             let label = shard.to_string();
@@ -369,8 +374,7 @@ impl Collector {
             plan,
             shards,
             round: 0,
-            windows: Vec::new(),
-            lane_rounds: BTreeMap::new(),
+            reports: Vec::new(),
             ingested: 0,
             considered: 0,
             shed: 0,
@@ -389,30 +393,9 @@ impl Collector {
         &self.plan
     }
 
-    /// Change the shard count. Legal only before the first round: state
-    /// already sharded one way cannot be re-keyed without replay.
-    ///
-    /// # Errors
-    /// [`CollectError::ShardMismatch`] once ingest has started,
-    /// [`CollectError::NoShards`] for zero.
-    pub fn reshard(&mut self, shards: u32) -> Result<(), CollectError> {
-        if shards == 0 {
-            return Err(CollectError::NoShards);
-        }
-        if self.round > 0 || self.drained {
-            return Err(CollectError::ShardMismatch {
-                expected: self.cfg.shards,
-                got: shards,
-            });
-        }
-        let mut cfg = self.cfg.clone();
-        cfg.shards = shards;
-        *self = Collector::new(cfg)?;
-        Ok(())
-    }
-
     /// Advance every shard one round (= one window) on `pool`,
-    /// merge-by-index, publish telemetry, and return the round stats.
+    /// merge-by-index, reduce the round's windows to tenant reports,
+    /// publish telemetry, and return the round stats.
     ///
     /// # Errors
     /// [`CollectError::Finished`] when all configured windows are done
@@ -430,8 +413,6 @@ impl Collector {
             let mut st = cells[s].lock().expect("shard lock");
             st.process_round(window_packets, effective, deadline)
         })?;
-        // Merge strictly by shard index — parkit returns results in
-        // task order, so this is deterministic at any job count.
         let mut stats = RoundStats {
             round: self.round,
             shard_flows: vec![0; self.shards.len()],
@@ -444,28 +425,29 @@ impl Collector {
             selected: self.selected,
             drained: false,
         };
+        // Merge strictly by shard index — parkit returns results in
+        // task order, so this is deterministic at any job count.
+        let mut windows = Vec::new();
         for (s, res) in results.into_iter().enumerate() {
             let mut sr = res?;
-            for &(lane, ing, cons, shed) in &sr.lane_rounds {
-                stats.ingested += ing;
-                stats.considered += cons;
-                stats.shed += shed;
-                self.lane_rounds
-                    .insert((self.round, lane), (ing, cons, shed));
-                if ing < window_packets {
-                    // A lane that could not produce a full window (drain
-                    // deadline or an exhausted replay) ends the run.
-                    stats.drained = true;
-                }
-            }
+            stats.ingested += sr.ingested;
+            stats.considered += sr.considered;
+            stats.shed += sr.shed;
+            // A lane that could not produce a full window (drain
+            // deadline or an exhausted replay) ends the run.
+            stats.drained |= sr.drained;
             stats.selected += sr.selected_delta;
             stats.shard_flows[s] = sr.live_flows;
             stats.shard_rss_kb[s] = sr.live_flows * FLOW_STATE_BYTES / 1024 + 1;
             self.evictions[s] += sr.evictions;
             stats.shard_evictions[s] = self.evictions[s];
             stats.live_flows += sr.live_flows;
-            self.windows.append(&mut sr.windows);
+            windows.append(&mut sr.windows);
         }
+        // The reduction's order is the fleet's canonical lane order —
+        // never shard or completion order.
+        windows.sort_unstable_by_key(|w| w.lane.lane);
+        self.reports.extend(build_reports(&self.cfg, windows));
         self.ingested = stats.ingested;
         self.considered = stats.considered;
         self.shed = stats.shed;
@@ -480,39 +462,13 @@ impl Collector {
         Ok(stats)
     }
 
-    /// Flush every lane's partial window, merge all lane windows in
-    /// `(window, lane)` order, and aggregate the per-tenant reports.
+    /// The reports every round reduced, plus the run summary. Every
+    /// lane window closed in its round, so no shard state is read.
     ///
     /// # Errors
-    /// Propagates a poisoned shard lock as [`CollectError::Pool`].
-    pub fn finish(mut self) -> Result<CollectorOutput, CollectError> {
-        for (s, cell) in self.shards.iter().enumerate() {
-            let mut st = cell
-                .lock()
-                .map_err(|_| CollectError::Pool(format!("shard {s} lock poisoned")))?;
-            for lane in &mut st.lanes {
-                for payload in lane.windower.finish() {
-                    lane.evicted += payload.evicted_flows;
-                    self.windows.push(LaneWindow {
-                        lane: lane.lane,
-                        payload,
-                    });
-                }
-            }
-            st.ingest.flush();
-            st.shed_ctr.flush();
-        }
-        // The merge key: window first, then the fleet's canonical lane
-        // order — never shard or completion order.
-        self.windows.sort_by_key(|w| (w.payload.index, w.lane.lane));
-        let reports = build_reports(&self.cfg, &self.windows, &self.lane_rounds);
-        let flows_reported: u64 = reports.iter().map(|r| r.flows).sum();
-        let windows_completed = self
-            .windows
-            .iter()
-            .map(|w| w.payload.index + 1)
-            .max()
-            .unwrap_or(0);
+    /// None: every window closed in its round. The `Result` keeps the
+    /// signature callers use.
+    pub fn finish(self) -> Result<CollectorOutput, CollectError> {
         let summary = CollectorSummary {
             shards: self.cfg.shards,
             tenants: self.cfg.fleet.tenants().len() as u32,
@@ -521,20 +477,23 @@ impl Collector {
             method: self.cfg.method.name(),
             seed: self.cfg.seed,
             windows_configured: self.cfg.windows,
-            windows_completed,
+            windows_completed: self.reports.last().map_or(0, |r| r.window + 1),
             window_packets: self.cfg.window_packets,
             ingested: self.ingested,
             considered: self.considered,
             shed: self.shed,
             selected: self.selected,
-            flows_reported,
+            flows_reported: self.reports.iter().map(|r| r.flows).sum(),
             evicted_flows: self.evictions.iter().sum(),
             max_live_flows: self.max_live_flows,
             max_shard_flows: self.max_shard_flows,
             routing_imbalance_x1000: self.plan.imbalance_x1000(),
             drained: self.drained,
         };
-        Ok(CollectorOutput { reports, summary })
+        Ok(CollectorOutput {
+            reports: self.reports,
+            summary,
+        })
     }
 }
 
@@ -547,18 +506,15 @@ impl ShardState {
         deadline: Option<Instant>,
     ) -> Result<ShardRound, CollectError> {
         let mut out = ShardRound {
-            windows: Vec::new(),
-            lane_rounds: Vec::with_capacity(self.lanes.len()),
-            live_flows: 0,
-            evictions: 0,
-            selected_delta: 0,
+            windows: Vec::with_capacity(self.lanes.len()),
+            ..ShardRound::default()
         };
         let mut chunk: Vec<PacketRecord> = Vec::with_capacity(CHUNK);
         for lane in &mut self.lanes {
             let selected_before = lane.windower.selected();
             let mut produced = 0u64;
             let mut offered = 0u64;
-            let mut payload_count = 0usize;
+            let mut closed = Vec::new();
             'gen: while produced < window_packets {
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
@@ -585,27 +541,35 @@ impl ShardState {
                 let room = (effective - offered).min(got as u64) as usize;
                 if room > 0 {
                     for payload in lane.windower.offer_slice(&chunk[..room]) {
-                        lane.evicted += payload.evicted_flows;
-                        out.evictions += payload.evicted_flows;
                         out.live_flows += payload.flows;
-                        payload_count += 1;
-                        out.windows.push(LaneWindow {
-                            lane: lane.lane,
-                            payload,
-                        });
+                        closed.push(payload);
                     }
                     offered += room as u64;
                 }
             }
+            if produced < window_packets {
+                // Drained mid-window: the open table's flows are live at
+                // the round's close, and its partial window closes with
+                // the round.
+                out.live_flows += lane.windower.live_flows();
+                closed.extend(lane.windower.finish());
+                out.drained = true;
+            }
             let shed = produced - offered;
             self.ingest.add(produced);
             self.shed_ctr.add(shed);
-            out.lane_rounds
-                .push((lane.lane.lane, produced, offered, shed));
+            out.ingested += produced;
+            out.considered += offered;
+            out.shed += shed;
+            // After the flush: a reservoir selects as its window closes.
             out.selected_delta += lane.windower.selected() - selected_before;
-            if payload_count == 0 {
-                // Drained mid-window: the open table still holds flows.
-                out.live_flows += lane.windower.live_flows();
+            for payload in closed {
+                out.evictions += payload.evicted_flows;
+                out.windows.push(LaneWindow {
+                    lane: lane.lane,
+                    shed,
+                    payload,
+                });
             }
         }
         self.ingest.flush();
@@ -636,79 +600,53 @@ fn publish_round(stats: &RoundStats) {
     obskit::counter("collectd_rounds_total").inc();
 }
 
-/// Aggregate sorted lane windows into per-(window, tenant) reports.
-fn build_reports(
-    cfg: &CollectorConfig,
-    windows: &[LaneWindow],
-    lane_rounds: &BTreeMap<(u64, u32), (u64, u64, u64)>,
-) -> Vec<TenantWindowReport> {
+/// Reduce one round's lane windows, in lane order, to per-tenant
+/// reports. A round closes at most one window per lane, all with the
+/// round's index, so a tenant's windows are adjacent.
+fn build_reports(cfg: &CollectorConfig, windows: Vec<LaneWindow>) -> Vec<TenantWindowReport> {
     let k = cfg.inversion_interval();
     let mut reports = Vec::new();
-    let mut i = 0;
-    while i < windows.len() {
-        let win = windows[i].payload.index;
-        let tenant = windows[i].lane.tenant;
-        let mut j = i;
-        while j < windows.len()
-            && windows[j].payload.index == win
-            && windows[j].lane.tenant == tenant
-        {
-            j += 1;
+    let mut windows = windows.into_iter().peekable();
+    while let Some(first) = windows.next() {
+        let tenant = first.lane.tenant;
+        let (mut merged, mut shed, mut lanes) = (first.payload, first.shed, 1);
+        while let Some(w) = windows.next_if(|w| w.lane.tenant == tenant) {
+            let p = w.payload;
+            merged.population.merge(&p.population);
+            merged.sample.merge(&p.sample);
+            merged.packets += p.packets;
+            merged.selected += p.selected;
+            merged.flows += p.flows;
+            merged.syn_flows += p.syn_flows;
+            merged.evicted_flows += p.evicted_flows;
+            merged.sampled_sizes.extend_from_slice(&p.sampled_sizes);
+            merged.sampled_syn_flows += p.sampled_syn_flows;
+            shed += w.shed;
+            lanes += 1;
         }
-        let group = &windows[i..j];
-        i = j;
-
-        let first = &group[0].payload;
-        let mut population = first.population.clone();
-        let mut sample = first.sample.clone();
-        let mut packets = first.packets;
-        let mut selected = first.selected;
-        let mut flows = first.flows;
-        let mut syn_flows = first.syn_flows;
-        let mut evicted = first.evicted_flows;
-        let mut sampled_sizes = first.sampled_sizes.clone();
-        let mut sampled_syn = first.sampled_syn_flows;
-        for w in &group[1..] {
-            population.merge(&w.payload.population);
-            sample.merge(&w.payload.sample);
-            packets += w.payload.packets;
-            selected += w.payload.selected;
-            flows += w.payload.flows;
-            syn_flows += w.payload.syn_flows;
-            evicted += w.payload.evicted_flows;
-            sampled_sizes.extend_from_slice(&w.payload.sampled_sizes);
-            sampled_syn += w.payload.sampled_syn_flows;
-        }
-        let phi = sampling::disparity(&population, &sample).map(|d| d.phi);
+        let sizes = &merged.sampled_sizes;
+        let phi = sampling::disparity(&merged.population, &merged.sample).map(|d| d.phi);
         let (est_naive, est_tail, est_syn) = match k {
             Some(k) => (
-                naive_scaling(&sampled_sizes, k).ok().map(|e| e.total_flows),
-                tail_rescale(&sampled_sizes, k).ok().map(|e| e.total_flows),
-                syn_flow_count(sampled_syn, k).ok(),
+                naive_scaling(sizes, k).ok().map(|e| e.total_flows),
+                tail_rescale(sizes, k).ok().map(|e| e.total_flows),
+                syn_flow_count(merged.sampled_syn_flows, k).ok(),
             ),
             None => (None, None, None),
         };
-        let shed: u64 = group
-            .iter()
-            .map(|w| {
-                lane_rounds
-                    .get(&(win, w.lane.lane))
-                    .map_or(0, |&(_, _, s)| s)
-            })
-            .sum();
         reports.push(TenantWindowReport {
-            window: win,
+            window: merged.index,
             tenant: cfg.fleet.tenant_name(tenant).to_string(),
-            lanes: group.len() as u32,
-            packets,
-            selected,
+            lanes,
+            packets: merged.packets,
+            selected: merged.selected,
             shed,
-            flows,
-            syn_flows,
-            evicted_flows: evicted,
+            flows: merged.flows,
+            syn_flows: merged.syn_flows,
+            evicted_flows: merged.evicted_flows,
             phi,
-            sampled_flows: sampled_sizes.len() as u64,
-            sampled_syn_flows: sampled_syn,
+            sampled_flows: sizes.len() as u64,
+            sampled_syn_flows: merged.sampled_syn_flows,
             est_flows_naive: est_naive,
             est_flows_tail: est_tail,
             est_syn_flows: est_syn,

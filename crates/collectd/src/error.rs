@@ -2,9 +2,9 @@
 //!
 //! Everything a hostile configuration or a faulted ingest can provoke
 //! surfaces here — the faultkit statefuzz arm drives the collector with
-//! garbage tenant ids, zero-interface fleets and mid-stream shard-count
-//! mismatches and asserts it only ever sees these variants, never a
-//! panic.
+//! garbage tenant ids, zero-interface fleets, zero shards and
+//! degenerate window, queue and budget knobs, and asserts it only ever
+//! sees these variants, never a panic.
 
 use netstat_sim::FleetError;
 use std::fmt;
@@ -17,21 +17,6 @@ pub enum CollectError {
     Fleet(FleetError),
     /// `shards == 0` — there is nowhere to route a lane.
     NoShards,
-    /// A routing lookup named a (tenant, interface) outside the fleet.
-    UnknownLane {
-        /// Requested tenant index.
-        tenant: u32,
-        /// Requested interface index.
-        interface: u32,
-    },
-    /// The shard count changed mid-stream: state sharded one way cannot
-    /// be re-keyed another way without replaying from the start.
-    ShardMismatch {
-        /// Shard count the collector was built with.
-        expected: u32,
-        /// Shard count the operation asked for.
-        got: u32,
-    },
     /// A run-shape parameter was degenerate (zero windows, zero window
     /// packets, zero lane queue …); the message names it.
     BadConfig(String),
@@ -50,16 +35,6 @@ impl fmt::Display for CollectError {
         match self {
             CollectError::Fleet(e) => write!(f, "fleet: {e}"),
             CollectError::NoShards => write!(f, "shard count must be positive"),
-            CollectError::UnknownLane { tenant, interface } => {
-                write!(
-                    f,
-                    "no lane (tenant {tenant}, interface {interface}) in the fleet"
-                )
-            }
-            CollectError::ShardMismatch { expected, got } => write!(
-                f,
-                "shard count changed mid-stream: built with {expected}, asked for {got}"
-            ),
             CollectError::BadConfig(msg) => write!(f, "bad collector config: {msg}"),
             CollectError::Build(msg) => write!(f, "sampler build: {msg}"),
             CollectError::Trace(msg) => write!(f, "replay decode: {msg}"),

@@ -19,7 +19,10 @@
 //!   (conservation: `ingested == considered + shed`).
 //! * **Reports** ([`TenantWindowReport`]): per-(window, tenant) merges
 //!   of φ, flow counts, SYN flows, and statkit inversion estimates over
-//!   the sampled flow tables, rendered as deterministic JSONL.
+//!   the sampled flow tables, rendered as deterministic JSONL. Each
+//!   round reduces its lane windows to reports at its barrier, so the
+//!   collector keeps only finished reports and running totals between
+//!   rounds.
 //! * **Telemetry**: `collectd_shard_flows{shard}`,
 //!   `collectd_shard_rss_kb{shard}`, eviction and routing-imbalance
 //!   gauges on the obskit registry for the `--serve` scrape plane and
@@ -38,11 +41,11 @@ pub mod report;
 pub mod route;
 
 pub use daemon::{
-    run_collector, Collector, CollectorConfig, CollectorOutput, LaneSource, LaneWindow, RoundStats,
+    run_collector, Collector, CollectorConfig, CollectorOutput, LaneSource, RoundStats,
 };
 pub use error::CollectError;
 pub use report::{report_jsonl, summary_jsonl, CollectorSummary, TenantWindowReport};
-pub use route::{route, route_key, RoutingPlan};
+pub use route::{route, RoutingPlan};
 
 #[cfg(test)]
 mod tests {
@@ -159,21 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn reshard_mid_stream_is_a_typed_mismatch() {
-        let pool = Pool::serial();
-        let mut c = Collector::new(small_cfg(2)).unwrap();
-        c.reshard(4).unwrap(); // legal before ingest
-        c.run_round(&pool).unwrap();
-        assert_eq!(
-            c.reshard(2).unwrap_err(),
-            CollectError::ShardMismatch {
-                expected: 4,
-                got: 2
-            }
-        );
-    }
-
-    #[test]
     fn degenerate_configs_are_typed_errors() {
         let mut cfg = small_cfg(0);
         assert_eq!(
@@ -203,31 +191,44 @@ mod tests {
     #[test]
     fn drain_deadline_flushes_partial_windows_and_conserves_packets() {
         use std::time::{Duration, Instant};
-        let mut cfg = small_cfg(2);
-        // A window far larger than 60ms of generation: the deadline
-        // interrupts mid-window and the drain path must flush partials.
-        cfg.windows = 1_000;
-        cfg.window_packets = 50_000_000;
-        cfg.lane_queue = 40_000_000;
-        cfg.source = LaneSource::Synth {
-            flows_per_window: 1_000,
-            size_dist: FlowSizeDist::Geometric { p: 0.05 },
-            mean_gap_us: 10,
-        };
-        let deadline = Instant::now() + Duration::from_millis(60);
-        let out = run_collector(cfg, &Pool::serial(), Some(deadline), |_| {}).unwrap();
-        let s = &out.summary;
-        assert!(s.drained, "the deadline must end the run early");
-        assert!(s.windows_completed < 1_000);
-        // The drain contract: every arrival is accounted for.
-        assert_eq!(s.ingested, s.considered + s.shed, "conservation");
-        assert!(s.ingested > 0, "some packets flowed before the deadline");
-        // finish() flushed the partial windows: reported packets cover
-        // everything the samplers considered.
-        let reported: u64 = out.reports.iter().map(|r| r.packets).sum();
-        assert_eq!(reported, s.considered);
-        let line = summary_jsonl(s);
-        assert!(line.contains("\"drained\":true"));
+        for method in [
+            StreamMethod::Spec(MethodSpec::Systematic { interval: 10 }),
+            StreamMethod::Reservoir { capacity: 100 },
+        ] {
+            let mut cfg = small_cfg(2);
+            cfg.method = method;
+            // A window far larger than 60ms of generation: the deadline
+            // interrupts mid-window and the drain path must flush
+            // partials.
+            cfg.windows = 1_000;
+            cfg.window_packets = 50_000_000;
+            cfg.lane_queue = 40_000_000;
+            cfg.source = LaneSource::Synth {
+                flows_per_window: 1_000,
+                size_dist: FlowSizeDist::Geometric { p: 0.05 },
+                mean_gap_us: 10,
+            };
+            let deadline = Instant::now() + Duration::from_millis(60);
+            let out = run_collector(cfg, &Pool::serial(), Some(deadline), |_| {}).unwrap();
+            let s = &out.summary;
+            assert!(s.drained, "the deadline must end the run early");
+            assert!(s.windows_completed < 1_000);
+            // The drain contract: every arrival is accounted for.
+            assert_eq!(s.ingested, s.considered + s.shed, "conservation");
+            assert!(s.ingested > 0, "some packets flowed before the deadline");
+            // The partial windows were flushed into the reports, and the
+            // summary counts what they selected and evicted.
+            let sum = |field: fn(&TenantWindowReport) -> u64| -> u64 {
+                out.reports.iter().map(field).sum()
+            };
+            assert_eq!(sum(|r| r.packets), s.considered);
+            let (selected, evicted) = (sum(|r| r.selected), sum(|r| r.evicted_flows));
+            assert!(selected > 0 && evicted > 0, "the partials select and evict");
+            assert_eq!(s.selected, selected, "{}", s.method);
+            assert_eq!(s.evicted_flows, evicted, "{}", s.method);
+            let line = summary_jsonl(s);
+            assert!(line.contains("\"drained\":true"));
+        }
     }
 
     #[test]

@@ -27,12 +27,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The stateless routing key for a (tenant, interface) pair.
-#[must_use]
-pub fn route_key(tenant: u32, interface: u32) -> u64 {
-    splitmix64((u64::from(tenant) << 32) | u64::from(interface))
-}
-
 /// Route a (tenant, interface) pair onto one of `shards` shards.
 ///
 /// # Errors
@@ -41,7 +35,8 @@ pub fn route(tenant: u32, interface: u32, shards: u32) -> Result<u32, CollectErr
     if shards == 0 {
         return Err(CollectError::NoShards);
     }
-    Ok((route_key(tenant, interface) % u64::from(shards)) as u32)
+    let key = splitmix64((u64::from(tenant) << 32) | u64::from(interface));
+    Ok((key % u64::from(shards)) as u32)
 }
 
 /// A fleet's materialized routing: lane index → shard, plus the static
@@ -49,8 +44,6 @@ pub fn route(tenant: u32, interface: u32, shards: u32) -> Result<u32, CollectErr
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingPlan {
     shards: u32,
-    interfaces: u32,
-    tenants: u32,
     /// `assignment[lane] = shard`, lane-indexed (tenant-major).
     assignment: Vec<u32>,
 }
@@ -68,12 +61,7 @@ impl RoutingPlan {
             .lanes()
             .map(|l| route(l.tenant, l.interface, shards))
             .collect::<Result<Vec<u32>, CollectError>>()?;
-        Ok(RoutingPlan {
-            shards,
-            interfaces: fleet.interfaces(),
-            tenants: fleet.tenants().len() as u32,
-            assignment,
-        })
+        Ok(RoutingPlan { shards, assignment })
     }
 
     /// The shard count this plan was built for.
@@ -88,29 +76,11 @@ impl RoutingPlan {
         self.assignment.len() as u32
     }
 
-    /// The shard hosting a lane index.
-    ///
-    /// # Errors
-    /// [`CollectError::UnknownLane`] for a lane outside the fleet.
-    pub fn shard_of_lane(&self, lane: u32) -> Result<u32, CollectError> {
-        self.assignment
-            .get(lane as usize)
-            .copied()
-            .ok_or(CollectError::UnknownLane {
-                tenant: lane / self.interfaces.max(1),
-                interface: lane % self.interfaces.max(1),
-            })
-    }
-
-    /// The shard hosting a (tenant, interface) pair.
-    ///
-    /// # Errors
-    /// [`CollectError::UnknownLane`] when the pair is outside the fleet.
-    pub fn shard_for(&self, tenant: u32, interface: u32) -> Result<u32, CollectError> {
-        if tenant >= self.tenants || interface >= self.interfaces {
-            return Err(CollectError::UnknownLane { tenant, interface });
-        }
-        self.shard_of_lane(tenant * self.interfaces + interface)
+    /// The shard hosting a lane index; `None` for a lane outside the
+    /// fleet.
+    #[must_use]
+    pub fn shard_of_lane(&self, lane: u32) -> Option<u32> {
+        self.assignment.get(lane as usize).copied()
     }
 
     /// Lane indices hosted by `shard`, ascending — the order a shard
@@ -170,12 +140,8 @@ mod tests {
         let plan = RoutingPlan::new(&fleet, 4).unwrap();
         for lane in fleet.lanes() {
             assert_eq!(
-                plan.shard_for(lane.tenant, lane.interface).unwrap(),
-                route(lane.tenant, lane.interface, 4).unwrap()
-            );
-            assert_eq!(
-                plan.shard_of_lane(lane.lane).unwrap(),
-                plan.assignment[lane.lane as usize]
+                plan.shard_of_lane(lane.lane),
+                Some(route(lane.tenant, lane.interface, 4).unwrap())
             );
         }
         assert_eq!(plan.loads().iter().sum::<u32>(), 15);
@@ -183,27 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn out_of_fleet_lookups_are_unknown_lane() {
+    fn out_of_fleet_lanes_have_no_shard() {
         let fleet = Fleet::anonymous(2, 2).unwrap();
         let plan = RoutingPlan::new(&fleet, 2).unwrap();
-        assert_eq!(
-            plan.shard_for(2, 0).unwrap_err(),
-            CollectError::UnknownLane {
-                tenant: 2,
-                interface: 0
-            }
-        );
-        assert_eq!(
-            plan.shard_for(0, 9).unwrap_err(),
-            CollectError::UnknownLane {
-                tenant: 0,
-                interface: 9
-            }
-        );
-        assert!(matches!(
-            plan.shard_of_lane(4).unwrap_err(),
-            CollectError::UnknownLane { .. }
-        ));
+        assert!(plan.shard_of_lane(3).is_some());
+        assert_eq!(plan.shard_of_lane(4), None);
     }
 
     #[test]

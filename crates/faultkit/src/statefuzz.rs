@@ -29,9 +29,9 @@
 //! one, even on hostile timestamps. The sharded
 //! collector gets hostile fleets and knobs — tenant ids carrying the
 //! forbidden `"{}\,` label bytes, non-ASCII and oversized ids, zero
-//! interfaces, zero shards, degenerate window/queue/budget values, and
-//! mid-stream reshard attempts — and must reject each with a typed
-//! error while every accepted run conserves packets.
+//! interfaces, zero shards, and degenerate window/queue/budget values —
+//! and must reject each with a typed error while every accepted run
+//! conserves packets.
 
 use crate::{Digest, Finding};
 use collectd::{route, CollectError, Collector, CollectorConfig, LaneSource, RoutingPlan};
@@ -986,12 +986,11 @@ impl Fuzzer {
     /// Drive the sharded collector through one hostile configuration:
     /// tenant ids with quotes, braces, commas and backslashes, non-ASCII
     /// and oversized ids, empties and duplicates; zero-interface fleets;
-    /// zero-shard routing; degenerate window/queue/budget knobs; and a
-    /// mid-stream reshard. Contracts: every degenerate is a typed error
-    /// — never a panic — a reshard after ingest is a typed
-    /// [`CollectError::ShardMismatch`], and every accepted run conserves
-    /// packets (`ingested == considered + shed`) with per-shard flows
-    /// bounded by lanes × budget.
+    /// zero-shard routing; and degenerate window/queue/budget knobs.
+    /// Contracts: every degenerate is a typed error — never a panic —
+    /// and every accepted run conserves packets
+    /// (`ingested == considered + shed`) with per-shard flows bounded
+    /// by lanes × budget.
     fn fuzz_collector(&mut self, rng: &mut StdRng) {
         let tenants = hostile_tenants(rng);
         let interfaces = rng.random_range(0u32..=3);
@@ -1001,7 +1000,6 @@ impl Fuzzer {
         let lane_queue = rng.random_range(0u64..=48);
         let lane_flow_budget = rng.random_range(0usize..=12);
         let seed = rng.random::<u64>();
-        let reshard_to = rng.random_range(0u32..=4);
         let interval = rng.random_range(1usize..=8);
         self.offers += windows * window_packets;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1074,17 +1072,6 @@ impl Fuzzer {
                         }
                     }
                     Err(e) => problems.push(format!("round failed: {e}")),
-                }
-            }
-            if windows > 0 {
-                // Ingest has started: a reshard must be a typed mismatch
-                // (or a typed NoShards for zero), never a silent re-key.
-                match collector.reshard(reshard_to) {
-                    Err(CollectError::ShardMismatch { expected, got })
-                        if expected == shards && got == reshard_to => {}
-                    Err(CollectError::NoShards) if reshard_to == 0 => {}
-                    Err(e) => problems.push(format!("reshard gave the wrong error: {e}")),
-                    Ok(()) => problems.push("reshard succeeded mid-stream".to_string()),
                 }
             }
             match collector.finish() {
@@ -1413,7 +1400,7 @@ fn hostile_period(rng: &mut StdRng) -> u64 {
 /// request line, `/series` query, alert-rule grammar), the flow table,
 /// the flow-size inversion estimators, the columnar packet-batch path
 /// (random runs of `offer_ts_batch` vs runs of one), and the sharded
-/// collector (hostile fleets, zero-shard routing, mid-stream reshards).
+/// collector (hostile fleets, zero-shard routing, degenerate knobs).
 #[must_use]
 pub fn run_state_fuzz(cfg: &StateFuzzConfig) -> StateFuzzReport {
     let _span = obskit::span("faultkit_statefuzz");

@@ -12,7 +12,7 @@
 use faultkit::{run_campaign, run_state_fuzz, CampaignConfig, StateFuzzConfig};
 
 const MUTATION_GOLDEN: u64 = 0xd39a_ceda_917b_e57a;
-const STATE_FUZZ_GOLDEN: u64 = 0xf43c_a2f6_7964_34a4;
+const STATE_FUZZ_GOLDEN: u64 = 0x44d7_e54a_6a94_b90e;
 
 #[test]
 fn default_fuzz_runs_are_clean_and_match_the_golden_digests() {
