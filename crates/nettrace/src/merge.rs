@@ -7,36 +7,22 @@
 //! interfaces' selections. [`merge`] performs that k-way merge; [`shift`]
 //! and [`rebase`] align traces captured with different time origins.
 
-use crate::packet::PacketRecord;
 use crate::time::Micros;
-use crate::trace::Trace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::trace::{self, Run, Trace};
 
-/// K-way merge of traces into one time-ordered trace.
+/// K-way merge of traces into one time-ordered trace, through the
+/// whole-capture readers' merge of runs: each trace is one run.
 ///
 /// Ties are broken by input order (stable for equal timestamps), so a
 /// merge of already-merged traces is deterministic.
 #[must_use]
 pub fn merge(traces: &[&Trace]) -> Trace {
-    // (timestamp, source index, position) min-heap.
-    let mut heap: BinaryHeap<Reverse<(Micros, usize, usize)>> = BinaryHeap::new();
-    let mut total = 0;
-    for (src, t) in traces.iter().enumerate() {
-        total += t.len();
-        if !t.is_empty() {
-            heap.push(Reverse((t.packets()[0].timestamp, src, 0)));
-        }
+    if traces.is_empty() {
+        return Trace::empty();
     }
-    let mut out: Vec<PacketRecord> = Vec::with_capacity(total);
-    while let Some(Reverse((_, src, pos))) = heap.pop() {
-        let t = traces[src];
-        out.push(t.packets()[pos]);
-        if pos + 1 < t.len() {
-            heap.push(Reverse((t.packets()[pos + 1].timestamp, src, pos + 1)));
-        }
-    }
-    Trace::new(out).expect("merge preserves ordering")
+    let runs = traces.iter().map(|t| Run::slice(t.packets())).collect();
+    let n = traces.iter().map(|t| t.len()).sum();
+    Trace::new(trace::merge(runs, &[], n)).expect("merge preserves ordering")
 }
 
 /// Shift every timestamp forward by `offset` (aligning a capture that
@@ -75,6 +61,7 @@ pub fn rebase(trace: &Trace) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketRecord;
 
     fn pkt(t: u64, size: u16) -> PacketRecord {
         PacketRecord::new(Micros(t), size)

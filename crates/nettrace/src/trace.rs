@@ -400,13 +400,22 @@ impl Collector {
 
 /// A run's packets not yet merged: `head`, then the packets at
 /// positions `next..end` of the blocks.
-struct Run<'a> {
+pub(crate) struct Run<'a> {
     head: &'a [PacketRecord],
     next: usize,
     end: usize,
 }
 
 impl<'a> Run<'a> {
+    /// A run of one sorted slice, with nothing in the blocks.
+    pub(crate) fn slice(head: &'a [PacketRecord]) -> Self {
+        Run {
+            head,
+            next: 0,
+            end: 0,
+        }
+    }
+
     /// Make `head` the rest of the run's packets in the next block, if
     /// any are left.
     fn refill(&mut self, blocks: &'a [Vec<PacketRecord>]) {
@@ -428,9 +437,9 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Stable merge of `runs` (each in timestamp order) into one `Vec` of
-/// their `n` packets, taking the earliest stamp next and, on ties, the
-/// earlier run.
+/// Stable merge of `runs` (at least one, each in timestamp order) into
+/// one `Vec` of their `n` packets, taking the earliest stamp next and,
+/// on ties, the earlier run.
 ///
 /// A tree of losers makes each pick: the leaves are the runs' keys,
 /// each inner node holds the key that lost the match played there, and
@@ -438,7 +447,7 @@ impl<'a> Run<'a> {
 /// one walk up from its leaf, a comparison a level, restores the tree.
 /// The walk swaps keys by `min` and `max`, not by a branch, which the
 /// interleaved runs of a multi-section capture would mispredict.
-fn merge<'a>(
+pub(crate) fn merge<'a>(
     mut runs: Vec<Run<'a>>,
     blocks: &'a [Vec<PacketRecord>],
     n: usize,
