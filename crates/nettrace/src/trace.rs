@@ -378,11 +378,7 @@ impl Collector {
         }
         first.shrink_to_fit();
         let n = first.len() + end;
-        let mut runs = vec![Run {
-            head: &first,
-            next: 0,
-            end: 0,
-        }];
+        let mut runs = vec![Run::slice(&first)];
         for (r, &start) in starts.iter().enumerate() {
             let mut run = Run {
                 head: &[],
