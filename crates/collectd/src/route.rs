@@ -64,12 +64,6 @@ impl RoutingPlan {
         Ok(RoutingPlan { shards, assignment })
     }
 
-    /// The shard count this plan was built for.
-    #[must_use]
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
     /// Total lanes routed.
     #[must_use]
     pub fn lane_count(&self) -> u32 {
