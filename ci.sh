@@ -438,6 +438,24 @@ if [ "$(head -n 7 "$tmpdir/sweep.max.out")" != "$(pinned_output sweep < /dev/nul
     echo "sweep --max-interval u64::MAX does not open with the default sweep" >&2
     exit 1
 fi
+# serve's shard and lane counts have ceilings (4,096 each) that it checks
+# before it allocates anything: the widest --shards and --tenants must
+# be usage errors (64) inside the same address-space cap and time limit.
+for flags in "--shards 4294967295" "--tenants 4294967295 --interfaces 1"; do
+    # shellcheck disable=SC2086 # $flags holds two or four words
+    if ( ulimit -v 600000; exec timeout 120 "$bin" --jobs 1 serve $flags --windows 1 \
+        --window-packets 1000 --flows-per-window 10 ) \
+        < /dev/null > /dev/null 2> "$tmpdir/serve.hostile.err"; then
+        code=0
+    else
+        code=$?
+    fi
+    if [ "$code" -ne 64 ]; then
+        echo "serve $flags exited $code, want 64:" >&2
+        cat "$tmpdir/serve.hostile.err" >&2
+        exit 1
+    fi
+done
 
 echo "== collect: sharded collector (determinism + live shard gauges + soak)"
 # The collector's contract: reports are a pure function of (seed, fleet,
@@ -464,12 +482,10 @@ cmp "$tmpdir/collect.multi.reports" "$tmpdir/collect.single.reports" || {
     exit 1
 }
 # Live shard telemetry: a draining collector on an ephemeral port must
-# expose the per-shard gauges mid-run, with the per-shard RSS alert
-# rule installed and quiet (the soak gate below proves it can fire by
-# budget, this proves a healthy run keeps it at 0).
+# expose the per-shard gauges mid-run.
 "$bin" --serve 127.0.0.1:0 serve --shards 2 --tenants 2 --interfaces 2 \
     --windows 100000 --window-packets 5000 --flows-per-window 200 \
-    --interval 10 --duration-ms 6000 --shard-rss-budget-kb 200000 \
+    --interval 10 --duration-ms 6000 \
     > "$tmpdir/collect.live.out" 2> "$tmpdir/collect.live.err" &
 collect_pid=$!
 port=""
@@ -491,7 +507,6 @@ done
 for want in \
     'collectd_shard_flows{shard="0"} ' \
     'collectd_shard_flows{shard="1"} ' \
-    'collectd_shard_rss_kb{shard="0"} ' \
     'collectd_shard_evictions{shard="0"} ' \
     'collectd_routing_imbalance_x1000 ' \
     'collectd_live_flows '; do
@@ -501,11 +516,6 @@ for want in \
         exit 1
     }
 done
-grep -q '^alert_active{rule="collectd_shard_rss_0"} 0' "$tmpdir/collect.scrape" || {
-    echo "per-shard RSS rule is absent or firing on a healthy run" >&2
-    kill "$collect_pid" 2>/dev/null || true
-    exit 1
-}
 wait "$collect_pid" || {
     echo "draining collector run failed:" >&2
     cat "$tmpdir/collect.live.out" "$tmpdir/collect.live.err" >&2
@@ -513,16 +523,15 @@ wait "$collect_pid" || {
 }
 grep -q "(drained)" "$tmpdir/collect.live.out"
 # ROADMAP soak target: ≥1M aggregate live flows across 4 shards × 8
-# lanes with the modeled per-shard flow state held under budget
-# (worst-case routing parks 3 of 8 lanes on one shard: 450k flows ×
-# 96 B ≈ 42 MB < 50 MB). Exit 1 on a missed target or budget is the CI
-# gate; the 10M reference run is documented in EXPERIMENTS.md.
+# lanes, exit 1 on a missed target. Routing parks 3 of the 8 lanes on one
+# shard, so the busiest shard holds 3 × 150,000 live flows. The 10M
+# reference run is documented in EXPERIMENTS.md.
 "$bin" serve --shards 4 --tenants 2 --interfaces 4 --windows 2 \
     --window-packets 300000 --flows-per-window 150000 \
     --lane-flow-budget 200000 --interval 10 \
-    --target-flows 1000000 --shard-rss-budget-kb 50000 \
+    --target-flows 1000000 \
     > "$tmpdir/collect.soak.out"
 grep -q "soak: max_live_flows=1200000 target=1000000 ok" "$tmpdir/collect.soak.out"
-grep -q "shard budget: max_shard_rss_kb=42188 budget_kb=50000 ok" "$tmpdir/collect.soak.out"
+grep -q "^flows: max_live=1200000 max_shard=450000 " "$tmpdir/collect.soak.out"
 
 echo "CI OK"

@@ -36,16 +36,6 @@ pub fn paper_granularities() -> Vec<usize> {
     (1..=15).map(|i| 1usize << i).collect()
 }
 
-/// Format a float series as a compact aligned row.
-#[must_use]
-pub fn fmt_row(label: &str, values: &[f64], width: usize, precision: usize) -> String {
-    let mut s = format!("{label:<14}");
-    for v in values {
-        s.push_str(&format!(" {v:>width$.precision$}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,13 +46,5 @@ mod tests {
         assert_eq!(ks.first(), Some(&2));
         assert_eq!(ks.last(), Some(&32_768));
         assert_eq!(ks.len(), 15);
-    }
-
-    #[test]
-    fn fmt_row_alignment() {
-        let r = fmt_row("phi", &[0.1, 0.22], 8, 3);
-        assert!(r.starts_with("phi"));
-        assert!(r.contains("0.100"));
-        assert!(r.contains("0.220"));
     }
 }

@@ -28,12 +28,6 @@ impl Timings {
         out
     }
 
-    /// The recorded `(name, wall)` entries, in run order.
-    #[must_use]
-    pub fn entries(&self) -> &[(&'static str, Duration)] {
-        &self.0
-    }
-
     /// Sum of all recorded walls.
     #[must_use]
     pub fn total(&self) -> Duration {
@@ -77,7 +71,7 @@ mod tests {
             let mut t = Timings::new();
             let out = t.timed("span_probe", || "rendered".to_string());
             assert_eq!(out, "rendered");
-            assert_eq!(t.entries().len(), 1);
+            assert_eq!(t.0.len(), 1);
         }
         let folded = obskit::tree::render_folded();
         assert!(
@@ -94,7 +88,7 @@ mod tests {
         let table = t.render_table();
         assert!(table.contains("experiment"));
         assert!(table.contains("total"));
-        assert_eq!(t.entries().len(), 2);
-        assert!(t.total() >= t.entries()[0].1);
+        assert_eq!(t.0.len(), 2);
+        assert!(t.total() >= t.0[0].1);
     }
 }

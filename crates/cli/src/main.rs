@@ -64,14 +64,14 @@ USAGE:
                     [--flows-per-window F] [--method M] [--interval k]
                     [--source synth|replay] [--size-dist zipf|lognormal|geometric]
                     [--seed S] [--duration-ms MS] [--target-flows N]
-                    [--shard-rss-budget-kb KB] [--rss-budget-kb KB]
-                    [--jsonl out.jsonl]
+                    [--rss-budget-kb KB] [--jsonl out.jsonl]
                     (sharded multi-tenant collector daemon: N tenants ×
-                    I interfaces routed onto S shards, per-window per-tenant
-                    reports with inversion estimates; output is bit-identical
-                    at any shard count; --duration-ms drains gracefully with
-                    a partial-window flush; exit 1 if --target-flows or an
-                    RSS budget is missed, 65 if conservation breaks)
+                    I interfaces, at most 4096 lanes, routed onto S ≤ 4096
+                    shards, per-window per-tenant reports with inversion
+                    estimates; output is bit-identical at any shard count;
+                    --duration-ms drains gracefully, every lane closing a
+                    partial window; exit 1 if --target-flows or
+                    --rss-budget-kb is missed, 65 if conservation breaks)
   netsample watch   <addr> [--for N] [--interval-ms MS] [--step K]
                     [--series CSV] [--fail-on RULE]
                     (poll a serving netsample's /series and /alerts,
@@ -408,7 +408,6 @@ fn run(cmd: &str, rest: Vec<String>) -> Result<String, commands::CmdError> {
                     "pace-pps",
                     "duration-ms",
                     "target-flows",
-                    "shard-rss-budget-kb",
                     "rss-budget-kb",
                     "jsonl",
                 ],

@@ -4,16 +4,12 @@
 //! routes it onto shards, runs the windowed round loop on the parkit
 //! pool, and emits per-tenant JSONL reports plus a run summary. With
 //! the global `--serve` flag the run also exposes the live
-//! `collectd_shard_*` gauges on /metrics; `--shard-rss-budget-kb`
-//! installs per-shard alert rules over them and gates the exit code on
-//! the modeled per-shard budget, `--target-flows` gates on the peak
-//! aggregate live-flow count — the ROADMAP's soak contract.
+//! `collectd_shard_*` gauges on /metrics. `--target-flows` gates the
+//! exit code on the peak aggregate live-flow count and
+//! `--rss-budget-kb` on the measured process RSS.
 
 use crate::args::Args;
-use crate::commands::{
-    expect_positionals, install_rule_unless_loaded, parse_stream_method, parse_target, CmdError,
-    RssBudget,
-};
+use crate::commands::{expect_positionals, parse_stream_method, parse_target, CmdError, RssBudget};
 use collectd::{report_jsonl, run_collector, summary_jsonl, CollectorConfig, LaneSource};
 use netstat_sim::Fleet;
 use netsynth::FlowSizeDist;
@@ -86,7 +82,6 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         None
     };
     let target_flows: u64 = args.opt_num("target-flows", 0u64)?;
-    let shard_budget_kb: u64 = args.opt_num("shard-rss-budget-kb", 0u64)?;
     let rss_budget_kb: u64 = args.opt_num("rss-budget-kb", 0u64)?;
 
     let fleet =
@@ -105,19 +100,8 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
     };
     cfg.validate().map_err(|e| CmdError::usage(e.to_string()))?;
 
-    // Mirror the exit-code gates as live alert rules so a scraper (or
-    // `netsample watch --fail-on`) sees a breach while it happens. The
-    // per-shard rules watch the modeled per-shard flow-state gauge; the
-    // process-wide rule watches real RSS against a pre-run baseline.
-    if shard_budget_kb > 0 {
-        for s in 0..shards {
-            install_rule_unless_loaded(
-                &format!("collectd_shard_rss_{s}"),
-                &format!("value(collectd_shard_rss_kb{{shard=\"{s}\"}}) > {shard_budget_kb} for 2"),
-                "--shard-rss-budget-kb",
-            )?;
-        }
-    }
+    // The RSS gate installs its live alert rule, so a scraper (or
+    // `netsample watch --fail-on`) sees a breach while it happens.
     let rss_budget = if rss_budget_kb > 0 {
         Some(RssBudget::arm(rss_budget_kb)?)
     } else {
@@ -127,9 +111,7 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
 
     let pool = parkit::Pool::with_default_jobs();
     let mut progress = String::new();
-    let mut max_shard_rss_kb = 0u64;
     let out = run_collector(cfg, &pool, deadline, |r| {
-        max_shard_rss_kb = max_shard_rss_kb.max(r.shard_rss_kb.iter().copied().max().unwrap_or(0));
         // Push the fresh gauges into the series rings so the alert
         // rules fire on round cadence, not only on background ticks.
         telemetry.sample_now();
@@ -205,17 +187,6 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
             s.ingested, s.considered, s.shed
         )));
     }
-    if shard_budget_kb > 0 {
-        if max_shard_rss_kb > shard_budget_kb {
-            return Err(CmdError::regression(format!(
-                "shard flow state {max_shard_rss_kb} kB exceeded the per-shard budget {shard_budget_kb} kB"
-            )));
-        }
-        writeln!(
-            text,
-            "shard budget: max_shard_rss_kb={max_shard_rss_kb} budget_kb={shard_budget_kb} ok"
-        )?;
-    }
     if target_flows > 0 {
         if s.max_live_flows < target_flows {
             return Err(CmdError::regression(format!(
@@ -265,7 +236,6 @@ mod tests {
                 "pace-pps",
                 "duration-ms",
                 "target-flows",
-                "shard-rss-budget-kb",
                 "rss-budget-kb",
                 "jsonl",
             ],

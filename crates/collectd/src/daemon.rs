@@ -22,29 +22,30 @@
 //! count-window closes exactly at the offer bound, emitting one
 //! [`WindowPayload`] per lane per round. A lane that cannot produce a
 //! full window (a drain deadline, or a replay that ran dry) closes its
-//! partial window in that round, and the run ends with it. At the
-//! round's barrier the coordinator reduces the round's windows to
-//! per-tenant reports, as the paper's statistics processor reports each
-//! interval's objects and starts the next one clean. Conservation holds
-//! by construction and is asserted in the drain test:
-//! `ingested == considered + shed`.
+//! partial window in that round, and the run ends with it. A deadline
+//! stops a lane only after its first chunk of the round, so every lane
+//! reports in a drained round. At the round's barrier the coordinator
+//! reduces the round's windows to per-tenant reports, as the paper's
+//! statistics processor reports each interval's objects and starts the
+//! next one clean. Conservation holds by construction and is asserted
+//! in the drain test: `ingested == considered + shed`.
 //!
 //! ## Bounded memory
 //!
 //! Each lane's windower carries a flow budget
 //! ([`CollectorConfig::lane_flow_budget`]); a shard hosting L lanes
 //! therefore holds at most `L × budget` flows regardless of traffic —
-//! the cap the `collectd_shard_rss_kb` gauge and its RSS-budget alert
-//! rule watch. Eviction is the flow table's deterministic
-//! least-recently-updated-first policy, so the cap never costs
-//! determinism. Between rounds the coordinator keeps only the finished
-//! reports and running totals: no lane window or sampled flow size
-//! outlives its round.
+//! the cap the `collectd_shard_flows` gauge watches. Eviction is the
+//! flow table's deterministic least-recently-updated-first policy, so
+//! the cap never costs determinism. The sampled flow table needs no
+//! budget: it holds at most one flow per selected packet. Between
+//! rounds the coordinator keeps only the finished reports and running
+//! totals: no lane window or sampled flow size outlives its round.
 
 use crate::error::CollectError;
 use crate::report::{CollectorSummary, TenantWindowReport};
 use crate::route::RoutingPlan;
-use netstat_sim::{Fleet, Lane};
+use netstat_sim::{Fleet, Lane, MAX_LANES};
 use netsynth::{replay_lane, FlowSizeDist, LaneConfig, LaneGen, ReplayLane};
 use nettrace::time::Micros;
 use nettrace::PacketRecord;
@@ -59,14 +60,7 @@ use streamkit::{StreamMethod, WindowPayload, WindowSpec, Windower};
 /// Packets pulled from a lane source per inner step — small enough to
 /// keep per-lane buffers cache-resident, large enough to amortize the
 /// windower's dispatch.
-const CHUNK: usize = 8_192;
-
-/// Estimated resident bytes per live flow (hash entry holding key and
-/// stats, plus the map's spare capacity) — the accounting behind
-/// `collectd_shard_rss_kb`. Real RSS is
-/// process-global; this model attributes the dominant per-shard state
-/// (flow tables) so the per-shard budget rule has a shard-local signal.
-const FLOW_STATE_BYTES: u64 = 96;
+pub(crate) const CHUNK: usize = 8_192;
 
 /// What feeds each lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,6 +118,14 @@ impl CollectorConfig {
     pub fn validate(&self) -> Result<(), CollectError> {
         if self.shards == 0 {
             return Err(CollectError::NoShards);
+        }
+        // A shard past the lane count hosts no lane, and the fleet caps
+        // lanes at MAX_LANES, so more shards only allocate idle state.
+        if self.shards as usize > MAX_LANES {
+            return Err(CollectError::BadConfig(format!(
+                "{} shards exceed the {MAX_LANES}-lane cap",
+                self.shards
+            )));
         }
         if self.windows == 0 {
             return Err(CollectError::BadConfig("zero windows".into()));
@@ -198,8 +200,6 @@ pub struct RoundStats {
     /// Live flows per shard at the round's close (closed windows plus
     /// any partial state).
     pub shard_flows: Vec<u64>,
-    /// Modeled resident KiB per shard (flow state accounting).
-    pub shard_rss_kb: Vec<u64>,
     /// Cumulative evicted flows per shard.
     pub shard_evictions: Vec<u64>,
     /// Aggregate live flows across shards this round.
@@ -212,7 +212,8 @@ pub struct RoundStats {
     pub shed: u64,
     /// Cumulative packets selected by samplers.
     pub selected: u64,
-    /// True when a drain deadline interrupted this round.
+    /// True when this round ends the run: a drain deadline passed
+    /// during it, or a lane could not produce a full window.
     pub drained: bool,
 }
 
@@ -284,7 +285,8 @@ pub struct Collector {
     evictions: Vec<u64>,
     drained: bool,
     /// Optional wall-clock drain deadline (the `--duration` contract):
-    /// crossed mid-round, lanes stop generating, partial windows flush.
+    /// crossed mid-round, each lane stops generating after its first
+    /// chunk of the round, and partial windows flush.
     pub deadline: Option<Instant>,
 }
 
@@ -361,13 +363,6 @@ impl Collector {
         obskit::gauge("collectd_routing_imbalance_x1000").set(plan.imbalance_x1000() as i64);
         obskit::gauge("collectd_shards").set(cfg.shards as i64);
         obskit::gauge("collectd_lanes").set(plan.lane_count() as i64);
-        obskit::global().describe(
-            "collectd_shard_rss_kb",
-            &format!(
-                "Modelled shard flow state, not a measured RSS: \
-                 live_flows * {FLOW_STATE_BYTES} / 1024 + 1 kB ({FLOW_STATE_BYTES} B per live flow)."
-            ),
-        );
         let evictions = vec![0u64; cfg.shards as usize];
         Ok(Collector {
             cfg,
@@ -416,7 +411,6 @@ impl Collector {
         let mut stats = RoundStats {
             round: self.round,
             shard_flows: vec![0; self.shards.len()],
-            shard_rss_kb: vec![0; self.shards.len()],
             shard_evictions: self.evictions.clone(),
             live_flows: 0,
             ingested: self.ingested,
@@ -438,12 +432,14 @@ impl Collector {
             stats.drained |= sr.drained;
             stats.selected += sr.selected_delta;
             stats.shard_flows[s] = sr.live_flows;
-            stats.shard_rss_kb[s] = sr.live_flows * FLOW_STATE_BYTES / 1024 + 1;
             self.evictions[s] += sr.evictions;
             stats.shard_evictions[s] = self.evictions[s];
             stats.live_flows += sr.live_flows;
             windows.append(&mut sr.windows);
         }
+        // A deadline that passed during the round ends the run, also
+        // when each lane's first chunk already completed its window.
+        stats.drained |= deadline.is_some_and(|dl| Instant::now() >= dl);
         // The reduction's order is the fleet's canonical lane order —
         // never shard or completion order.
         windows.sort_unstable_by_key(|w| w.lane.lane);
@@ -516,8 +512,10 @@ impl ShardState {
             let mut offered = 0u64;
             let mut closed = Vec::new();
             'gen: while produced < window_packets {
+                // Every lane takes at least its first chunk, so a drained
+                // round still reports each of them.
                 if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
+                    if produced > 0 && Instant::now() >= dl {
                         break 'gen;
                     }
                 }
@@ -582,16 +580,15 @@ impl ShardState {
 /// `collectd_*` surface the `--serve` plane exposes and the alert rules
 /// watch.
 fn publish_round(stats: &RoundStats) {
-    for (s, (&flows, (&rss, &ev))) in stats
+    for (s, (&flows, &ev)) in stats
         .shard_flows
         .iter()
-        .zip(stats.shard_rss_kb.iter().zip(stats.shard_evictions.iter()))
+        .zip(stats.shard_evictions.iter())
         .enumerate()
     {
         let label = s.to_string();
         let lbl: &[(&str, &str)] = &[("shard", &label)];
         obskit::gauge_labeled("collectd_shard_flows", lbl).set(flows as i64);
-        obskit::gauge_labeled("collectd_shard_rss_kb", lbl).set(rss as i64);
         obskit::gauge_labeled("collectd_shard_evictions", lbl).set(ev as i64);
     }
     obskit::gauge("collectd_live_flows").set(stats.live_flows as i64);

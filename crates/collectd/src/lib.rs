@@ -24,13 +24,13 @@
 //!   collector keeps only finished reports and running totals between
 //!   rounds.
 //! * **Telemetry**: `collectd_shard_flows{shard}`,
-//!   `collectd_shard_rss_kb{shard}`, eviction and routing-imbalance
+//!   `collectd_shard_evictions{shard}`, live-flow and routing-imbalance
 //!   gauges on the obskit registry for the `--serve` scrape plane and
 //!   its alert rules.
 //!
 //! `netsample serve` is the CLI front end; the ci.sh `collect` stage
-//! soaks it to ≥1M aggregate live flows with per-shard budgets
-//! enforced.
+//! soaks it to ≥1M aggregate live flows, with every lane's flow table
+//! held to its budget.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -149,6 +149,46 @@ mod tests {
         assert!(out.summary.max_shard_flows <= 32);
     }
 
+    /// The budget bounds the window's flow table, not the sampled one:
+    /// one lane of 1,000 flows per 200,000-packet window at 1-in-50
+    /// estimates the same at a 64-flow budget as at 4,096.
+    #[test]
+    fn flow_budget_leaves_the_sampled_table_and_its_estimates_whole() {
+        let run = |budget: usize| {
+            let cfg = CollectorConfig {
+                fleet: Fleet::anonymous(1, 1).unwrap(),
+                shards: 1,
+                method: StreamMethod::Spec(MethodSpec::Systematic { interval: 50 }),
+                target: Target::PacketSize,
+                windows: 2,
+                window_packets: 200_000,
+                lane_queue: 200_000,
+                lane_flow_budget: budget,
+                seed: 1993,
+                source: LaneSource::Synth {
+                    flows_per_window: 1_000,
+                    size_dist: FlowSizeDist::Zipf {
+                        max_size: 10_000,
+                        alpha: 1.2,
+                    },
+                    mean_gap_us: 20,
+                },
+            };
+            run_collector(cfg, &Pool::serial(), None, |_| {})
+                .unwrap()
+                .reports
+        };
+        let (small, large) = (run(64), run(4_096));
+        assert_eq!(small.len(), 2);
+        for (a, b) in small.iter().zip(&large) {
+            assert!(a.evicted_flows > 0, "the 64-flow budget must bite");
+            assert_eq!(a.sampled_flows, b.sampled_flows);
+            assert_eq!(a.est_flows_tail, b.est_flows_tail);
+            assert_eq!(a.est_syn_flows, b.est_syn_flows);
+            assert_eq!(a.est_syn_flows, Some(1_000.0), "every true flow");
+        }
+    }
+
     #[test]
     fn replay_lanes_run_without_flow_ids() {
         let mut cfg = small_cfg(2);
@@ -186,6 +226,18 @@ mod tests {
             Collector::new(cfg).err().unwrap(),
             CollectError::BadConfig(_)
         ));
+    }
+
+    #[test]
+    fn shards_past_the_lane_cap_are_rejected_before_allocation() {
+        let max = netstat_sim::MAX_LANES as u32;
+        assert!(small_cfg(max).validate().is_ok());
+        for shards in [max + 1, u32::MAX] {
+            assert!(matches!(
+                Collector::new(small_cfg(shards)).err().unwrap(),
+                CollectError::BadConfig(m) if m.contains("lane cap")
+            ));
+        }
     }
 
     #[test]
@@ -228,6 +280,46 @@ mod tests {
             assert_eq!(s.evicted_flows, evicted, "{}", s.method);
             let line = summary_jsonl(s);
             assert!(line.contains("\"drained\":true"));
+            // The deadline skips no lane: each tenant's report covers
+            // both of its interfaces.
+            assert_eq!(out.reports.len(), 2, "{}", s.method);
+            assert!(out.reports.iter().all(|r| r.lanes == 2), "{}", s.method);
+        }
+    }
+
+    #[test]
+    fn expired_deadline_takes_one_chunk_from_every_lane() {
+        let expired = || Some(std::time::Instant::now());
+        // A window that fits in one chunk closes whole, and the run still
+        // ends with that round.
+        let out = run_collector(small_cfg(2), &Pool::serial(), expired(), |_| {}).unwrap();
+        assert!(out.summary.drained);
+        assert_eq!(out.summary.windows_completed, 1);
+        assert_eq!(out.summary.ingested, 4 * 500);
+        assert_eq!(out.reports.len(), 2);
+        assert!(out.reports.iter().all(|r| r.lanes == 2));
+        let run = |shards: u32| {
+            let mut cfg = small_cfg(shards);
+            cfg.window_packets = 50_000;
+            cfg.lane_queue = 40_000;
+            run_collector(cfg, &Pool::serial(), expired(), |_| {}).unwrap()
+        };
+        let chunk = daemon::CHUNK as u64;
+        let one = run(1);
+        for out in [run(2), run(4), one.clone()] {
+            let s = &out.summary;
+            assert!(s.drained);
+            assert_eq!(s.windows_completed, 1);
+            assert_eq!(s.ingested, s.considered + s.shed, "conservation");
+            assert_eq!(s.ingested, 4 * chunk, "one chunk from each of 4 lanes");
+            assert_eq!(out.reports.len(), 2, "shards {}", s.shards);
+            for r in &out.reports {
+                assert_eq!(r.lanes, 2, "shards {}", s.shards);
+                assert_eq!(r.packets, 2 * chunk, "shards {}", s.shards);
+            }
+            let lines =
+                |o: &CollectorOutput| o.reports.iter().map(report_jsonl).collect::<Vec<String>>();
+            assert_eq!(lines(&out), lines(&one), "shards {}", s.shards);
         }
     }
 
@@ -248,17 +340,5 @@ mod tests {
             out.summary.max_live_flows,
             rounds.iter().map(|r| r.1).max().unwrap()
         );
-    }
-
-    #[test]
-    fn shard_rss_gauge_says_it_is_modelled() {
-        run_collector(small_cfg(2), &Pool::serial(), None, |_| {}).unwrap();
-        let text = obskit::global().render_prometheus();
-        let help = text
-            .lines()
-            .find(|l| l.starts_with("# HELP collectd_shard_rss_kb "))
-            .unwrap_or_else(|| panic!("no HELP line for the shard RSS gauge:\n{text}"));
-        assert!(help.contains("Modelled"), "{help}");
-        assert!(help.contains("live_flows * 96"), "{help}");
     }
 }

@@ -35,7 +35,8 @@ pub struct TenantWindowReport {
     /// φ disparity between population and sample histograms (merged
     /// across lanes); `None` for an empty window.
     pub phi: Option<f64>,
-    /// Flows observed among the *selected* packets (the sampled table).
+    /// Flows observed among the *selected* packets (the sampled table,
+    /// which the flow budget does not truncate).
     pub sampled_flows: u64,
     /// Sampled-table flows whose selected packets included a SYN.
     pub sampled_syn_flows: u64,

@@ -76,7 +76,6 @@ impl AdaptiveConfig {
 pub struct AdaptiveSampler {
     config: AdaptiveConfig,
     interval: usize,
-    initial_interval: usize,
     counter: usize,
     period_start: Option<u64>,
     selected_this_period: u32,
@@ -99,7 +98,6 @@ impl AdaptiveSampler {
         AdaptiveSampler {
             config,
             interval: initial_interval,
-            initial_interval,
             counter: 0,
             period_start: None,
             selected_this_period: 0,
@@ -200,14 +198,6 @@ impl Sampler for AdaptiveSampler {
                 out.push(base + i);
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.interval = self.initial_interval;
-        self.counter = 0;
-        self.period_start = None;
-        self.selected_this_period = 0;
-        self.adjustments = 0;
     }
 
     fn method_name(&self) -> &'static str {
@@ -324,19 +314,6 @@ mod tests {
             s.offer(p);
             assert!((2..=64).contains(&s.current_interval()));
         }
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let pkts = stream(1000, 5, 0);
-        let mut s = AdaptiveSampler::new(3, cfg(10));
-        for p in &pkts {
-            s.offer(p);
-        }
-        assert_ne!(s.current_interval(), 3);
-        s.reset();
-        assert_eq!(s.current_interval(), 3);
-        assert_eq!(s.adjustments(), 0);
     }
 
     #[test]

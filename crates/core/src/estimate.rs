@@ -1,82 +1,14 @@
 //! Population estimation from samples.
 //!
 //! Beyond scoring distributions, an operator uses samples to *estimate*
-//! population quantities: total traffic (the billing example of §5.2),
-//! mean packet size, and class proportions (protocol/port mix, §8).
-//! This module provides the standard simple-random-sampling estimators
-//! with their standard errors, including the finite-population
-//! correction — the paper's populations are finite and fully known, so
-//! the correction is observable in experiments.
+//! population quantities: total traffic (the billing example of §5.2)
+//! and class proportions (protocol/port mix, §8). This module provides
+//! the standard simple-random-sampling estimators, with the
+//! finite-population correction on the proportion's standard error —
+//! the paper's populations are finite and fully known, so the
+//! correction is observable in experiments.
 
-use nettrace::PacketRecord;
 use statkit::special::normal_quantile;
-use statkit::Moments;
-
-/// A mean estimate with its sampling error.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanEstimate {
-    /// The sample mean.
-    pub mean: f64,
-    /// Estimated standard error of the mean (with finite-population
-    /// correction).
-    pub std_error: f64,
-    /// Sample size.
-    pub n: usize,
-}
-
-impl MeanEstimate {
-    /// Two-sided confidence interval at the given level.
-    ///
-    /// # Panics
-    /// Panics unless `confidence` is in (0, 1).
-    #[must_use]
-    pub fn confidence_interval(&self, confidence: f64) -> (f64, f64) {
-        let z = normal_quantile(1.0 - (1.0 - confidence) / 2.0);
-        (
-            self.mean - z * self.std_error,
-            self.mean + z * self.std_error,
-        )
-    }
-
-    /// Whether the interval at `confidence` covers `truth`.
-    #[must_use]
-    pub fn covers(&self, truth: f64, confidence: f64) -> bool {
-        let (lo, hi) = self.confidence_interval(confidence);
-        (lo..=hi).contains(&truth)
-    }
-}
-
-/// Estimate the population mean packet size from the packets at
-/// `selected` indices, treating them as a simple random sample from a
-/// population of `population_len` packets.
-///
-/// # Panics
-/// Panics if `selected` is empty or an index is out of bounds.
-#[must_use]
-pub fn mean_size(
-    packets: &[PacketRecord],
-    selected: &[usize],
-    population_len: usize,
-) -> MeanEstimate {
-    assert!(!selected.is_empty(), "cannot estimate from an empty sample");
-    let m = Moments::from_values(selected.iter().map(|&i| f64::from(packets[i].size)));
-    let n = selected.len();
-    let fpc = if population_len > 0 {
-        (1.0 - n as f64 / population_len as f64).max(0.0)
-    } else {
-        1.0
-    };
-    let var_mean = if n > 1 {
-        m.sample_variance() / n as f64 * fpc
-    } else {
-        f64::INFINITY
-    };
-    MeanEstimate {
-        mean: m.mean(),
-        std_error: var_mean.sqrt(),
-        n,
-    }
-}
 
 /// Horvitz–Thompson style total estimate: scale the sampled count/bytes
 /// by the inverse sampling fraction.
@@ -142,141 +74,9 @@ pub fn proportion(hits: usize, n: usize, population_len: usize) -> ProportionEst
     }
 }
 
-/// Variance estimate of a **systematic** sample's mean via the
-/// successive-difference estimator (Cochran §8.11):
-/// `v(ȳ) = (1−f) / (2n(n−1)) · Σ (yᵢ − yᵢ₋₁)²`.
-///
-/// A single systematic sample carries no unbiased variance estimator;
-/// successive differences are the standard serviceable approximation —
-/// good when the population has no periodicity at the sampling interval
-/// (the case the paper establishes for WAN traffic), pessimistic under a
-/// trend, and misleading under resonance.
-///
-/// # Panics
-/// Panics with fewer than two selected packets.
-#[must_use]
-pub fn systematic_mean_size(
-    packets: &[PacketRecord],
-    selected: &[usize],
-    population_len: usize,
-) -> MeanEstimate {
-    assert!(
-        selected.len() >= 2,
-        "successive-difference estimator needs n >= 2"
-    );
-    let values: Vec<f64> = selected
-        .iter()
-        .map(|&i| f64::from(packets[i].size))
-        .collect();
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let sum_sq_diff: f64 = values.windows(2).map(|w| (w[1] - w[0]).powi(2)).sum();
-    let f = if population_len > 0 {
-        (values.len() as f64 / population_len as f64).min(1.0)
-    } else {
-        0.0
-    };
-    let var = (1.0 - f) * sum_sq_diff / (2.0 * n * (n - 1.0));
-    MeanEstimate {
-        mean,
-        std_error: var.max(0.0).sqrt(),
-        n: values.len(),
-    }
-}
-
-/// Variance estimate of a **stratified** (one unit per stratum) sample's
-/// mean via the collapsed-strata estimator (Cochran §5A.12): adjacent
-/// strata are paired and each pair's squared difference estimates twice
-/// the within-pair variance:
-/// `v(ȳ) = (1−f) / n² · Σ_pairs (y₂ⱼ − y₂ⱼ₊₁)² / 2 · (n / n_pairs)`.
-/// Slightly conservative (it absorbs between-stratum differences).
-///
-/// # Panics
-/// Panics with fewer than two selected packets.
-#[must_use]
-pub fn stratified_mean_size(
-    packets: &[PacketRecord],
-    selected: &[usize],
-    population_len: usize,
-) -> MeanEstimate {
-    assert!(
-        selected.len() >= 2,
-        "collapsed-strata estimator needs n >= 2"
-    );
-    let values: Vec<f64> = selected
-        .iter()
-        .map(|&i| f64::from(packets[i].size))
-        .collect();
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let mut pair_sum = 0.0;
-    let mut pairs = 0.0;
-    let mut iter = values.chunks_exact(2);
-    for pair in &mut iter {
-        pair_sum += (pair[0] - pair[1]).powi(2) / 2.0;
-        pairs += 1.0;
-    }
-    let f = if population_len > 0 {
-        (values.len() as f64 / population_len as f64).min(1.0)
-    } else {
-        0.0
-    };
-    // Mean of per-pair variance estimates, scaled to the mean of n units.
-    let unit_var = if pairs > 0.0 { pair_sum / pairs } else { 0.0 };
-    let var = (1.0 - f) * unit_var / n;
-    MeanEstimate {
-        mean,
-        std_error: var.max(0.0).sqrt(),
-        n: values.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{select_indices, Sampler};
-    use crate::SimpleRandomSampler;
-    use nettrace::Micros;
-
-    fn population(n: usize) -> Vec<PacketRecord> {
-        (0..n)
-            .map(|i| {
-                let size = if (i * 2654435761) % 100 < 40 { 40 } else { 552 };
-                PacketRecord::new(Micros(i as u64 * 1000), size)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn full_sample_recovers_exact_mean_with_zero_error() {
-        let pop = population(1000);
-        let all: Vec<usize> = (0..pop.len()).collect();
-        let est = mean_size(&pop, &all, pop.len());
-        let truth = pop.iter().map(|p| f64::from(p.size)).sum::<f64>() / pop.len() as f64;
-        assert!((est.mean - truth).abs() < 1e-9);
-        // fpc drives the error to zero for a census.
-        assert!(est.std_error < 1e-9);
-    }
-
-    #[test]
-    fn confidence_intervals_cover_at_nominal_rate() {
-        let pop = population(5000);
-        let truth = pop.iter().map(|p| f64::from(p.size)).sum::<f64>() / pop.len() as f64;
-        let mut covered = 0;
-        let trials = 400;
-        for seed in 0..trials {
-            let mut s = SimpleRandomSampler::new(pop.len(), 200, seed);
-            let sel = select_indices(&mut s as &mut dyn Sampler, &pop);
-            if mean_size(&pop, &sel, pop.len()).covers(truth, 0.95) {
-                covered += 1;
-            }
-        }
-        let rate = f64::from(covered) / f64::from(trials as u32);
-        assert!(
-            (rate - 0.95).abs() < 0.04,
-            "coverage {rate} should be near 0.95"
-        );
-    }
 
     #[test]
     fn estimated_total_scales_by_inverse_fraction() {
@@ -310,91 +110,6 @@ mod tests {
         let infinite = proportion(50, 200, usize::MAX);
         let finite = proportion(50, 200, 400); // half the population sampled
         assert!(finite.std_error < infinite.std_error * 0.8);
-    }
-
-    #[test]
-    fn successive_difference_tracks_replication_truth() {
-        // On an unstructured population, the successive-difference
-        // estimator's predicted std error should match the spread of the
-        // estimator across offsets.
-        use crate::SystematicSampler;
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(77);
-        let pop: Vec<PacketRecord> = (0..50_000)
-            .map(|i| PacketRecord::new(Micros(i as u64 * 1000), rng.random_range(40..=552)))
-            .collect();
-        let k = 100;
-        let mut estimates = Vec::new();
-        let mut predicted = Vec::new();
-        for offset in 0..k {
-            let mut s = SystematicSampler::with_offset(k, offset);
-            let sel = select_indices(&mut s as &mut dyn Sampler, &pop);
-            let est = systematic_mean_size(&pop, &sel, pop.len());
-            estimates.push(est.mean);
-            predicted.push(est.std_error);
-        }
-        let m = statkit::Moments::from_values(estimates.iter().copied());
-        let actual_se = m.std_dev();
-        let mean_predicted = predicted.iter().sum::<f64>() / predicted.len() as f64;
-        assert!(
-            (mean_predicted / actual_se - 1.0).abs() < 0.25,
-            "predicted {mean_predicted} vs actual {actual_se}"
-        );
-    }
-
-    #[test]
-    fn collapsed_strata_tracks_replication_truth() {
-        use crate::StratifiedSampler;
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(78);
-        let pop: Vec<PacketRecord> = (0..50_000)
-            .map(|i| PacketRecord::new(Micros(i as u64 * 1000), rng.random_range(40..=552)))
-            .collect();
-        let mut estimates = Vec::new();
-        let mut predicted = Vec::new();
-        for seed in 0..200u64 {
-            let mut s = StratifiedSampler::new(100, seed);
-            let sel = select_indices(&mut s as &mut dyn Sampler, &pop);
-            let est = stratified_mean_size(&pop, &sel, pop.len());
-            estimates.push(est.mean);
-            predicted.push(est.std_error);
-        }
-        let m = statkit::Moments::from_values(estimates.iter().copied());
-        let actual_se = m.std_dev();
-        let mean_predicted = predicted.iter().sum::<f64>() / predicted.len() as f64;
-        // Collapsed strata is conservative: predicted >= actual, within 2x.
-        assert!(
-            mean_predicted > actual_se * 0.8 && mean_predicted < actual_se * 2.0,
-            "predicted {mean_predicted} vs actual {actual_se}"
-        );
-    }
-
-    #[test]
-    fn successive_difference_detects_trend_pessimism() {
-        // On a pure trend the estimator is nearly zero-variance between
-        // offsets, and successive differences overstate the error —
-        // documented behavior worth pinning.
-        let pop: Vec<PacketRecord> = (0..10_000)
-            .map(|i| PacketRecord::new(Micros(i as u64), 40 + (i / 20) as u16))
-            .collect();
-        let mut s = crate::SystematicSampler::new(100);
-        let sel = select_indices(&mut s as &mut dyn Sampler, &pop);
-        let est = systematic_mean_size(&pop, &sel, pop.len());
-        assert!(est.std_error > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs n >= 2")]
-    fn variance_estimators_need_two_points() {
-        let pop = population(10);
-        let _ = systematic_mean_size(&pop, &[0], 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        let pop = population(10);
-        let _ = mean_size(&pop, &[], 10);
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl MethodFamily {
         }
     }
 
-    /// Whether the family is timer-triggered.
-    #[must_use]
-    pub fn is_timer_driven(&self) -> bool {
-        matches!(
-            self,
-            MethodFamily::SystematicTimer | MethodFamily::StratifiedTimer
-        )
-    }
-
     /// The effective replication count at granularity `k`: a systematic
     /// sample has only `k` distinct starting offsets, so requesting more
     /// replications than that would just repeat samples. A `k` past
@@ -726,15 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn family_names_and_flags() {
-        assert_eq!(MethodFamily::paper_five().len(), 5);
-        assert_eq!(
-            MethodFamily::paper_five()
-                .iter()
-                .filter(|f| f.is_timer_driven())
-                .count(),
-            2
-        );
+    fn family_names_and_timer_periods() {
         assert_eq!(MethodFamily::Systematic.name(), "systematic");
         // Timer period: 50 packets at 424.2 pps is ≈ 117,869 µs.
         assert_eq!(

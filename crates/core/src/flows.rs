@@ -237,12 +237,6 @@ impl<'a> FlowExperiment<'a> {
         self.truth.live_packets() as f64 / self.truth.len() as f64
     }
 
-    /// The precomputed true flow-size histogram.
-    #[must_use]
-    pub fn truth_histogram(&self) -> &Histogram {
-        &self.truth_hist
-    }
-
     /// One replication: take the systematic 1-in-k sample at offset
     /// `rep mod k`, aggregate it into sampled flows, invert, bin, score.
     /// Pure in its arguments plus precomputed state.
@@ -360,7 +354,7 @@ mod tests {
         let t = pack();
         let exp = FlowExperiment::new(t.packets());
         assert_eq!(exp.true_flows(), 600);
-        assert_eq!(exp.truth_histogram().total(), 600);
+        assert_eq!(exp.truth_hist.total(), 600);
         assert!(exp.true_mean_size() > 30.0 && exp.true_mean_size() < 70.0);
     }
 

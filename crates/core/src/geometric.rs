@@ -32,7 +32,6 @@ pub fn draw_skip(rng: &mut StdRng, p: f64) -> u64 {
 #[derive(Debug)]
 pub struct GeometricSkipSampler {
     mean_interval: usize,
-    seed: u64,
     rng: StdRng,
     /// Packets still to skip before the next selection.
     skip: u64,
@@ -64,7 +63,6 @@ impl GeometricSkipSampler {
         let skip = Self::next_skip(&mut rng, mean_interval);
         Ok(GeometricSkipSampler {
             mean_interval,
-            seed,
             rng,
             skip,
         })
@@ -97,11 +95,6 @@ impl Sampler for GeometricSkipSampler {
             self.skip = Self::next_skip(&mut self.rng, self.mean_interval);
             i += 1;
         }
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.skip = Self::next_skip(&mut self.rng, self.mean_interval);
     }
 
     fn method_name(&self) -> &'static str {
@@ -174,12 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_resettable() {
+    fn deterministic_per_seed() {
         let pkts = packets(10_000);
-        let mut s = GeometricSkipSampler::new(13, 11);
-        let a = select_indices(&mut s, &pkts);
-        s.reset();
-        assert_eq!(a, select_indices(&mut s, &pkts));
+        let run = || select_indices(&mut GeometricSkipSampler::new(13, 11), &pkts);
+        assert_eq!(run(), run());
     }
 
     #[test]

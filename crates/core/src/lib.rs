@@ -42,8 +42,9 @@
 //! fractions, and interval lengths, reproducing Figures 3–11;
 //! [`samplesize`] implements the Cochran sample-size formulas of §5.1;
 //! [`theory`] verifies the classical efficiency orderings of §5 on
-//! structured populations; [`estimate`] recovers population estimates
-//! (totals, means, proportions) with method-appropriate errors.
+//! structured populations; [`estimate`] scales sampled totals by the
+//! inverse sampling fraction and estimates class proportions with their
+//! standard errors.
 //!
 //! # Example
 //!

@@ -24,7 +24,6 @@ use rand::{RngExt, SeedableRng};
 pub struct SimpleRandomSampler {
     population: usize,
     sample: usize,
-    seed: u64,
     rng: StdRng,
     remaining_pop: usize,
     remaining_sample: usize,
@@ -58,7 +57,6 @@ impl SimpleRandomSampler {
         Ok(SimpleRandomSampler {
             population,
             sample,
-            seed,
             rng: StdRng::seed_from_u64(seed),
             remaining_pop: population,
             remaining_sample: sample,
@@ -99,12 +97,6 @@ impl Sampler for SimpleRandomSampler {
             }
             i += 1;
         }
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.remaining_pop = self.population;
-        self.remaining_sample = self.sample;
     }
 
     fn method_name(&self) -> &'static str {
@@ -216,10 +208,9 @@ mod tests {
         let pkts = packets(1_000);
         let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
         for (population, sample) in [(37, 5), (100, 100), (64, 0), (1, 1)] {
-            let mut s = SimpleRandomSampler::new(population, sample, 11);
-            let want = select_indices(&mut s, &pkts);
+            let want = select_indices(&mut SimpleRandomSampler::new(population, sample, 11), &pkts);
             for chunk in [1usize, 7, 100] {
-                s.reset();
+                let mut s = SimpleRandomSampler::new(population, sample, 11);
                 let mut got = Vec::new();
                 for (c, part) in ts.chunks(chunk).enumerate() {
                     s.offer_ts_batch(c * chunk, part, &mut got);
@@ -227,15 +218,6 @@ mod tests {
                 assert_eq!(got, want, "N={population} n={sample} chunk {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn reset_reproduces() {
-        let pkts = packets(100);
-        let mut s = SimpleRandomSampler::new(100, 10, 9);
-        let a = select_indices(&mut s, &pkts);
-        s.reset();
-        assert_eq!(a, select_indices(&mut s, &pkts));
     }
 
     #[test]

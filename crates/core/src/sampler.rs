@@ -97,10 +97,6 @@ pub trait Sampler: Send {
         !picked.is_empty()
     }
 
-    /// Restore the initial state (counters, schedules, and the random
-    /// stream position are all reset to their post-construction values).
-    fn reset(&mut self);
-
     /// Stable short name used as the `method` label on metrics: the
     /// [`MethodFamily::name`](crate::experiment::MethodFamily::name)
     /// spelling where the sampler has a family.
@@ -205,16 +201,6 @@ pub fn replication_seed(seed: u64, replication: u64) -> u64 {
 }
 
 impl MethodSpec {
-    /// Whether this method is triggered by a timer rather than by packet
-    /// arrival counts.
-    #[must_use]
-    pub fn is_timer_driven(&self) -> bool {
-        matches!(
-            self,
-            MethodSpec::SystematicTimer { .. } | MethodSpec::StratifiedTimer { .. }
-        )
-    }
-
     /// The method's class.
     #[must_use]
     pub fn class(&self) -> MethodClass {
@@ -537,9 +523,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_resumes_after_reset_and_partial_runs() {
+    fn batch_resumes_after_partial_runs_and_rebuilds_repeat() {
         // A prefix offered one packet at a time, then one run over the
-        // rest, must equal the whole-column run; reset restores it.
+        // rest, must equal the whole-column run; a sampler rebuilt from
+        // the same spec and seed repeats it.
         let pkts = packets(200);
         let ts: Vec<u64> = pkts.iter().map(|p| p.timestamp.as_u64()).collect();
         for spec in all_specs() {
@@ -552,10 +539,10 @@ mod tests {
                 .collect();
             s.offer_ts_batch(37, &ts[37..], &mut mixed);
             assert_eq!(whole, mixed, "{spec} runs of one, then the rest");
-            s.reset();
             let mut again = Vec::new();
-            s.offer_ts_batch(0, &ts, &mut again);
-            assert_eq!(whole, again, "{spec} after reset");
+            spec.build(pkts.len(), Micros(0), 0, 7)
+                .offer_ts_batch(0, &ts, &mut again);
+            assert_eq!(whole, again, "{spec} rebuilt");
         }
     }
 

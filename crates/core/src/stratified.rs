@@ -14,7 +14,6 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug)]
 pub struct StratifiedSampler {
     bucket: usize,
-    seed: u64,
     rng: StdRng,
     /// Position within the current bucket (0-based).
     pos: usize,
@@ -47,7 +46,6 @@ impl StratifiedSampler {
         let target = rng.random_range(0..bucket);
         Ok(StratifiedSampler {
             bucket,
-            seed,
             rng,
             pos: 0,
             target,
@@ -75,12 +73,6 @@ impl Sampler for StratifiedSampler {
                 self.target = self.rng.random_range(0..self.bucket);
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.pos = 0;
-        self.target = self.rng.random_range(0..self.bucket);
     }
 
     fn method_name(&self) -> &'static str {
@@ -152,16 +144,6 @@ mod tests {
         let pkts = packets(9);
         let mut s = StratifiedSampler::new(1, 7);
         assert_eq!(select_indices(&mut s, &pkts).len(), 9);
-    }
-
-    #[test]
-    fn reset_reproduces_sequence() {
-        let pkts = packets(200);
-        let mut s = StratifiedSampler::new(7, 123);
-        let a = select_indices(&mut s, &pkts);
-        s.reset();
-        let b = select_indices(&mut s, &pkts);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -98,10 +98,6 @@ impl Sampler for SystematicSampler {
         self.count += ts.len();
     }
 
-    fn reset(&mut self) {
-        self.count = 0;
-    }
-
     fn method_name(&self) -> &'static str {
         "systematic"
     }
@@ -154,16 +150,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let pkts = packets(10);
-        let mut s = SystematicSampler::with_offset(3, 1);
-        let first = select_indices(&mut s, &pkts);
-        s.reset();
-        let second = select_indices(&mut s, &pkts);
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -119,10 +119,6 @@ impl Sampler for SystematicTimerSampler {
         offer_from_wakes(self, base, ts, out);
     }
 
-    fn reset(&mut self) {
-        self.next_fire = self.start;
-    }
-
     fn method_name(&self) -> &'static str {
         "sys-timer"
     }
@@ -270,12 +266,6 @@ impl Sampler for StratifiedTimerSampler {
         offer_from_wakes(self, base, ts, out);
     }
 
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.stratum = 0;
-        self.draw_firing();
-    }
-
     fn method_name(&self) -> &'static str {
         "strat-timer"
     }
@@ -412,17 +402,18 @@ mod tests {
     }
 
     #[test]
-    fn resets_are_reproducible() {
+    fn rebuilt_timers_are_reproducible() {
         let pkts = regular_packets(500, 37);
-        let mut s1 = SystematicTimerSampler::new(Micros(777), Micros(0));
-        let a = select_indices(&mut s1, &pkts);
-        s1.reset();
-        assert_eq!(a, select_indices(&mut s1, &pkts));
-
-        let mut s2 = StratifiedTimerSampler::new(Micros(777), Micros(0), 5);
-        let b = select_indices(&mut s2, &pkts);
-        s2.reset();
-        assert_eq!(b, select_indices(&mut s2, &pkts));
+        let sys = || SystematicTimerSampler::new(Micros(777), Micros(0));
+        assert_eq!(
+            select_indices(&mut sys(), &pkts),
+            select_indices(&mut sys(), &pkts)
+        );
+        let strat = || StratifiedTimerSampler::new(Micros(777), Micros(0), 5);
+        assert_eq!(
+            select_indices(&mut strat(), &pkts),
+            select_indices(&mut strat(), &pkts)
+        );
     }
 
     #[test]
@@ -485,18 +476,19 @@ mod tests {
     #[test]
     fn stratified_timer_catchup_reseed_is_deterministic() {
         // The O(1) catch-up path must give the same selections on every
-        // run (and after reset) even though it skips the per-stratum
-        // replay.
+        // run even though it skips the per-stratum replay.
         let pkts = vec![
             PacketRecord::new(Micros(0), 40),
             PacketRecord::new(Micros(10_u64.pow(15)), 40),
             PacketRecord::new(Micros(10_u64.pow(15) + 3), 40),
         ];
-        let mut s = StratifiedTimerSampler::new(Micros(2), Micros(0), 9);
-        let a = select_indices(&mut s, &pkts);
-        s.reset();
-        let b = select_indices(&mut s, &pkts);
-        assert_eq!(a, b);
+        let run = || {
+            select_indices(
+                &mut StratifiedTimerSampler::new(Micros(2), Micros(0), 9),
+                &pkts,
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -512,11 +504,13 @@ mod tests {
             pkts.iter()
                 .map(|p| PacketRecord::new(Micros(p.timestamp.as_u64() + 40_000), 40)),
         );
-        let mut s = StratifiedTimerSampler::new(Micros(100), Micros(0), 3);
-        let sel = select_indices(&mut s, &gap);
-        s.reset();
-        let again = select_indices(&mut s, &gap);
-        assert_eq!(sel, again, "per-stratum replay must be stable");
+        let run = || {
+            select_indices(
+                &mut StratifiedTimerSampler::new(Micros(100), Micros(0), 3),
+                &gap,
+            )
+        };
+        assert_eq!(run(), run(), "per-stratum replay must be stable");
     }
 
     /// The systematic timer with the re-arm written out as one division

@@ -6,9 +6,10 @@
 //! "packets arrive in order" contract, because a corrupted capture can
 //! hand them exactly that. The contract under fuzz: construction via
 //! `try_*` never panics (degenerate parameters are typed errors),
-//! offers never panic or hang, and `reset` restores bit-identical
-//! behavior. [`sampling::disparity`] gets degenerate-bin histograms and
-//! must keep φ finite in `[0, √2]`. The telemetry server's
+//! offers never panic or hang, and a sampler rebuilt from the same
+//! parameters selects bit-identically. [`sampling::disparity`] gets
+//! degenerate-bin histograms and must keep φ finite in `[0, √2]`. The
+//! telemetry server's
 //! [`obskit::parse_request_line`] gets oversized, truncated, binary,
 //! and byte-mutated request lines and must reject (never panic on)
 //! every malformed one, deterministically. The same contract covers the
@@ -96,6 +97,16 @@ pub struct StateFuzzReport {
     pub digest: u64,
 }
 
+/// A sampler, or the constructor's rejection as text.
+type BuiltSampler = Result<Box<dyn Sampler>, String>;
+
+/// Box a `try_*` constructor's result as a [`BuiltSampler`].
+fn boxed<S: Sampler + 'static, E: ToString>(built: Result<S, E>) -> BuiltSampler {
+    built
+        .map(|s| Box::new(s) as Box<dyn Sampler>)
+        .map_err(|e| e.to_string())
+}
+
 /// An adversarial timestamp sequence: mixes zero, equal runs, maximal,
 /// stepped, arbitrary, and backwards timestamps.
 fn hostile_packets(rng: &mut StdRng) -> Vec<PacketRecord> {
@@ -147,26 +158,19 @@ impl Fuzzer {
     }
 
     /// Drive one sampler (or a constructor rejection) through a hostile
-    /// sequence twice, checking panic-freedom and reset-determinism.
-    fn fuzz_sampler(
-        &mut self,
-        source: &str,
-        sampler: Result<Box<dyn Sampler>, String>,
-        rng: &mut StdRng,
-    ) {
-        let mut sampler = match sampler {
-            Ok(s) => s,
-            Err(_) => {
-                self.record(source, "rejected");
-                return;
-            }
+    /// sequence, then a second sampler built from the same parameters
+    /// through the same sequence, checking panic-freedom and
+    /// determinism.
+    fn fuzz_sampler(&mut self, source: &str, build: impl Fn() -> BuiltSampler, rng: &mut StdRng) {
+        let (Ok(mut sampler), Ok(mut rebuilt)) = (build(), build()) else {
+            self.record(source, "rejected");
+            return;
         };
         let packets = hostile_packets(rng);
         self.offers += 2 * packets.len() as u64;
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             let first = select_indices(&mut *sampler, &packets);
-            sampler.reset();
-            let second = select_indices(&mut *sampler, &packets);
+            let second = select_indices(&mut *rebuilt, &packets);
             (first, second, packets.len())
         }));
         match outcome {
@@ -180,7 +184,7 @@ impl Fuzzer {
                     self.violation(
                         source,
                         format!(
-                            "reset is not deterministic: {} vs {} selections",
+                            "rebuilt sampler diverged: {} vs {} selections",
                             first.len(),
                             second.len()
                         ),
@@ -291,7 +295,8 @@ impl Fuzzer {
     /// or sliding, with or without a flow budget. Contracts: no panic;
     /// `offer_slice` at a random chunking equals runs of one;
     /// tumbling windows' packets sum to the offered count; every window
-    /// has `selected ≤ packets` and flows within the budget; φ is
+    /// has `selected ≤ packets`, flows within the budget and at most one
+    /// sampled flow per selected packet; φ is
     /// finite in [0, √2]; and when the packets fit a pcap and the
     /// budget is the default, [`run_stream`] over their capture yields
     /// the direct windower's (index, packets, selected, flows, φ bits).
@@ -411,10 +416,7 @@ impl Fuzzer {
         let mut direct = Vec::with_capacity(windows.len());
         for w in &windows {
             let sampled = w.sampled_sizes.len() as u64;
-            if w.selected > w.packets
-                || w.flows > w.packets.min(cap)
-                || sampled > w.selected.min(cap)
-            {
+            if w.selected > w.packets || w.flows > w.packets.min(cap) || sampled > w.selected {
                 problems.push(format!(
                     "window {}: {} of {} selected, {} flows, {sampled} sampled, budget {cap}",
                     w.index, w.selected, w.packets, w.flows
@@ -894,56 +896,50 @@ impl Fuzzer {
     /// do not depend on how the stream is cut into runs are what lets
     /// the grid, `stream` and `serve` share one decision path.
     fn fuzz_packet_batch(&mut self, rng: &mut StdRng) {
-        let sampler: Result<Box<dyn Sampler>, String> = match rng.random_range(0u8..6) {
-            0 => SystematicSampler::try_with_offset(
-                rng.random_range(0usize..=1_000),
-                rng.random_range(0usize..=1_050),
-            )
-            .map(|s| Box::new(s) as Box<dyn Sampler>)
-            .map_err(|e| e.to_string()),
-            1 => StratifiedSampler::try_new(rng.random_range(0usize..=1_000), rng.random::<u64>())
-                .map(|s| Box::new(s) as Box<dyn Sampler>)
-                .map_err(|e| e.to_string()),
-            2 => SimpleRandomSampler::try_new(
-                rng.random_range(0usize..=5_000),
-                rng.random_range(0usize..=5_500),
-                rng.random::<u64>(),
-            )
-            .map(|s| Box::new(s) as Box<dyn Sampler>)
-            .map_err(|e| e.to_string()),
+        let build: Box<dyn Fn() -> BuiltSampler> = match rng.random_range(0u8..6) {
+            0 => {
+                let interval = rng.random_range(0usize..=1_000);
+                let offset = rng.random_range(0usize..=1_050);
+                Box::new(move || boxed(SystematicSampler::try_with_offset(interval, offset)))
+            }
+            1 => {
+                let bucket = rng.random_range(0usize..=1_000);
+                let seed = rng.random::<u64>();
+                Box::new(move || boxed(StratifiedSampler::try_new(bucket, seed)))
+            }
+            2 => {
+                let population = rng.random_range(0usize..=5_000);
+                let sample = rng.random_range(0usize..=5_500);
+                let seed = rng.random::<u64>();
+                Box::new(move || boxed(SimpleRandomSampler::try_new(population, sample, seed)))
+            }
             3 => {
-                GeometricSkipSampler::try_new(rng.random_range(0usize..=1_000), rng.random::<u64>())
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string())
+                let mean = rng.random_range(0usize..=1_000);
+                let seed = rng.random::<u64>();
+                Box::new(move || boxed(GeometricSkipSampler::try_new(mean, seed)))
             }
-            4 => SystematicTimerSampler::try_new(
-                Micros(hostile_period(rng)),
-                Micros(rng.random::<u64>()),
-            )
-            .map(|s| Box::new(s) as Box<dyn Sampler>)
-            .map_err(|e| e.to_string()),
-            _ => StratifiedTimerSampler::try_new(
-                Micros(hostile_period(rng)),
-                Micros(rng.random::<u64>()),
-                rng.random::<u64>(),
-            )
-            .map(|s| Box::new(s) as Box<dyn Sampler>)
-            .map_err(|e| e.to_string()),
+            4 => {
+                let period = Micros(hostile_period(rng));
+                let start = Micros(rng.random::<u64>());
+                Box::new(move || boxed(SystematicTimerSampler::try_new(period, start)))
+            }
+            _ => {
+                let period = Micros(hostile_period(rng));
+                let start = Micros(rng.random::<u64>());
+                let seed = rng.random::<u64>();
+                Box::new(move || boxed(StratifiedTimerSampler::try_new(period, start, seed)))
+            }
         };
-        let mut sampler = match sampler {
-            Ok(s) => s,
-            Err(_) => {
-                self.record("packet_batch", "rejected");
-                return;
-            }
+        let (Ok(singles_sampler), Ok(runs_sampler)) = (build(), build()) else {
+            self.record("packet_batch", "rejected");
+            return;
         };
         let packets = hostile_packets(rng);
         let chunk = rng.random_range(1usize..=64);
         self.offers += 2 * packets.len() as u64;
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             let batch = PacketBatch::from_records(&packets);
-            let mut walk = |run: usize| {
-                sampler.reset();
+            let walk = |mut sampler: Box<dyn Sampler>, run: usize| {
                 let mut out = Vec::new();
                 let mut base = 0usize;
                 for ts in batch.ts.chunks(run) {
@@ -952,7 +948,11 @@ impl Fuzzer {
                 }
                 out
             };
-            (walk(1), walk(chunk), packets.len())
+            (
+                walk(singles_sampler, 1),
+                walk(runs_sampler, chunk),
+                packets.len(),
+            )
         }));
         match outcome {
             Err(panic) => {
@@ -1418,52 +1418,40 @@ pub fn run_state_fuzz(cfg: &StateFuzzConfig) -> StateFuzzReport {
             0 => {
                 let interval = rng.random_range(0usize..=1_000);
                 let offset = rng.random_range(0usize..=1_050);
-                let s = SystematicSampler::try_with_offset(interval, offset)
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("systematic", s, &mut rng);
+                let build = || boxed(SystematicSampler::try_with_offset(interval, offset));
+                fuzzer.fuzz_sampler("systematic", build, &mut rng);
             }
             1 => {
                 let bucket = rng.random_range(0usize..=1_000);
-                let s = StratifiedSampler::try_new(bucket, rng.random::<u64>())
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("stratified", s, &mut rng);
+                let seed = rng.random::<u64>();
+                let build = || boxed(StratifiedSampler::try_new(bucket, seed));
+                fuzzer.fuzz_sampler("stratified", build, &mut rng);
             }
             2 => {
                 let population = rng.random_range(0usize..=5_000);
                 let sample = rng.random_range(0usize..=5_500);
-                let s = SimpleRandomSampler::try_new(population, sample, rng.random::<u64>())
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("random", s, &mut rng);
+                let seed = rng.random::<u64>();
+                let build = || boxed(SimpleRandomSampler::try_new(population, sample, seed));
+                fuzzer.fuzz_sampler("random", build, &mut rng);
             }
             3 => {
                 let mean = rng.random_range(0usize..=1_000);
-                let s = GeometricSkipSampler::try_new(mean, rng.random::<u64>())
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("geometric", s, &mut rng);
+                let seed = rng.random::<u64>();
+                let build = || boxed(GeometricSkipSampler::try_new(mean, seed));
+                fuzzer.fuzz_sampler("geometric", build, &mut rng);
             }
             4 => {
-                let period = hostile_period(&mut rng);
-                let start = rng.random::<u64>();
-                let s = SystematicTimerSampler::try_new(Micros(period), Micros(start))
-                    .map(|s| Box::new(s) as Box<dyn Sampler>)
-                    .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("systematic_timer", s, &mut rng);
+                let period = Micros(hostile_period(&mut rng));
+                let start = Micros(rng.random::<u64>());
+                let build = || boxed(SystematicTimerSampler::try_new(period, start));
+                fuzzer.fuzz_sampler("systematic_timer", build, &mut rng);
             }
             5 => {
-                let period = hostile_period(&mut rng);
-                let start = rng.random::<u64>();
-                let s = StratifiedTimerSampler::try_new(
-                    Micros(period),
-                    Micros(start),
-                    rng.random::<u64>(),
-                )
-                .map(|s| Box::new(s) as Box<dyn Sampler>)
-                .map_err(|e| e.to_string());
-                fuzzer.fuzz_sampler("stratified_timer", s, &mut rng);
+                let period = Micros(hostile_period(&mut rng));
+                let start = Micros(rng.random::<u64>());
+                let seed = rng.random::<u64>();
+                let build = || boxed(StratifiedTimerSampler::try_new(period, start, seed));
+                fuzzer.fuzz_sampler("stratified_timer", build, &mut rng);
             }
             6 => {
                 let config = AdaptiveConfig {
@@ -1477,9 +1465,9 @@ pub fn run_state_fuzz(cfg: &StateFuzzConfig) -> StateFuzzReport {
                     max_interval: 1 << 20,
                 };
                 let interval = rng.random_range(1usize..=1_000);
-                let s: Result<Box<dyn Sampler>, String> =
-                    Ok(Box::new(AdaptiveSampler::new(interval, config)));
-                fuzzer.fuzz_sampler("adaptive", s, &mut rng);
+                let build =
+                    || -> BuiltSampler { Ok(Box::new(AdaptiveSampler::new(interval, config))) };
+                fuzzer.fuzz_sampler("adaptive", build, &mut rng);
             }
             7 => fuzzer.fuzz_stream(&mut rng),
             8 => fuzzer.fuzz_reservoir_stream(&mut rng),

@@ -19,7 +19,8 @@
 //!
 //! A second digest pins the windower's flow budget: which flows each
 //! window keeps, reports and evicts under budgets of 1, 7, 64 and the
-//! default, on flow-id-keyed and 5-tuple-keyed traffic. `GOLDEN` never
+//! default, on flow-id-keyed and 5-tuple-keyed traffic, and the sampled
+//! flow sizes the budget leaves whole. `GOLDEN` never
 //! evicts (its windows hold far fewer flows than the default budget),
 //! so the budget has its own constant.
 
@@ -35,9 +36,11 @@ use streamkit::{ReservoirStream, StreamMethod, WindowPayload, WindowSpec, Window
 /// sampler selects different packets.
 const GOLDEN: u64 = 0x548e_8ddc_a5af_6589;
 
-/// The flow-budget digest measured when the test was written. A change
-/// here means a window keeps or evicts different flows.
-const FLOW_BUDGET_GOLDEN: u64 = 0x442b_8fa4_9a8f_53e6;
+/// The flow-budget digest, re-recorded when the budget stopped
+/// truncating the sampled flow table (which holds at most one flow per
+/// selection). A change here means a window keeps or evicts different
+/// flows.
+const FLOW_BUDGET_GOLDEN: u64 = 0xa8b8_8031_b917_2778;
 
 /// Run lengths every sampler is offered in; 0 stands for the whole
 /// column.

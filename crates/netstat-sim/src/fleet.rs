@@ -109,12 +109,7 @@ impl Fleet {
         interfaces: u32,
     ) -> Result<Self, FleetError> {
         let tenants: Vec<String> = tenants.into_iter().map(Into::into).collect();
-        if tenants.is_empty() {
-            return Err(FleetError::NoTenants);
-        }
-        if interfaces == 0 {
-            return Err(FleetError::NoInterfaces);
-        }
+        check_shape(tenants.len() as u64, interfaces)?;
         for (i, t) in tenants.iter().enumerate() {
             if t.is_empty() {
                 return Err(FleetError::EmptyTenant);
@@ -131,13 +126,6 @@ impl Fleet {
                 return Err(FleetError::DuplicateTenant { tenant: t.clone() });
             }
         }
-        let lanes = tenants
-            .len()
-            .checked_mul(interfaces as usize)
-            .ok_or(FleetError::TooManyLanes { lanes: usize::MAX })?;
-        if lanes > MAX_LANES {
-            return Err(FleetError::TooManyLanes { lanes });
-        }
         Ok(Fleet {
             tenants,
             interfaces,
@@ -145,7 +133,9 @@ impl Fleet {
     }
 
     /// Convenience constructor: `tenants` anonymous ids `t0..t{n-1}`.
+    /// The shape is checked before any id is formatted.
     pub fn anonymous(tenants: u32, interfaces: u32) -> Result<Self, FleetError> {
+        check_shape(u64::from(tenants), interfaces)?;
         Fleet::new((0..tenants).map(|t| format!("t{t}")), interfaces)
     }
 
@@ -186,6 +176,25 @@ impl Fleet {
     pub fn tenant_name(&self, tenant: u32) -> &str {
         &self.tenants[tenant as usize]
     }
+}
+
+/// The fleet's shape: at least one tenant and one interface, and at
+/// most [`MAX_LANES`] lanes. Checked from the two counts alone, so a
+/// hostile count is rejected before any tenant id is built or compared.
+fn check_shape(tenants: u64, interfaces: u32) -> Result<(), FleetError> {
+    if tenants == 0 {
+        return Err(FleetError::NoTenants);
+    }
+    if interfaces == 0 {
+        return Err(FleetError::NoInterfaces);
+    }
+    let lanes = tenants.saturating_mul(u64::from(interfaces));
+    if lanes > MAX_LANES as u64 {
+        return Err(FleetError::TooManyLanes {
+            lanes: usize::try_from(lanes).unwrap_or(usize::MAX),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -234,6 +243,30 @@ mod tests {
             Fleet::anonymous(100, 100).unwrap_err(),
             FleetError::TooManyLanes { lanes: 10_000 }
         ));
+    }
+
+    #[test]
+    fn lane_cap_is_checked_before_any_tenant_id() {
+        // Formatting or scanning 2^32 - 1 ids would take minutes and
+        // gigabytes before the cap applied.
+        assert!(matches!(
+            Fleet::anonymous(u32::MAX, 1).unwrap_err(),
+            FleetError::TooManyLanes {
+                lanes: 4_294_967_295
+            }
+        ));
+        assert_eq!(
+            Fleet::anonymous(u32::MAX, 0).unwrap_err(),
+            FleetError::NoInterfaces
+        );
+        assert!(matches!(
+            Fleet::new(vec![""; MAX_LANES + 1], 1).unwrap_err(),
+            FleetError::TooManyLanes { lanes: 4_097 }
+        ));
+        assert_eq!(
+            Fleet::anonymous(MAX_LANES as u32, 1).unwrap().lane_count(),
+            4_096
+        );
     }
 
     #[test]

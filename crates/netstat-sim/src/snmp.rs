@@ -39,45 +39,6 @@ impl SnmpCounters {
     }
 }
 
-/// A wrap-aware view of the era's 32-bit SNMP counters.
-///
-/// MIB-II counters were 32 bits; at T3 byte rates `ifInOctets` wrapped
-/// in well under the 15-minute poll interval's worst case, and the NOC's
-/// delta computation had to assume at most one wrap per poll — the
-/// operational reason poll intervals could not simply be lengthened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter32 {
-    value: u32,
-}
-
-impl Counter32 {
-    /// Current raw (wrapped) value.
-    #[must_use]
-    pub fn value(&self) -> u32 {
-        self.value
-    }
-
-    /// Add to the counter, wrapping as 32-bit hardware does.
-    pub fn add(&mut self, delta: u64) {
-        self.value = self.value.wrapping_add(delta as u32);
-    }
-
-    /// Delta since a previous reading, assuming at most one wrap —
-    /// correct iff the true delta is below 2³² (the polling-frequency
-    /// requirement the NOC operated under).
-    #[must_use]
-    pub fn delta_since(&self, previous: Counter32) -> u64 {
-        u64::from(self.value.wrapping_sub(previous.value))
-    }
-
-    /// Minimum poll frequency (polls/second) at which single-wrap deltas
-    /// stay unambiguous for a given rate (units/second).
-    #[must_use]
-    pub fn min_poll_hz(rate_per_sec: f64) -> f64 {
-        rate_per_sec / f64::from(u32::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,36 +63,6 @@ mod tests {
         }
         b.count_bulk(50, 5_000);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn counter32_wraps_and_recovers_delta() {
-        let mut c = Counter32::default();
-        c.add(u64::from(u32::MAX) - 10);
-        let before = c;
-        c.add(30); // wraps past 2^32
-        assert!(c.value() < before.value());
-        assert_eq!(c.delta_since(before), 30);
-    }
-
-    #[test]
-    fn counter32_double_wrap_is_ambiguous() {
-        // The documented limitation: a delta of 2^32 + 5 reads as 5.
-        let mut c = Counter32::default();
-        let before = c;
-        c.add((1u64 << 32) + 5);
-        assert_eq!(c.delta_since(before), 5);
-    }
-
-    #[test]
-    fn counter32_poll_frequency_for_t3() {
-        // T3 octet rate ~ 45 Mbit/s / 8 = 5.625e6 B/s: a 32-bit octet
-        // counter wraps every ~763 s, so polls must come at least every
-        // ~12.7 minutes — the 15-minute cycle was marginal, which is
-        // historically accurate.
-        let hz = Counter32::min_poll_hz(5.625e6);
-        let wrap_secs = 1.0 / hz;
-        assert!(wrap_secs > 700.0 && wrap_secs < 800.0, "{wrap_secs}");
     }
 
     #[test]

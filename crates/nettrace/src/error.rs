@@ -3,7 +3,7 @@
 use std::fmt;
 use std::io;
 
-/// Errors produced by trace construction, slicing, and pcap I/O.
+/// Errors produced by trace construction and pcap I/O.
 #[derive(Debug)]
 pub enum TraceError {
     /// Packet timestamps must be nondecreasing; the offending index and the
@@ -16,8 +16,6 @@ pub enum TraceError {
         /// Timestamp of the offending packet (µs).
         this_us: u64,
     },
-    /// The requested time window or index range is empty or inverted.
-    EmptyWindow,
     /// An I/O error during capture read/write.
     Io(io::Error),
     /// The stream's magic number is neither a libpcap magic nor the
@@ -50,7 +48,6 @@ impl fmt::Display for TraceError {
                 f,
                 "packet {index} has timestamp {this_us}us earlier than predecessor {prev_us}us"
             ),
-            TraceError::EmptyWindow => write!(f, "requested window selects no packets"),
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
             TraceError::BadMagic(m) => {
                 write!(f, "not a pcap or pcapng capture (bad magic {m:#010x})")
@@ -94,7 +91,6 @@ mod tests {
             this_us: 50,
         };
         assert!(e.to_string().contains("packet 7"));
-        assert!(TraceError::EmptyWindow.to_string().contains("no packets"));
         assert!(TraceError::BadMagic(0xdead_beef)
             .to_string()
             .contains("0xdeadbeef"));

@@ -92,12 +92,6 @@ impl PerSecondSeries {
         self.seconds.iter().map(|s| s.packets as f64).collect()
     }
 
-    /// Bytes-per-second values, one per second.
-    #[must_use]
-    pub fn byte_rates(&self) -> Vec<f64> {
-        self.seconds.iter().map(|s| s.bytes as f64).collect()
-    }
-
     /// Kilobytes-per-second values (Table 2 reports kB/s).
     #[must_use]
     pub fn kilobyte_rates(&self) -> Vec<f64> {
@@ -189,7 +183,6 @@ mod tests {
         let t = Trace::new(vec![pkt(0, 500), pkt(100, 500), pkt(1_200_000, 250)]).unwrap();
         let s = PerSecondSeries::from_trace(&t);
         assert_eq!(s.packet_rates(), vec![2.0, 1.0]);
-        assert_eq!(s.byte_rates(), vec![1000.0, 250.0]);
         assert_eq!(s.kilobyte_rates(), vec![1.0, 0.25]);
     }
 

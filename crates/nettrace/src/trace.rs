@@ -135,20 +135,6 @@ impl Trace {
         &self.packets[lo..hi]
     }
 
-    /// A sub-trace for `[from, to)`, cloning the selected records.
-    ///
-    /// # Errors
-    /// Returns [`TraceError::EmptyWindow`] if no packets fall in the window.
-    pub fn window_trace(&self, from: Micros, to: Micros) -> Result<Trace, TraceError> {
-        let w = self.window(from, to);
-        if w.is_empty() {
-            return Err(TraceError::EmptyWindow);
-        }
-        Ok(Trace {
-            packets: w.to_vec(),
-        })
-    }
-
     /// Re-timestamp every packet through a capture-clock model
     /// (e.g. [`ClockModel::SDSC_1993`]'s 400 µs quantization).
     /// Quantization is monotone, so ordering is preserved.
@@ -804,17 +790,6 @@ mod tests {
         assert!(t.window(Micros(20), Micros(10)).is_empty());
         // full span
         assert_eq!(t.window(Micros(0), Micros(u64::MAX)).len(), 5);
-    }
-
-    #[test]
-    fn window_trace_errors_on_empty() {
-        let t = sample_trace();
-        assert!(matches!(
-            t.window_trace(Micros(3_000_000), Micros(4_000_000)),
-            Err(TraceError::EmptyWindow)
-        ));
-        let sub = t.window_trace(Micros(0), Micros(500)).unwrap();
-        assert_eq!(sub.len(), 3);
     }
 
     #[test]

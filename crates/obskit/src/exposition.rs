@@ -33,22 +33,6 @@ pub fn valid_label_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Escape a label value for exposition: `\` → `\\`, `"` → `\"`,
-/// newline → `\n`.
-#[must_use]
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
 /// Parse the interior of a label block (`k="v",k2="v2"` — no braces)
 /// into unescaped `(name, value)` pairs.
 ///
@@ -309,10 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn label_block_round_trip() {
+    fn label_block_unescapes_values() {
         let hostile = "a\\b\"c\nd";
-        let block = format!("k=\"{}\",other=\"plain\"", escape_label_value(hostile));
-        let pairs = parse_label_block(&block).unwrap();
+        let block = r#"k="a\\b\"c\nd",other="plain""#;
+        let pairs = parse_label_block(block).unwrap();
         assert_eq!(
             pairs,
             vec![

@@ -47,20 +47,6 @@ pub struct SpanNode {
     pub self_us: u64,
 }
 
-impl SpanNode {
-    /// The leaf name (last path segment).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.path.rsplit(';').next().unwrap_or(&self.path)
-    }
-
-    /// Nesting depth: 0 for roots.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.path.matches(';').count()
-    }
-}
-
 #[derive(Debug, Default, Clone, Copy)]
 struct Agg {
     count: u64,
@@ -135,13 +121,6 @@ pub(crate) fn exit(id: u64, total_us: u64) {
     agg.self_us = agg.self_us.saturating_add(self_us);
 }
 
-/// Depth of this thread's span stack (open spans), for tests and
-/// diagnostics.
-#[must_use]
-pub fn current_depth() -> usize {
-    STACK.with(|s| s.borrow().len())
-}
-
 /// A point-in-time copy of the aggregated span tree, sorted by path.
 #[must_use]
 pub fn snapshot() -> Vec<SpanNode> {
@@ -165,37 +144,6 @@ pub fn render_folded() -> String {
     let mut out = String::new();
     for n in snapshot() {
         let _ = writeln!(out, "{} {}", n.path, n.self_us);
-    }
-    out
-}
-
-/// Render the aggregate as an indented human-readable tree with
-/// count / total / self columns.
-#[must_use]
-pub fn render_tree() -> String {
-    let nodes = snapshot();
-    if nodes.is_empty() {
-        return "(no spans recorded)\n".to_string();
-    }
-    let name_w = nodes
-        .iter()
-        .map(|n| 2 * n.depth() + n.name().len())
-        .max()
-        .unwrap_or(4)
-        .max(4);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<name_w$}  {:>8}  {:>12}  {:>12}",
-        "span", "count", "total_us", "self_us"
-    );
-    for n in &nodes {
-        let label = format!("{}{}", "  ".repeat(n.depth()), n.name());
-        let _ = writeln!(
-            out,
-            "{label:<name_w$}  {:>8}  {:>12}  {:>12}",
-            n.count, n.total_us, n.self_us
-        );
     }
     out
 }
@@ -291,17 +239,17 @@ mod tests {
         });
         let nodes = nodes_with_prefix("tree_thread_child");
         assert_eq!(nodes.len(), 1, "other thread's span is its own root");
-        assert_eq!(nodes[0].depth(), 0);
+        assert_eq!(nodes[0].path, "tree_thread_child");
     }
 
     #[test]
     fn out_of_order_drop_does_not_corrupt_the_stack() {
-        let before = current_depth();
         let a = crate::span("tree_ooo_a");
         let b = crate::span("tree_ooo_b");
         drop(a); // non-LIFO
         drop(b);
-        assert_eq!(current_depth(), before);
+        // Both frames are gone: the next span is a root again.
+        assert_eq!(crate::span("tree_ooo_after").parent_id(), 0);
         let nodes = nodes_with_prefix("tree_ooo_a");
         assert!(nodes.iter().any(|n| n.path == "tree_ooo_a"));
     }
@@ -320,25 +268,5 @@ mod tests {
         let mut parts = line.rsplitn(2, ' ');
         let value = parts.next().unwrap();
         assert!(value.parse::<u64>().is_ok(), "value not numeric: {line}");
-    }
-
-    #[test]
-    fn span_node_name_and_depth() {
-        let n = SpanNode {
-            path: "a;b;c".into(),
-            count: 1,
-            total_us: 10,
-            self_us: 5,
-        };
-        assert_eq!(n.name(), "c");
-        assert_eq!(n.depth(), 2);
-        let root = SpanNode {
-            path: "root".into(),
-            count: 1,
-            total_us: 1,
-            self_us: 1,
-        };
-        assert_eq!(root.name(), "root");
-        assert_eq!(root.depth(), 0);
     }
 }

@@ -167,18 +167,6 @@ impl Pool {
         Pool::new(default_jobs())
     }
 
-    /// This pool's worker count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// True when the pool runs tasks inline on the calling thread.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.jobs == 1
-    }
-
     /// Run `task(i)` for every `i in 0..tasks` and return the outputs
     /// **in index order** (slot `i` holds `task(i)`'s output).
     ///
@@ -374,8 +362,6 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert!(pool.is_serial());
-        assert!(!Pool::new(2).is_serial());
     }
 
     #[test]

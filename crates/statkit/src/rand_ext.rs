@@ -39,59 +39,6 @@ impl Exponential {
     }
 }
 
-/// Two-phase hyperexponential (H₂) distribution, fitted from a mean and a
-/// squared coefficient of variation `cv² > 1` by the standard
-/// balanced-means two-moment fit.
-///
-/// Packet interarrivals on aggregated WAN links are *burstier* than
-/// Poisson; the paper's population has cv ≈ 1.16 (Table 3: σ 2734 over
-/// mean 2358). H₂ is the minimal distribution that reproduces that
-/// overdispersion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperExp2 {
-    p1: f64,
-    mean1: f64,
-    mean2: f64,
-}
-
-impl HyperExp2 {
-    /// Fit to the given mean and squared coefficient of variation.
-    ///
-    /// # Panics
-    /// Panics unless `mean > 0` and `cv2 > 1`.
-    #[must_use]
-    pub fn from_mean_cv2(mean: f64, cv2: f64) -> Self {
-        assert!(mean > 0.0, "H2 mean must be positive");
-        assert!(
-            cv2 > 1.0,
-            "H2 requires cv^2 > 1 (got {cv2}); use Exponential at 1"
-        );
-        let p1 = 0.5 * (1.0 + ((cv2 - 1.0) / (cv2 + 1.0)).sqrt());
-        HyperExp2 {
-            p1,
-            mean1: mean / (2.0 * p1),
-            mean2: mean / (2.0 * (1.0 - p1)),
-        }
-    }
-
-    /// Draw one value.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let branch_mean = if rng.random::<f64>() < self.p1 {
-            self.mean1
-        } else {
-            self.mean2
-        };
-        let u: f64 = rng.random();
-        -branch_mean * (1.0 - u).ln()
-    }
-
-    /// Theoretical mean.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.p1 * self.mean1 + (1.0 - self.p1) * self.mean2
-    }
-}
-
 /// Log-normal distribution parameterized by the *underlying normal's*
 /// `mu` and `sigma`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -486,27 +433,6 @@ mod tests {
         v.sort_by(f64::total_cmp);
         let med = v[v.len() / 2];
         assert!((med - std::f64::consts::LN_2).abs() < 0.02, "median {med}");
-    }
-
-    #[test]
-    fn hyperexp2_matches_two_moments() {
-        let d = HyperExp2::from_mean_cv2(2358.0, 1.3);
-        assert!((d.mean() - 2358.0).abs() < 1e-9);
-        let mut r = rng(11);
-        let m = Moments::from_values((0..400_000).map(|_| d.sample(&mut r)));
-        assert!(
-            (m.mean() - 2358.0).abs() / 2358.0 < 0.02,
-            "mean {}",
-            m.mean()
-        );
-        let cv2 = (m.std_dev() / m.mean()).powi(2);
-        assert!((cv2 - 1.3).abs() < 0.06, "cv2 {cv2}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cv^2 > 1")]
-    fn hyperexp2_rejects_underdispersion() {
-        let _ = HyperExp2::from_mean_cv2(1.0, 0.9);
     }
 
     #[test]

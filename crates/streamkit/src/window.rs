@@ -136,7 +136,8 @@ pub struct WindowPayload {
     pub evicted_flows: u64,
     /// Sizes (packets per flow, key order) of the flows seen among the
     /// *selected* packets — the sampled flow table a 1-in-k inversion
-    /// estimator runs on. Bounded by the same window flow budget.
+    /// estimator runs on. It holds at most one flow per selected packet,
+    /// so the window flow budget does not truncate it.
     pub sampled_sizes: Vec<u64>,
     /// Sampled-table flows whose selected packets included a SYN.
     pub sampled_syn_flows: u64,
@@ -210,7 +211,7 @@ pub struct Windower {
     emitted: u64,
     packets_total: u64,
     selected_total: u64,
-    /// Flows a window keeps at its merge.
+    /// Flows a window's (unsampled) flow table keeps at its merge.
     flow_budget: usize,
     /// Flows of the bucket that closed last: the size the next bucket's
     /// flow table starts at, so a flow-heavy bucket skips the rehash
@@ -519,7 +520,6 @@ impl Windower {
         }
         let before = flows.len() as u64;
         flows.truncate_lru(self.flow_budget);
-        sampled.truncate_lru(self.flow_budget);
         let index = self.next_index;
         self.next_index += 1;
         self.emitted += 1;
@@ -853,8 +853,9 @@ mod tests {
         assert_eq!(win.evicted_flows, 0);
     }
 
-    /// A per-window flow budget override bounds both tables and reports
-    /// its evictions; `live_flows` tracks the open bucket.
+    /// A per-window flow budget override bounds the window's flow table
+    /// and reports its evictions, but leaves the sampled table whole;
+    /// `live_flows` tracks the open bucket.
     #[test]
     fn flow_budget_override_bounds_and_reports_evictions() {
         let pkts: Vec<PacketRecord> = (0..100u64)
@@ -872,7 +873,8 @@ mod tests {
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].flows, 30);
         assert_eq!(windows[0].evicted_flows, 70);
-        assert!(windows[0].sampled_sizes.len() <= 30);
+        assert_eq!(windows[0].selected, 20);
+        assert_eq!(windows[0].sampled_sizes, vec![1; 20]);
         assert_eq!(w.live_flows(), 0, "closed windows release their flows");
     }
 
