@@ -221,7 +221,7 @@ rule tripwire value(telemetry_samples_total) >= 1 for 1
 RULES
 "$bin" --serve 127.0.0.1:0 --rules "$tmpdir/watch.rules" \
     --telemetry-interval-ms 100 stream --soak 80 --window 2000 \
-    --pace-pps 20000 --interval 50 --adaptive-shed tripwire \
+    --pace-pps 20000 --interval 50 \
     > "$tmpdir/wsoak.out" 2> "$tmpdir/wsoak.err" &
 wsoak_pid=$!
 wport=""
@@ -438,24 +438,33 @@ if [ "$(head -n 7 "$tmpdir/sweep.max.out")" != "$(pinned_output sweep < /dev/nul
     echo "sweep --max-interval u64::MAX does not open with the default sweep" >&2
     exit 1
 fi
-# serve's shard and lane counts have ceilings (4,096 each) that it checks
-# before it allocates anything: the widest --shards and --tenants must
-# be usage errors (64) inside the same address-space cap and time limit.
-for flags in "--shards 4294967295" "--tenants 4294967295 --interfaces 1"; do
-    # shellcheck disable=SC2086 # $flags holds two or four words
-    if ( ulimit -v 600000; exec timeout 120 "$bin" --jobs 1 serve $flags --windows 1 \
-        --window-packets 1000 --flows-per-window 10 ) \
-        < /dev/null > /dev/null 2> "$tmpdir/serve.hostile.err"; then
+# Hostile numeric arguments, each run inside the same address-space cap
+# and time limit, with the exit code it must give. serve's shard and lane
+# counts have ceilings (4,096 each), and a synthetic lane's window one of
+# u32::MAX packets (a flow's quota is a u32), all checked before anything
+# is allocated: usage errors (64). A reservoir's buffer grows with its
+# window instead of reserving its capacity, so a capacity far past any
+# window must run (0).
+while read -r want args; do
+    # shellcheck disable=SC2086 # $args holds the verb and its flags
+    if ( ulimit -v 600000; exec timeout 120 "$bin" --jobs 1 $args ) \
+        < /dev/null > /dev/null 2> "$tmpdir/hostile.err"; then
         code=0
     else
         code=$?
     fi
-    if [ "$code" -ne 64 ]; then
-        echo "serve $flags exited $code, want 64:" >&2
-        cat "$tmpdir/serve.hostile.err" >&2
+    if [ "$code" -ne "$want" ]; then
+        echo "$args exited $code, want $want:" >&2
+        cat "$tmpdir/hostile.err" >&2
         exit 1
     fi
-done
+done <<HOSTILE
+64 serve --shards 4294967295 --windows 1 --window-packets 1000 --flows-per-window 10
+64 serve --tenants 4294967295 --interfaces 1 --windows 1 --window-packets 1000 --flows-per-window 10
+64 serve --shards 1 --tenants 1 --interfaces 1 --windows 1 --window-packets 4294967297 --flows-per-window 1
+0 serve --method reservoir --capacity 4294967296 --windows 1 --window-packets 1000 --flows-per-window 10
+0 stream $tmpdir/pop.pcap --window 1000 --method reservoir --capacity 18446744073709551615
+HOSTILE
 
 echo "== collect: sharded collector (determinism + live shard gauges + soak)"
 # The collector's contract: reports are a pure function of (seed, fleet,

@@ -668,21 +668,6 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
             )))
         }
     };
-    if let Some(rule) = args.opt("adaptive-shed") {
-        cfg.adaptive_shed = Some(rule.to_string());
-        // Unless --rules loaded a rule of that name, the built-in
-        // channel high-water tripwire at 3/4 queue depth stands in.
-        let hiwater = (3 * streamkit::QUEUE_DEPTH).div_ceil(4);
-        install_rule_unless_loaded(
-            rule,
-            &format!("value(stream_channel_depth{{stage=\"transform\"}}) >= {hiwater} for 2"),
-            &format!("--adaptive-shed '{rule}'"),
-        )?;
-        // The control loop reads alert_active{rule}, which only flips on
-        // telemetry ticks over the series rings — make sure both run
-        // even without --serve.
-        obskit::telemetry::ensure_global();
-    }
     if let Some(ref_path) = args.opt("reference") {
         let reference = load(ref_path)?;
         if reference.is_empty() {
@@ -1234,7 +1219,6 @@ mod tests {
         "soak",
         "pace-pps",
         "rss-budget-kb",
-        "adaptive-shed",
     ];
 
     #[test]
@@ -1400,43 +1384,6 @@ mod tests {
             }
             Ok(out) => assert!(out.contains("soak: windows=2"), "{out}"),
         }
-    }
-
-    #[test]
-    fn stream_adaptive_shed_installs_builtin_rule_and_rejects_bad_names() {
-        // No rule of this name is loaded, so stream installs the
-        // built-in channel high-water tripwire under it and still
-        // completes the soak.
-        let out = stream(&args(
-            &[
-                "--soak",
-                "2",
-                "--window",
-                "200",
-                "--adaptive-shed",
-                "cli_shed_probe",
-            ],
-            STREAM_OPTS,
-        ))
-        .unwrap();
-        assert!(out.contains("stream (pcap): systematic"), "{out}");
-        assert!(obskit::rules::global_engine().has_rule("cli_shed_probe"));
-
-        // A name the rule grammar rejects is a usage error, surfaced
-        // before any packet is read.
-        let e = stream(&args(
-            &[
-                "--soak",
-                "1",
-                "--window",
-                "100",
-                "--adaptive-shed",
-                "bad name",
-            ],
-            STREAM_OPTS,
-        ))
-        .unwrap_err();
-        assert_eq!(e.exit_code(), 64, "{e}");
     }
 
     #[test]

@@ -48,13 +48,12 @@ USAGE:
                     [--interval k] [--capacity c] [--target T] [--seed S]
                     [--replication R]
                     [--backpressure block|drop-newest] [--jsonl out.jsonl]
-                    [--reference ref.pcap] [--adaptive-shed RULE]
+                    [--reference ref.pcap]
                     (- reads the capture from stdin; one-pass, O(window)
                     memory; DUR like 500ms, 10s, 1m; --method random draws
                     exactly n of each window's N packets, so it needs a
-                    tumbling packet-count --window; --adaptive-shed widens
-                    shedding while alert RULE fires — a built-in channel
-                    high-water rule is installed if RULE is not loaded)
+                    tumbling packet-count --window; block stalls the reader
+                    on a full queue, drop-newest sheds the batch and counts it)
   netsample stream  --soak N [--pace-pps R] [--rss-budget-kb KB] [stream options]
                     (no trace argument: replays N synthetic windows, paced at
                     R pkt/s, and fails with exit 1 if RSS grows past the budget)
@@ -380,7 +379,6 @@ fn run(cmd: &str, rest: Vec<String>) -> Result<String, commands::CmdError> {
                     "soak",
                     "pace-pps",
                     "rss-budget-kb",
-                    "adaptive-shed",
                 ],
             )?;
             commands::stream(&a)

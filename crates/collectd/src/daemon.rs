@@ -159,6 +159,15 @@ impl CollectorConfig {
             if mean_gap_us == 0 {
                 return Err(CollectError::BadConfig("zero mean gap".into()));
             }
+            // The generator keeps each flow's quota in a u32; at this
+            // bound every quota of every flow mix fits.
+            if self.window_packets > u64::from(u32::MAX) {
+                return Err(CollectError::BadConfig(format!(
+                    "window packets ({}) exceed {} for a synthetic lane",
+                    self.window_packets,
+                    u32::MAX
+                )));
+            }
         }
         Ok(())
     }

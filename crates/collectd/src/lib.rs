@@ -241,6 +241,21 @@ mod tests {
     }
 
     #[test]
+    fn synthetic_windows_past_u32_max_packets_are_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.window_packets = u64::from(u32::MAX);
+        assert!(cfg.validate().is_ok());
+        cfg.window_packets += 1;
+        assert!(matches!(
+            cfg.validate().err().unwrap(),
+            CollectError::BadConfig(m) if m.contains("synthetic lane")
+        ));
+        // Replay lanes hold no per-flow quota, so no such bound.
+        cfg.source = LaneSource::Replay { pace_pps: 0 };
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
     fn drain_deadline_flushes_partial_windows_and_conserves_packets() {
         use std::time::{Duration, Instant};
         for method in [

@@ -102,8 +102,7 @@ pub use metrics::{disparity, DisparityReport};
 pub use nullband::{phi_null_band, PhiNullBand};
 pub use random::SimpleRandomSampler;
 pub use sampler::{
-    replication_seed, select_indices, select_indices_ts, BuildError, MethodClass, MethodSpec,
-    Sampler,
+    replication_seed, select_indices, select_indices_ts, BuildError, MethodSpec, Sampler,
 };
 pub use samplesize::{required_sample_size, SampleSizeSpec};
 pub use stratified::StratifiedSampler;

@@ -137,17 +137,6 @@ pub fn select_indices_ts<S: Sampler + ?Sized>(sampler: &mut S, ts: &[u64]) -> Ve
     selected
 }
 
-/// The broad class of a sampling method (paper §4, Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MethodClass {
-    /// Deterministic every-k-th selection.
-    Systematic,
-    /// One random pick per bucket/stratum.
-    StratifiedRandom,
-    /// Uniform selection over the whole population.
-    SimpleRandom,
-}
-
 /// A fully specified sampling method: class × trigger × granularity.
 ///
 /// `MethodSpec` is configuration; [`MethodSpec::build`] instantiates the
@@ -201,22 +190,6 @@ pub fn replication_seed(seed: u64, replication: u64) -> u64 {
 }
 
 impl MethodSpec {
-    /// The method's class.
-    #[must_use]
-    pub fn class(&self) -> MethodClass {
-        match self {
-            MethodSpec::Systematic { .. } | MethodSpec::SystematicTimer { .. } => {
-                MethodClass::Systematic
-            }
-            MethodSpec::StratifiedRandom { .. } | MethodSpec::StratifiedTimer { .. } => {
-                MethodClass::StratifiedRandom
-            }
-            MethodSpec::SimpleRandom { .. } | MethodSpec::GeometricSkip { .. } => {
-                MethodClass::SimpleRandom
-            }
-        }
-    }
-
     /// Build the concrete sampler for one replication.
     ///
     /// * `population_len` — packet count of the window (used by simple
@@ -352,25 +325,6 @@ mod tests {
             .iter()
             .map(|f| f.at_granularity(k, mean_pps))
             .collect()
-    }
-
-    #[test]
-    fn classes_are_assigned() {
-        assert_eq!(
-            MethodSpec::Systematic { interval: 10 }.class(),
-            MethodClass::Systematic
-        );
-        assert_eq!(
-            MethodSpec::StratifiedTimer {
-                period: Micros(100)
-            }
-            .class(),
-            MethodClass::StratifiedRandom
-        );
-        assert_eq!(
-            MethodSpec::GeometricSkip { mean_interval: 10 }.class(),
-            MethodClass::SimpleRandom
-        );
     }
 
     #[test]

@@ -56,11 +56,17 @@ impl LaneConfig {
     /// Sanity checks, mirrored by the collector's config validation.
     ///
     /// # Panics
-    /// Panics on degenerate parameters: zero window, zero flows, more
+    /// Panics on degenerate parameters: zero window, a window past
+    /// `u32::MAX` packets (a flow's quota is a `u32`), zero flows, more
     /// flows than packets (a flow needs at least one packet), or a zero
     /// mean gap.
     pub fn validate(&self) {
         assert!(self.window_packets > 0, "window must hold packets");
+        assert!(
+            self.window_packets <= u64::from(u32::MAX),
+            "window packets ({}) exceed u32::MAX",
+            self.window_packets
+        );
         assert!(self.flows_per_window > 0, "flow mix must hold flows");
         assert!(
             u64::from(self.flows_per_window) <= self.window_packets,

@@ -151,23 +151,13 @@ impl Moments {
     ///
     /// The paper treats its one-hour trace as the *complete parent
     /// population* (§4) and uses population parameters directly, so
-    /// population variance is the primary variant here.
+    /// this is the only variance here.
     #[must_use]
     pub fn variance(&self) -> f64 {
         if self.n == 0 {
             f64::NAN
         } else {
             self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance (divides by n-1); NaN when n < 2.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n as f64 - 1.0)
         }
     }
 
@@ -223,7 +213,6 @@ mod tests {
         assert_eq!(m.count(), 1);
         close(m.mean(), 5.0, 1e-15);
         close(m.variance(), 0.0, 1e-15);
-        assert!(m.sample_variance().is_nan());
         assert_eq!(m.min(), 5.0);
         assert_eq!(m.max(), 5.0);
     }
@@ -235,7 +224,6 @@ mod tests {
         close(m.mean(), 5.0, 1e-12);
         close(m.variance(), 4.0, 1e-12);
         close(m.std_dev(), 2.0, 1e-12);
-        close(m.sample_variance(), 32.0 / 7.0, 1e-12);
     }
 
     #[test]
@@ -299,6 +287,6 @@ mod tests {
         // catastrophically cancel.
         let m = Moments::from_values([1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0]);
         close(m.mean(), 1e9 + 10.0, 1e-3);
-        close(m.sample_variance(), 30.0, 1e-3);
+        close(m.variance(), 22.5, 1e-3);
     }
 }

@@ -45,13 +45,6 @@ pub struct StreamConfig {
     /// Score each window against this fixed reference instead of the
     /// window's own population. Bins must match the target's.
     pub reference: Option<Histogram>,
-    /// Name of an alert rule (in obskit's global rule engine) that
-    /// drives **adaptive shedding**: while `alert_active{rule=<name>}`
-    /// is 1, the source stage widens its drop-newest shedding —
-    /// `Block` escalates to drop-newest instead of stalling, and
-    /// batches shed proactively at half queue occupancy. `None` keeps
-    /// the static policy.
-    pub adaptive_shed: Option<String>,
 }
 
 impl StreamConfig {
@@ -69,7 +62,6 @@ impl StreamConfig {
             batch: 512,
             backpressure: Backpressure::Block,
             reference: None,
-            adaptive_shed: None,
         }
     }
 
@@ -259,13 +251,6 @@ fn validate(cfg: &StreamConfig) -> Result<(), StreamError> {
             ));
         }
     }
-    if let Some(rule) = &cfg.adaptive_shed {
-        if rule.is_empty() || !rule.bytes().all(|b| b.is_ascii_graphic()) {
-            return Err(StreamError::Config(
-                "adaptive-shed rule name must be nonempty graphic ASCII".into(),
-            ));
-        }
-    }
     // Probe-build the sampler so degenerate methods fail here, not
     // mid-stream. The real build differs only in its window anchor,
     // which cannot affect fallibility.
@@ -344,11 +329,10 @@ pub fn run_stream<R: Read + Send>(
     };
     let stats = LiveStats::new();
     let (batch, policy) = (cfg.batch.max(1), cfg.backpressure);
-    let shed_rule = cfg.adaptive_shed.as_deref();
     let end = thread::scope(|s| {
         let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         let stats = &stats;
-        s.spawn(move || source_loop(stream, tx, batch, policy, shed_rule, stats));
+        s.spawn(move || source_loop(stream, tx, batch, policy, stats));
 
         let _span = obskit::span_labeled("stream_stage", &[("stage", "transform")]);
         let mut windower: Option<Windower> = None;
@@ -483,6 +467,34 @@ mod tests {
         }
     }
 
+    /// Every packet is either offered or shed, under both policies.
+    /// Whether drop-newest sheds at all depends on thread timing, so
+    /// only what holds under every schedule is asserted.
+    #[test]
+    fn run_stream_conserves_packets_under_both_policies() {
+        let bytes = capture(20_000);
+        for policy in [Backpressure::Block, Backpressure::DropNewest] {
+            let mut cfg =
+                StreamConfig::new(systematic(7), Target::PacketSize, WindowSpec::Count(100));
+            cfg.batch = 1;
+            cfg.backpressure = policy;
+            let s = run_stream(bytes.as_slice(), &cfg).unwrap();
+            assert_eq!(s.packets + s.dropped_packets, 20_000, "{policy:?}");
+            let offered: u64 = s.windows.iter().map(|w| w.packets).sum();
+            assert_eq!(offered, s.packets, "{policy:?}");
+            let mut shed = 0;
+            for w in &s.windows {
+                assert!(w.shed_packets >= shed, "{policy:?} window {}", w.index);
+                shed = w.shed_packets;
+            }
+            assert!(shed <= s.dropped_packets, "{policy:?}");
+            if policy == Backpressure::Block {
+                assert_eq!(s.dropped_packets, 0);
+                assert!(s.windows.iter().all(|w| w.shed_packets == 0));
+            }
+        }
+    }
+
     #[test]
     fn truncated_capture_reports_the_broken_byte_offset() {
         let mut bytes = capture(50);
@@ -557,13 +569,6 @@ mod tests {
             run_stream(&[][..], &cfg),
             Err(StreamError::Config(_))
         ));
-
-        let mut cfg = base(systematic(5));
-        cfg.adaptive_shed = Some(String::new());
-        match run_stream(&[][..], &cfg) {
-            Err(StreamError::Config(msg)) => assert!(msg.contains("adaptive-shed"), "{msg}"),
-            other => panic!("expected config error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -587,6 +592,25 @@ mod tests {
                 a.report.map(|r| r.phi.to_bits()),
                 b.report.map(|r| r.phi.to_bits())
             );
+        }
+    }
+
+    /// A capacity past any window's packet count keeps whole windows
+    /// and reserves nothing up front.
+    #[test]
+    fn unbounded_reservoir_keeps_every_packet_of_each_window() {
+        let bytes = capture(500);
+        let cfg = StreamConfig::new(
+            StreamMethod::Reservoir {
+                capacity: usize::MAX,
+            },
+            Target::PacketSize,
+            WindowSpec::Count(100),
+        );
+        let summary = run_stream(bytes.as_slice(), &cfg).unwrap();
+        assert_eq!(summary.windows.len(), 5);
+        for w in &summary.windows {
+            assert_eq!((w.packets, w.selected), (100, 100), "window {}", w.index);
         }
     }
 

@@ -23,10 +23,10 @@
 //!   paper's size/interarrival histograms, and emits a per-window φ
 //!   against the window's own population or a fixed reference;
 //! * **two-stage runtime** — [`run_stream`] decodes on a source thread
-//!   behind one bounded channel with explicit backpressure (block, or
-//!   drop-with-counter) and adaptive shedding, and runs the windower
-//!   and sampler on the calling thread, scoring each window where it
-//!   closes; obskit counters, gauges and spans cover both stages.
+//!   behind one bounded channel with a static backpressure policy
+//!   (block, or drop-with-counter), and runs the windower and sampler
+//!   on the calling thread, scoring each window where it closes; obskit
+//!   counters, gauges and spans cover both stages and never steer them.
 //!
 //! The streaming path reproduces the batch
 //! [`Experiment`](sampling::Experiment) exactly: one tumbling window

@@ -18,17 +18,6 @@
 //! kernel would drop anyway and an honest counter beats a silent
 //! stall).
 //!
-//! **Scrape-driven adaptive control**: when the engine names a shed
-//! rule ([`crate::StreamConfig::adaptive_shed`]), the source stage
-//! reads the on-board alert engine's `alert_active{rule=...}` gauge
-//! each batch. While the alert fires, shedding *widens*: the `Block`
-//! policy escalates to drop-newest instead of stalling the reader,
-//! and batches are shed proactively once the queue passes half
-//! occupancy (not only when it is full). Adaptive drops are counted
-//! separately in `stream_adaptive_shed_total`. The control loop is
-//! entirely on-board — rule evaluation happens on the telemetry tick,
-//! no external scraper in the loop.
-//!
 //! [`Block`]: Backpressure::Block
 //! [`DropNewest`]: Backpressure::DropNewest
 
@@ -37,9 +26,7 @@ use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 
-/// Depth of the source → lane channel, in batches. Also the scale of
-/// the adaptive-shed high-water mark (half of it) and of the CLI's
-/// built-in `stream_channel_depth` tripwire (three quarters of it).
+/// Depth of the source → lane channel, in batches.
 pub const QUEUE_DEPTH: usize = 4;
 
 /// Policy when the ingestion queue is full.
@@ -50,15 +37,6 @@ pub enum Backpressure {
     Block,
     /// Drop the just-read batch and count it (lossy, never stalls).
     DropNewest,
-}
-
-impl std::fmt::Display for Backpressure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backpressure::Block => write!(f, "block"),
-            Backpressure::DropNewest => write!(f, "drop-newest"),
-        }
-    }
 }
 
 /// What the source stage hands the lane loop.
@@ -90,7 +68,6 @@ pub(crate) struct LiveStats {
     stalls: obskit::Counter,
     pub(crate) depth_ingest: obskit::Gauge,
     pub(crate) windows_scored: obskit::Counter,
-    adaptive_shed: obskit::Counter,
     pub(crate) shed_packets: AtomicU64,
 }
 
@@ -104,10 +81,6 @@ impl LiveStats {
             "stream_shed_total",
             "Packets shed by the drop-newest backpressure policy.",
         );
-        obskit::global().describe(
-            "stream_adaptive_shed_total",
-            "Packets shed because an adaptive-shed alert rule was firing.",
-        );
         LiveStats {
             packets: obskit::counter("stream_packets_ingested_total"),
             batches: obskit::counter("stream_batches_ingested_total"),
@@ -116,7 +89,6 @@ impl LiveStats {
             stalls: obskit::counter("stream_backpressure_stalls_total"),
             depth_ingest: obskit::gauge_labeled("stream_channel_depth", &[("stage", "transform")]),
             windows_scored: obskit::counter("stream_windows_scored_total"),
-            adaptive_shed: obskit::counter("stream_adaptive_shed_total"),
             shed_packets: AtomicU64::new(0),
         }
     }
@@ -168,16 +140,9 @@ pub(crate) fn source_loop<R: Read>(
     tx: SyncSender<SourceMsg>,
     batch: usize,
     policy: Backpressure,
-    shed_rule: Option<&str>,
     stats: &LiveStats,
 ) {
     let _span = obskit::span_labeled("stream_stage", &[("stage", "source")]);
-    // Resolve the adaptive-control gauge once; the alert engine flips
-    // it on the telemetry tick, the hot loop only reads an atomic.
-    let shed_gauge = shed_rule.map(|r| obskit::gauge_labeled("alert_active", &[("rule", r)]));
-    // "Widened" shedding threshold: once the alert fires, shed at half
-    // queue occupancy instead of waiting for a full queue.
-    let hiwater = (QUEUE_DEPTH / 2) as i64;
     let mut dropped_batches = 0u64;
     let mut dropped_packets = 0u64;
     loop {
@@ -197,21 +162,9 @@ pub(crate) fn source_loop<R: Read>(
                 // Inc the depth gauge *before* the send so the consumer's
                 // dec never races it below zero.
                 stats.depth_ingest.add(1);
-                let firing = shed_gauge.as_ref().is_some_and(|g| g.get() >= 1);
-                let outcome = if firing {
-                    // Alert firing: widen shedding. Never stall (Block
-                    // escalates to drop-newest) and shed proactively
-                    // past the half-occupancy high-water mark.
-                    if stats.depth_ingest.get() > hiwater {
-                        SendOutcome::Dropped(buf.len() as u64)
-                    } else {
-                        send_drop_newest(&tx, buf)
-                    }
-                } else {
-                    match policy {
-                        Backpressure::Block => send_blocking_counted(&tx, buf, stats),
-                        Backpressure::DropNewest => send_drop_newest(&tx, buf),
-                    }
+                let outcome = match policy {
+                    Backpressure::Block => send_blocking_counted(&tx, buf, stats),
+                    Backpressure::DropNewest => send_drop_newest(&tx, buf),
                 };
                 match outcome {
                     SendOutcome::Sent => {}
@@ -222,9 +175,6 @@ pub(crate) fn source_loop<R: Read>(
                         stats.shed_batches_total.inc();
                         stats.shed_packets_total.add(shed);
                         stats.shed_packets.fetch_add(shed, Ordering::Relaxed);
-                        if firing {
-                            stats.adaptive_shed.add(shed);
-                        }
                     }
                     SendOutcome::Closed => {
                         stats.depth_ingest.add(-1);
@@ -299,18 +249,16 @@ mod tests {
         ));
     }
 
-    /// The shed counters are process-wide and tests run in parallel: the
-    /// tests that read their deltas hold this so their runs never overlap.
-    static SHED_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Drive `source_loop` against a deliberately slow consumer and
-    /// return the `(stalls, shed_packets, adaptive_shed)` deltas this
-    /// run contributed to the global counters.
-    fn drive_source(policy: Backpressure, shed_rule: Option<&str>) -> (u64, u64, u64) {
-        let stats = LiveStats::new();
-        let stalls0 = stats.stalls.get();
-        let shed0 = stats.shed_packets_total.get();
-        let adaptive0 = stats.adaptive_shed.get();
+    /// Run `source_loop` over 60 one-packet batches into the depth-4
+    /// queue, with a consumer that drains nothing until the source has
+    /// met a full queue (a stall or a shed), and return its `(stalls,
+    /// shed_packets)`. Both counters are detached from the global
+    /// registry, so runs in other tests cannot move them.
+    fn drive_source(policy: Backpressure) -> (u64, u64) {
+        let mut stats = LiveStats::new();
+        stats.stalls = obskit::Counter::new();
+        stats.shed_packets_total = obskit::Counter::new();
+        let full = [stats.stalls.clone(), stats.shed_packets_total.clone()];
         let bytes = {
             let packets: Vec<PacketRecord> = (0..60u64)
                 .map(|i| PacketRecord::new(Micros(i * 10), 40))
@@ -323,53 +271,26 @@ mod tests {
         let stream = CaptureStream::new(bytes.as_slice()).unwrap();
         let (tx, rx) = sync_channel::<SourceMsg>(QUEUE_DEPTH);
         let consumer = std::thread::spawn(move || {
-            for msg in rx {
-                if matches!(msg, SourceMsg::Batch(_)) {
-                    stats_sleep();
-                }
+            // Bounded, so a source that never meets a full queue fails
+            // the asserts below instead of hanging.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while full.iter().all(|c| c.get() == 0) && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
             }
+            rx.into_iter().count()
         });
-        source_loop(stream, tx, 1, policy, shed_rule, &stats);
+        source_loop(stream, tx, 1, policy, &stats);
         consumer.join().unwrap();
-        (
-            stats.stalls.get() - stalls0,
-            stats.shed_packets_total.get() - shed0,
-            stats.adaptive_shed.get() - adaptive0,
-        )
-    }
-
-    fn stats_sleep() {
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        (stats.stalls.get(), stats.shed_packets_total.get())
     }
 
     #[test]
-    fn adaptive_shed_reduces_block_stalls_while_alert_fires() {
-        let _serial = SHED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        // The control gauge the alert engine would normally flip.
-        obskit::gauge_labeled("alert_active", &[("rule", "pipeline_test_hiwater")]).set(1);
-        // Static Block path: 60 one-packet batches into the depth-4
-        // queue drained at 2ms/batch must stall the reader repeatedly.
-        let (stalls_static, _, adaptive_static) = drive_source(Backpressure::Block, None);
-        assert!(stalls_static > 0, "static Block path must stall");
-        assert_eq!(adaptive_static, 0, "no rule, no adaptive shedding");
-        // Same load with the alert firing: Block escalates to
-        // drop-newest, so the reader sheds instead of stalling.
-        let (stalls_adaptive, shed, adaptive) =
-            drive_source(Backpressure::Block, Some("pipeline_test_hiwater"));
-        assert!(
-            stalls_adaptive < stalls_static,
-            "adaptive shed must reduce stalls ({stalls_adaptive} vs {stalls_static})"
-        );
-        assert!(adaptive > 0, "widened shedding must engage");
-        assert!(shed >= adaptive, "adaptive drops are counted as shed too");
-    }
-
-    #[test]
-    fn adaptive_shed_stays_inert_while_alert_is_clear() {
-        let _serial = SHED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        obskit::gauge_labeled("alert_active", &[("rule", "pipeline_test_quiet")]).set(0);
-        let (stalls, _, adaptive) = drive_source(Backpressure::Block, Some("pipeline_test_quiet"));
-        assert!(stalls > 0, "clear alert keeps the static Block policy");
-        assert_eq!(adaptive, 0, "no adaptive drops while the rule is clear");
+    fn block_stalls_and_drop_newest_sheds_at_a_full_queue() {
+        let (stalls, shed) = drive_source(Backpressure::Block);
+        assert!(stalls > 0, "Block must stall");
+        assert_eq!(shed, 0, "Block is lossless");
+        let (stalls, shed) = drive_source(Backpressure::DropNewest);
+        assert_eq!(stalls, 0, "drop-newest never stalls");
+        assert!(shed > 0, "drop-newest must shed");
     }
 }

@@ -56,7 +56,9 @@ pub struct ReservoirStream {
 }
 
 impl ReservoirStream {
-    /// New reservoir holding at most `capacity` packets.
+    /// New reservoir holding at most `capacity` packets. The buffer
+    /// starts empty and grows with the window, so a capacity far past
+    /// any window's packet count reserves nothing up front.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -68,7 +70,7 @@ impl ReservoirStream {
         ReservoirStream {
             capacity,
             rng,
-            buf: Vec::with_capacity(capacity),
+            buf: Vec::new(),
             seen: 0,
             w,
             next_replace: u64::MAX,
